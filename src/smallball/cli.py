@@ -1,9 +1,13 @@
 """Command-line front end.
 
-One subcommand per operation family.  Reports are deterministic for a fixed
-configuration: all randomness flows from --seed through per-trial
-substreams, and wall-clock timing is only included under --timing so that
-identical configs produce byte-identical reports.
+One table, `COMMANDS`, gives each subcommand its flags (converter and
+default), a call into the library and a mapper from the library's result to
+the report's `results`.  Flag values resolve as table defaults < `--config`
+file < flags given; `sweep` runs table entries over a grid of flag values.
+
+Reports are deterministic for a fixed configuration: all randomness flows
+from --seed through per-trial substreams, and wall-clock time is reported
+only under --timing, so identical configs give byte-identical reports.
 
 Exit codes: 0 success, 2 validation error, 3 budget error, 4 soundness
 failure (a bound fell below the exact value it must dominate).
@@ -13,13 +17,19 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
+from typing import Any, Callable
 
-from . import __version__
+from . import __version__, core, experiments, fourier, gaps, lcd, polyforms
 from .types import (
     BudgetError,
     CoefficientMultiset,
@@ -48,8 +58,15 @@ REPORT_SCHEMA = {
     "additionalProperties": False,
 }
 
+REQUIRED = object()  # flag default: the value must come from a flag or the config
 
-def _xi_from_flag(text: str) -> SignDistribution:
+
+# ------------------------------------------------------------- converters
+# Each turns one flag's text into the value the library takes.  `_resolve`
+# turns a ValueError from any of them into a ValidationError.
+
+
+def _xi(text: str) -> SignDistribution:
     if text == "pm1":
         return SignDistribution.bernoulli_pm1()
     if text == "bool":
@@ -59,13 +76,297 @@ def _xi_from_flag(text: str) -> SignDistribution:
     raise ValidationError(f"unknown sign law {text!r} (pm1, bool, lazy:MU)")
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _ints(text: str) -> list[int]:
+    return [int(t) for t in text.replace(",", " ").split()]
+
+
+def _rationals(text: str) -> list[Fraction]:
+    return [parse_rational(t) for t in text.replace(",", " ").split()]
+
+
+def _matrix(text: str) -> polyforms.SymmetricCoefficientMatrix:
+    rows = [r for r in text.split(";") if r.strip()]
+    return polyforms.SymmetricCoefficientMatrix.of(
+        [[parse_rational(x) for x in row.replace(",", " ").split()] for row in rows])
+
+
+def _terms(text: str) -> str:
+    """A term-list file's contents, or inline terms separated by ';'."""
+    if os.path.exists(text):
+        with open(text) as fh:
+            return fh.read()
+    return text.replace(";", "\n")
+
+
+def _bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+def _choice(convert: Callable, *options) -> Callable:
+    def conv(text):
+        value = convert(text)
+        if value not in options:
+            raise ValidationError(f"{text!r} is not one of {', '.join(map(str, options))}")
+        return value
+    return conv
+
+
+# ---------------------------------------------------------- result helpers
+
+
+def _versus(bound: float, exact: Fraction) -> dict:
+    """A bound next to the exact value it dominates."""
+    return {"bound": bound, "exact": exact, "ratio": bound / float(exact) if exact else None}
+
+
+def _sound(results, holds: bool, failure: str):
+    """`results`, or a SoundnessError when a checked inequality fails."""
+    if not holds:
+        raise SoundnessError(failure)
+    return results
+
+
+def _fp_results(ctx, a) -> dict:
+    bound = fourier.fp_exponential_bound(ctx)
+    exact, _ = core.concentration_probability(a.entries)
+    return _sound({"p": ctx.p, **_versus(bound, exact)}, bound >= float(exact),
+                  f"fp bound {bound} < exact {float(exact)}")
+
+
+def _pairs_of(values: list) -> list:
+    if len(values) % 2:
+        raise ValidationError("d=2 input needs an even number of scalars")
+    return list(zip(values[0::2], values[1::2]))
+
+
+# ------------------------------------------------------------------ table
+
+
+@dataclass(frozen=True)
+class Command:
+    """flags: dest -> (converter, default text); call: values -> library
+    result; result: (library result, values) -> the report's `results`.
+    Calls look library functions up through their module every time, so a
+    wrapper bound to the module attribute sees them."""
+
+    name: str
+    flags: dict[str, tuple[Callable, Any]]
+    call: Callable
+    result: Callable = lambda r, a: r  # `_jsonable` reads r.to_json_dict()
+
+    def run(self, a):
+        return self.result(self.call(a), a)
+
+
+COMMON = {
+    "output": (str, None),
+    "format": (_choice(str, "json", "csv"), "json"),
+    "seed": (int, 0),  # default read from SMALLBALL_SEED at each call
+    "config": (str, None),
+    "timing": (_bool, "false"),
+}
+ENTRIES = (CoefficientMultiset.from_text, REQUIRED)
+PAIRS = (partial(CoefficientMultiset.from_text, d=2), REQUIRED)
+RATIONAL = (parse_rational, REQUIRED)
+RATIONALS = (_rationals, REQUIRED)
+MATRIX = (_matrix, REQUIRED)
+POLY = (_terms, REQUIRED)
+INT = (int, REQUIRED)
+XI = (_xi, "pm1")
+
+COMMANDS: dict[str, Command] = {c.name: c for c in [
+    Command("dist", {"entries": (str, REQUIRED), "xi": XI, "d": (_choice(int, 1, 2), 1)},
+            lambda a: core.exact_sign_sum_distribution(
+                CoefficientMultiset.from_text(a.entries, a.d), a.xi),
+            lambda law, a: ({"csv": law.to_csv()} if a.format == "csv"
+                            else json.loads(law.to_json()))),
+    Command("rho", {"entries": ENTRIES, "xi": XI},
+            lambda a: core.concentration_probability(a.entries, a.xi),
+            lambda r, a: {"rho": r[0], "argmax": r[1]}),
+    Command("ball", {"entries": ENTRIES, "xi": XI, "radius": RATIONAL},
+            lambda a: core.ball_probability_1d(a.entries, a.xi, a.radius),
+            lambda r, a: {"p": r[0], "witness_center": r[1]}),
+    Command("ball2d", {"entries": PAIRS, "xi": XI, "radius": RATIONAL},
+            lambda a: core.ball_probability_2d(a.entries, a.xi, a.radius),
+            lambda r, a: {"p": r[0], "witness_center": list(r[1])}),
+    Command("flat", {"entries": PAIRS, "angle_grid": (int, 360)},
+            lambda a: core.flat_direction_search(a.entries, a.angle_grid),
+            lambda r, a: {"direction": list(r[0]), "offset": r[1], "far_count": r[2]}),
+    Command("stanley", {"n_list": (_ints, REQUIRED)},
+            lambda a: core.stanley_constant_scan(a.n_list),
+            lambda rows, a: [{"n": n, "rho": rho, "scaled": s} for n, rho, s in rows]),
+    Command("esseen", {"entries": ENTRIES, "xi": XI, "beta": (parse_rational, "1")},
+            lambda a: fourier.check_esseen_soundness(a.entries, a.beta, a.xi),
+            lambda r, a: {**_versus(r[0].bound, r[1]), "quad_error": r[0].quad_error,
+                          "constant": r[0].constant}),
+    Command("fp-bound", {"entries": ENTRIES},
+            lambda a: fourier.FpContext.from_multiset(a.entries),
+            _fp_results),
+    Command("levels", {"entries": ENTRIES, "p": (int, 0), "m_max": (int, 4)},
+            lambda a: fourier.FpContext.from_multiset(a.entries, p=a.p or None),
+            lambda ctx, a: {"p": ctx.p, "strict": ctx.strict, "levels": [
+                r.to_json_dict() for r in fourier.level_and_dual_sets(ctx, a.m_max)]}),
+    Command("rl", {"entries": ENTRIES, "l": (int, 1)},
+            lambda a: fourier.rl_count(a.entries, a.l),
+            lambda r, a: {"r_l": r}),
+    Command("lcd", {"entries": RATIONALS, "d": (_choice(int, 1, 2), 1), "alpha": RATIONAL,
+                    "gamma": RATIONAL, "theta_max": (parse_rational, None),
+                    "resolution": (parse_rational, "1/4")},
+            lambda a: (lcd.lcd_1d(a.entries, a.alpha, a.gamma, a.theta_max, a.resolution)
+                       if a.d == 1 else
+                       lcd.lcd_multidim(_pairs_of(a.entries), a.alpha, a.gamma,
+                                        a.theta_max, float(a.resolution)))),
+    Command("rv-bound", {"entries": RATIONALS, "xi": XI, "beta": RATIONAL, "alpha": RATIONAL,
+                         "gamma": RATIONAL, "constant": (float, 2.0)},
+            lambda a: lcd.check_rv_soundness(a.entries, a.beta, a.alpha, a.gamma, a.xi,
+                                             a.constant),
+            lambda r, a: {**_versus(r[0].bound, r[1]), "b": r[0].b,
+                          "lcd": r[0].lcd.to_json_dict()}),
+    Command("recurrence", {"entries": RATIONALS, "t": RATIONAL, "z": (parse_rational, "1"),
+                           "beta": (parse_rational, "1"), "gamma": RATIONAL,
+                           "alpha": RATIONAL, "grid_points": (int, 100001)},
+            lambda a: lcd.recurrence_set_measure(a.entries, a.t, a.z, a.beta, a.gamma,
+                                                 a.alpha, a.grid_points),
+            lambda r, a: _sound({k: v for k, v in vars(r).items() if k != "grid_points"},
+                                not r.measure_estimate > r.lemma_bound,
+                                f"recurrence measure {r.measure_estimate} exceeds "
+                                f"lemma bound {r.lemma_bound}")),
+    Command("gap-fit", {"entries": ENTRIES, "epsilon": (parse_rational, "0"),
+                        "max_rank": (int, 2)},
+            lambda a: gaps.gap_fit(a.entries, a.epsilon, a.max_rank)),
+    Command("gap-forward", {"generators": RATIONALS, "bounds": (_ints, REQUIRED), "n": INT},
+            lambda a: gaps.gap_forward_sample(gaps.Gap.of(a.generators, a.bounds), a.n, a.seed),
+            lambda r, a: {"entries": [str(e) for e in r[0].entries], "rho": r[1],
+                          "quality": r[2]}),
+    Command("census", {"n": INT, "max_entry": INT, "rho_grid": RATIONALS},
+            lambda a: gaps.structured_multiset_census(a.n, a.max_entry, a.rho_grid),
+            lambda rows, a: [{"rho0": r, "count": c, "bound_shape": s} for r, c, s in rows]),
+    Command("geo-rho", {"x": (parse_rational, None), "quad": (_ints, None), "n": INT},
+            lambda a: gaps.geometric_progression_rho(a.x, a.n, a.quad),
+            lambda r, a: {"rho": r}),
+    Command("quad-rho", {"matrix": MATRIX, "xi": XI},
+            lambda a: polyforms.quadratic_concentration(a.matrix, a.xi),
+            lambda r, a: {"rho_q": r[0], "argmax": r[1]}),
+    Command("decouple", {"matrix": MATRIX, "u1": (_ints, REQUIRED), "x": (parse_rational, "0")},
+            lambda a: polyforms.decoupling_check(a.matrix, tuple(a.u1), a.x),
+            lambda r, a: _sound({"lhs": r[0], "joint": r[1], "holds": r[2]}, r[2],
+                                "decoupling inequality violated")),
+    Command("quad-gen", {"kind": (_choice(str, "gap", "lowrank", "mixed"), REQUIRED),
+                         "n": INT, "gap_generators": (_rationals, None),
+                         "gap_bounds": (_ints, None), "k": (_ints, None)},
+            lambda a: polyforms.structured_quadratic_generator(a.kind, {
+                "n": a.n, "k": a.k or None,
+                "gap": a.gap_generators and gaps.Gap.of(a.gap_generators, a.gap_bounds or [])
+            }, a.seed),
+            lambda r, a: _sound({"n": a.n, "rho_q": r[1], "predicted_floor": r[2]},
+                                r[1] >= r[2], f"rho_q {r[1]} below predicted floor {r[2]}")),
+    Command("multi-rho", {"poly": POLY, "n": INT, "x": (parse_rational, "0")},
+            lambda a: polyforms.multilinear_concentration(
+                polyforms.MultilinearPolynomial.parse(a.poly, a.n), a.x),
+            lambda r, a: {"prob": r[0], "r": r[1], "bound": r[2]}),
+    Command("parity-cor", {"poly": POLY, "n": INT},
+            lambda a: polyforms.parity_correlation(
+                polyforms.MultilinearPolynomial.parse(a.poly, a.n)),
+            lambda r, a: {"correlation": r}),
+    Command("singularity",
+            {"kind": (_choice(str, "bernoulli_iid", "bernoulli_symmetric"), "bernoulli_iid"),
+             "n": INT, "mode": (_choice(str, "exact", "monte_carlo"), "monte_carlo"),
+             "trials": (int, 10000)},
+            lambda a: experiments.singularity_probability(
+                experiments.EnsembleSpec(a.kind, a.n), a.mode, a.trials, a.seed)),
+    Command("universal", {"d": INT, "n": INT, "k": INT, "trials": (int, 1000)},
+            lambda a: experiments.k_universality_check(a.d, a.n, a.k, a.trials, a.seed),
+            lambda rep, a: {**rep.to_json_dict(), "benchmark_1_over_n": 1.0 / a.n, **(
+                {"exact_failure_probability": experiments.k1_universality_failure_exact(
+                    a.d, a.n)} if a.k == 1 else {})}),
+    Command("lsv", {"kind": (_choice(str, "bernoulli_iid", "gaussian_iid"), "gaussian_iid"),
+                    "n": INT, "trials": (int, 200)},
+            lambda a: experiments.least_singular_value_mc(
+                experiments.EnsembleSpec(a.kind, a.n), a.trials, a.seed),
+            lambda s, a: ({"csv": s.to_csv()} if a.format == "csv" else {
+                "quantiles": {str(q): v for q, v in s.quantiles().items()},
+                "retries": s.retries, "trials": a.trials})),
+    Command("edelman", {"t": (float, REQUIRED)},
+            lambda a: experiments.edelman_cdf(a.t),
+            lambda cdf, a: {"t": a.t, "cdf": cdf}),
+    Command("common-roots", {"n": INT, "trials": (int, 10000)},
+            lambda a: experiments.common_root_probability(a.n, a.trials, a.seed),
+            lambda r, a: {**r[0].to_json_dict(), "exact_value_at_one": r[1]}),
+]}
+
+SWEEP_FLAGS = {
+    "sub": (_choice(str, *COMMANDS), REQUIRED),
+    "grid": (list, []),
+    "fixed": (list, []),
+    "max_cells": (int, 10000),
+}
+
+
+# ------------------------------------------------------------ CLI plumbing
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _given(name: str, flags: dict, argv: list[str]) -> dict:
+    """The flags present on the command line, as text."""
+    parser = _Parser(prog=f"smallball {name}", argument_default=argparse.SUPPRESS)
+    for dest, (conv, default) in flags.items():
+        how = ({"action": "store_const", "const": "true"} if conv is _bool
+               else {"action": "append"} if isinstance(default, list) else {})
+        parser.add_argument(_flag(dest), **how)
+    return vars(parser.parse_args(argv))
+
+
+def _config(path: str | None) -> dict:
+    """Line-oriented `key = value` config; keys are flag names."""
+    if not path:
+        return {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
+    out = {}
+    for line in map(str.strip, text.splitlines()):
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ValidationError(f"bad config line: {line!r}")
+        out[key.strip().replace("-", "_")] = val.strip()
+    return out
+
+
+def _resolve(flags: dict, given: dict):
+    """(text, values) of every flag: table defaults < config < given."""
+    config = _config(given.get("config"))
+    for dest in {**config, **given}:
+        if dest not in flags:
+            raise ValidationError(f"unknown flag or config key {dest!r}")
+    text = {**{dest: default for dest, (_, default) in flags.items()},
+            "seed": os.environ.get("SMALLBALL_SEED", "0"), **config, **given}
+    values = {}
+    for dest, raw in text.items():
+        if raw is REQUIRED:
+            raise ValidationError(f"{_flag(dest)} is required")
+        try:
+            values[dest] = None if raw is None else flags[dest][0](raw)
+        except ValidationError:
+            raise
+        except (ValueError, OSError) as exc:
+            raise ValidationError(f"bad {_flag(dest)} {raw!r}: {exc}") from exc
+    return text, argparse.Namespace(**values)
 
 
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        return _frac_str(obj)
+        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -75,619 +376,111 @@ def _jsonable(obj):
     return obj
 
 
-def _parse_matrix(text: str):
-    rows = [r for r in text.split(";") if r.strip()]
-    return [[parse_rational(x) for x in row.replace(",", " ").split()] for row in rows]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(t) for t in text.replace(",", " ").split()]
-
-
-def _parse_rational_list(text: str) -> list[Fraction]:
-    return [parse_rational(t) for t in text.replace(",", " ").split()]
-
-
-# ---------------------------------------------------------------- runners
-
-
-def _run_dist(a):
-    A = CoefficientMultiset.from_text(a.entries, a.d)
-    from .core import exact_sign_sum_distribution
-
-    dist = exact_sign_sum_distribution(A, _xi_from_flag(a.xi))
-    if a.format == "csv":
-        return {"csv": dist.to_csv()}
-    return json.loads(dist.to_json())
-
-
-def _run_rho(a):
-    from .core import concentration_probability
-
-    A = CoefficientMultiset.from_text(a.entries)
-    rho, arg = concentration_probability(A, _xi_from_flag(a.xi))
-    return {"rho": rho, "argmax": arg}
-
-
-def _run_ball(a):
-    from .core import ball_probability_1d
-
-    A = CoefficientMultiset.from_text(a.entries)
-    p, c = ball_probability_1d(A, _xi_from_flag(a.xi), parse_rational(a.radius))
-    return {"p": p, "witness_center": c}
-
-
-def _run_ball2d(a):
-    from .core import ball_probability_2d
-
-    A = CoefficientMultiset.from_text(a.entries, d=2)
-    p, c = ball_probability_2d(A, _xi_from_flag(a.xi), parse_rational(a.radius))
-    return {"p": p, "witness_center": list(c)}
-
-
-def _run_flat(a):
-    from .core import flat_direction_search
-
-    A = CoefficientMultiset.from_text(a.entries, d=2)
-    e, c, far = flat_direction_search(A, a.angle_grid)
-    return {"direction": list(e), "offset": c, "far_count": far}
-
-
-def _run_stanley(a):
-    from .core import stanley_constant_scan
-
-    rows = stanley_constant_scan(_parse_int_list(a.n_list))
-    return [{"n": n, "rho": rho, "scaled": s} for n, rho, s in rows]
-
-
-def _run_esseen(a):
-    from .core import ball_probability_1d
-    from .fourier import esseen_bound
-
-    A = CoefficientMultiset.from_text(a.entries)
-    xi = _xi_from_flag(a.xi)
-    beta = parse_rational(a.beta)
-    res = esseen_bound(A, beta, xi)
-    exact, _ = ball_probability_1d(A, xi, beta)
-    if res.bound < float(exact):
-        raise SoundnessError(f"esseen bound {res.bound} < exact {float(exact)}")
-    return {"bound": res.bound, "exact": exact,
-            "ratio": res.bound / float(exact) if exact else None,
-            "quad_error": res.quad_error, "constant": res.constant}
-
-
-def _run_fp_bound(a):
-    from .core import concentration_probability
-    from .fourier import FpContext, fp_exponential_bound
-
-    A = CoefficientMultiset.from_text(a.entries)
-    ctx = FpContext.from_multiset(A)
-    bound = fp_exponential_bound(ctx)
-    exact, _ = concentration_probability(A)
-    if bound < float(exact):
-        raise SoundnessError(f"fp bound {bound} < exact {float(exact)}")
-    return {"p": ctx.p, "bound": bound, "exact": exact,
-            "ratio": bound / float(exact)}
-
-
-def _run_levels(a):
-    from .fourier import FpContext, level_and_dual_sets
-
-    A = CoefficientMultiset.from_text(a.entries)
-    ctx = FpContext.from_multiset(A, p=a.p if a.p else None)
-    reports = level_and_dual_sets(ctx, a.m_max)
-    return {"p": ctx.p, "strict": ctx.strict,
-            "levels": [r.to_json_dict() for r in reports]}
-
-
-def _run_rl(a):
-    from .fourier import rl_count
-
-    A = CoefficientMultiset.from_text(a.entries)
-    return {"r_l": rl_count(A, a.l)}
-
-
-def _run_lcd(a):
-    from .lcd import lcd_1d, lcd_multidim
-
-    alpha = parse_rational(a.alpha)
-    gamma = parse_rational(a.gamma)
-    theta_max = parse_rational(a.theta_max) if a.theta_max else None
-    if a.d == 1:
-        entries = _parse_rational_list(a.entries)
-        res = lcd_1d(entries, alpha, gamma, theta_max,
-                     parse_rational(a.resolution))
-    else:
-        vals = _parse_rational_list(a.entries)
-        pairs = list(zip(vals[0::2], vals[1::2]))
-        res = lcd_multidim(pairs, alpha, gamma, theta_max, float(parse_rational(a.resolution)))
-    return res.to_json_dict()
-
-
-def _run_rv_bound(a):
-    from .core import ball_probability_1d
-    from .lcd import rv_smallball_bound
-
-    entries = _parse_rational_list(a.entries)
-    xi = _xi_from_flag(a.xi)
-    beta = parse_rational(a.beta)
-    res = rv_smallball_bound(entries, beta, parse_rational(a.alpha),
-                             parse_rational(a.gamma), xi, a.constant)
-    A = CoefficientMultiset.of(entries)
-    exact, _ = ball_probability_1d(A, xi, beta)
-    if res.bound < float(exact):
-        raise SoundnessError(f"rv bound {res.bound} < exact {float(exact)}")
-    return {"bound": res.bound, "exact": exact,
-            "ratio": res.bound / float(exact) if exact else None,
-            "b": res.b, "lcd": res.lcd.to_json_dict()}
-
-
-def _run_recurrence(a):
-    from .lcd import recurrence_set_measure
-
-    entries = _parse_rational_list(a.entries)
-    res = recurrence_set_measure(entries, parse_rational(a.t),
-                                 parse_rational(a.z), parse_rational(a.beta),
-                                 parse_rational(a.gamma), parse_rational(a.alpha),
-                                 a.grid_points)
-    if res.measure_estimate > res.lemma_bound:
-        raise SoundnessError(
-            f"recurrence measure {res.measure_estimate} exceeds lemma bound "
-            f"{res.lemma_bound}")
-    return {"measure_estimate": res.measure_estimate,
-            "lemma_bound": res.lemma_bound,
-            "boundary_fraction": res.boundary_fraction,
-            "resolution_warning": res.resolution_warning}
-
-
-def _run_gap_fit(a):
-    from .gaps import gap_fit
-
-    A = CoefficientMultiset.from_text(a.entries)
-    cert = gap_fit(A, parse_rational(a.epsilon), a.max_rank)
-    return cert.to_json_dict()
-
-
-def _run_gap_forward(a):
-    from .gaps import Gap, gap_forward_sample
-
-    Q = Gap.of(_parse_rational_list(a.generators), _parse_int_list(a.bounds))
-    A, rho, quality = gap_forward_sample(Q, a.n, a.seed)
-    return {"entries": [str(e) for e in A.entries], "rho": rho,
-            "quality": quality}
-
-
-def _run_census(a):
-    from .gaps import structured_multiset_census
-
-    rows = structured_multiset_census(a.n, a.max_entry,
-                                      _parse_rational_list(a.rho_grid))
-    return [{"rho0": r, "count": c, "bound_shape": s} for r, c, s in rows]
-
-
-def _run_geo_rho(a):
-    from .gaps import geometric_progression_rho
-
-    quad = None
-    if a.quad:
-        c1, c0 = _parse_int_list(a.quad)
-        quad = (c1, c0)
-        rho = geometric_progression_rho(None, a.n, quad)
-    else:
-        rho = geometric_progression_rho(parse_rational(a.x), a.n)
-    return {"rho": rho}
-
-
-def _run_quad_rho(a):
-    from .polyforms import SymmetricCoefficientMatrix, quadratic_concentration
-
-    M = SymmetricCoefficientMatrix.of(_parse_matrix(a.matrix))
-    rho, arg = quadratic_concentration(M, _xi_from_flag(a.xi))
-    return {"rho_q": rho, "argmax": arg}
-
-
-def _run_decouple(a):
-    from .polyforms import SymmetricCoefficientMatrix, decoupling_check
-
-    M = SymmetricCoefficientMatrix.of(_parse_matrix(a.matrix))
-    lhs, joint, ok = decoupling_check(M, tuple(_parse_int_list(a.u1)),
-                                      parse_rational(a.x))
-    if not ok:
-        raise SoundnessError("decoupling inequality violated")
-    return {"lhs": lhs, "joint": joint, "holds": ok}
-
-
-def _run_quad_gen(a):
-    from .gaps import Gap
-    from .polyforms import structured_quadratic_generator
-
-    params = {"n": a.n}
-    if a.gap_generators:
-        params["gap"] = Gap.of(_parse_rational_list(a.gap_generators),
-                               _parse_int_list(a.gap_bounds))
-    if a.k:
-        params["k"] = _parse_int_list(a.k)
-    M, rho, floor = structured_quadratic_generator(a.kind, params, a.seed)
-    if rho < floor:
-        raise SoundnessError(f"rho_q {rho} below predicted floor {floor}")
-    return {"n": a.n, "rho_q": rho, "predicted_floor": floor}
-
-
-def _load_poly(a):
-    from .polyforms import MultilinearPolynomial
-
-    text = a.poly
-    if os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
-    else:
-        text = text.replace(";", "\n")
-    return MultilinearPolynomial.parse(text, a.n)
-
-
-def _run_multi_rho(a):
-    from .polyforms import multilinear_concentration
-
-    P = _load_poly(a)
-    prob, r, bound = multilinear_concentration(P, parse_rational(a.x))
-    return {"prob": prob, "r": r, "bound": bound}
-
-
-def _run_parity_cor(a):
-    from .polyforms import parity_correlation
-
-    P = _load_poly(a)
-    return {"correlation": parity_correlation(P)}
-
-
-def _run_singularity(a):
-    from .experiments import EnsembleSpec, singularity_probability
-
-    spec = EnsembleSpec(a.kind, a.n)
-    rep = singularity_probability(spec, a.mode, a.trials, a.seed)
-    return rep.to_json_dict()
-
-
-def _run_universal(a):
-    from .experiments import k1_universality_failure_exact, k_universality_check
-
-    rep = k_universality_check(a.d, a.n, a.k, a.trials, a.seed)
-    out = rep.to_json_dict()
-    out["benchmark_1_over_n"] = 1.0 / a.n
-    if a.k == 1:
-        out["exact_failure_probability"] = k1_universality_failure_exact(a.d, a.n)
-    return out
-
-
-def _run_lsv(a):
-    from .experiments import EnsembleSpec, least_singular_value_mc
-
-    spec = EnsembleSpec(a.kind, a.n)
-    samples = least_singular_value_mc(spec, a.trials, a.seed)
-    if a.format == "csv":
-        return {"csv": samples.to_csv()}
-    return {"quantiles": {str(q): v for q, v in samples.quantiles().items()},
-            "retries": samples.retries, "trials": a.trials}
-
-
-def _run_edelman(a):
-    from .experiments import edelman_cdf
-
-    return {"t": a.t, "cdf": edelman_cdf(a.t)}
-
-
-def _run_common_roots(a):
-    from .experiments import common_root_probability
-
-    rep, exact1 = common_root_probability(a.n, a.trials, a.seed)
-    out = rep.to_json_dict()
-    out["exact_value_at_one"] = exact1
-    return out
-
-
-# ------------------------------------------------------------ CLI plumbing
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="smallball",
-        description="Exact small-ball probabilities, Fourier and Diophantine "
-                    "bounds, GAP fitting, and random-matrix experiments.")
-    p.add_argument("--version", action="version",
-                   version=f"%(prog)s {__version__} (schema {SCHEMA_VERSION})")
-    sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, runner, configure):
-        sp = sub.add_parser(name)
-        sp.add_argument("--output", default=None)
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--seed", type=int,
-                        default=int(os.environ.get("SMALLBALL_SEED", "0")))
-        sp.add_argument("--workers", type=int,
-                        default=int(os.environ.get("SMALLBALL_WORKERS", "1")))
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--timing", action="store_true")
-        configure(sp)
-        sp.set_defaults(runner=runner)
-
-    def entries_opt(sp, d=1):
-        sp.add_argument("--entries", required=True)
-        sp.add_argument("--xi", default="pm1")
-
-    add("dist", _run_dist, lambda sp: (entries_opt(sp), sp.add_argument(
-        "--d", type=int, choices=[1, 2], default=1)))
-    add("rho", _run_rho, entries_opt)
-    add("ball", _run_ball, lambda sp: (entries_opt(sp), sp.add_argument(
-        "--radius", required=True)))
-    add("ball2d", _run_ball2d, lambda sp: (entries_opt(sp), sp.add_argument(
-        "--radius", required=True)))
-    add("flat", _run_flat, lambda sp: (sp.add_argument("--entries", required=True),
-                                       sp.add_argument("--angle-grid", type=int,
-                                                       default=360)))
-    add("stanley", _run_stanley, lambda sp: sp.add_argument(
-        "--n-list", required=True))
-    add("esseen", _run_esseen, lambda sp: (entries_opt(sp), sp.add_argument(
-        "--beta", default="1")))
-    add("fp-bound", _run_fp_bound, lambda sp: sp.add_argument(
-        "--entries", required=True))
-    add("levels", _run_levels, lambda sp: (
-        sp.add_argument("--entries", required=True),
-        sp.add_argument("--p", type=int, default=0),
-        sp.add_argument("--m-max", type=int, default=4)))
-    add("rl", _run_rl, lambda sp: (sp.add_argument("--entries", required=True),
-                                   sp.add_argument("--l", type=int, default=1)))
-    add("lcd", _run_lcd, lambda sp: (
-        sp.add_argument("--entries", required=True),
-        sp.add_argument("--d", type=int, choices=[1, 2], default=1),
-        sp.add_argument("--alpha", required=True),
-        sp.add_argument("--gamma", required=True),
-        sp.add_argument("--theta-max", default=None),
-        sp.add_argument("--resolution", default="1/4")))
-    add("rv-bound", _run_rv_bound, lambda sp: (
-        entries_opt(sp),
-        sp.add_argument("--beta", required=True),
-        sp.add_argument("--alpha", required=True),
-        sp.add_argument("--gamma", required=True),
-        sp.add_argument("--constant", type=float, default=2.0)))
-    add("recurrence", _run_recurrence, lambda sp: (
-        sp.add_argument("--entries", required=True),
-        sp.add_argument("--t", required=True),
-        sp.add_argument("--z", default="1"),
-        sp.add_argument("--beta", default="1"),
-        sp.add_argument("--gamma", required=True),
-        sp.add_argument("--alpha", required=True),
-        sp.add_argument("--grid-points", type=int, default=100001)))
-    add("gap-fit", _run_gap_fit, lambda sp: (
-        sp.add_argument("--entries", required=True),
-        sp.add_argument("--epsilon", default="0"),
-        sp.add_argument("--max-rank", type=int, default=2)))
-    add("gap-forward", _run_gap_forward, lambda sp: (
-        sp.add_argument("--generators", required=True),
-        sp.add_argument("--bounds", required=True),
-        sp.add_argument("--n", type=int, required=True)))
-    add("census", _run_census, lambda sp: (
-        sp.add_argument("--n", type=int, required=True),
-        sp.add_argument("--max-entry", type=int, required=True),
-        sp.add_argument("--rho-grid", required=True)))
-    add("geo-rho", _run_geo_rho, lambda sp: (
-        sp.add_argument("--x", default=None),
-        sp.add_argument("--quad", default=None),
-        sp.add_argument("--n", type=int, required=True)))
-    add("quad-rho", _run_quad_rho, lambda sp: (
-        sp.add_argument("--matrix", required=True),
-        sp.add_argument("--xi", default="pm1")))
-    add("decouple", _run_decouple, lambda sp: (
-        sp.add_argument("--matrix", required=True),
-        sp.add_argument("--u1", required=True),
-        sp.add_argument("--x", default="0")))
-    add("quad-gen", _run_quad_gen, lambda sp: (
-        sp.add_argument("--kind", choices=["gap", "lowrank", "mixed"],
-                        required=True),
-        sp.add_argument("--n", type=int, required=True),
-        sp.add_argument("--gap-generators", default=None),
-        sp.add_argument("--gap-bounds", default=None),
-        sp.add_argument("--k", default=None)))
-    add("multi-rho", _run_multi_rho, lambda sp: (
-        sp.add_argument("--poly", required=True),
-        sp.add_argument("--n", type=int, required=True),
-        sp.add_argument("--x", default="0")))
-    add("parity-cor", _run_parity_cor, lambda sp: (
-        sp.add_argument("--poly", required=True),
-        sp.add_argument("--n", type=int, required=True)))
-    add("singularity", _run_singularity, lambda sp: (
-        sp.add_argument("--kind", choices=["bernoulli_iid", "bernoulli_symmetric"],
-                        default="bernoulli_iid"),
-        sp.add_argument("--n", type=int, required=True),
-        sp.add_argument("--mode", choices=["exact", "monte_carlo"],
-                        default="monte_carlo"),
-        sp.add_argument("--trials", type=int, default=10000)))
-    add("universal", _run_universal, lambda sp: (
-        sp.add_argument("--d", type=int, required=True),
-        sp.add_argument("--n", type=int, required=True),
-        sp.add_argument("--k", type=int, required=True),
-        sp.add_argument("--trials", type=int, default=1000)))
-    add("lsv", _run_lsv, lambda sp: (
-        sp.add_argument("--kind", choices=["bernoulli_iid", "gaussian_iid"],
-                        default="gaussian_iid"),
-        sp.add_argument("--n", type=int, required=True),
-        sp.add_argument("--trials", type=int, default=200)))
-    add("edelman", _run_edelman, lambda sp: sp.add_argument(
-        "--t", type=float, required=True))
-    add("common-roots", _run_common_roots, lambda sp: (
-        sp.add_argument("--n", type=int, required=True),
-        sp.add_argument("--trials", type=int, default=10000)))
-    add("sweep", _run_sweep_stub, lambda sp: (
-        sp.add_argument("--sub", required=True),
-        sp.add_argument("--grid", action="append", default=[]),
-        sp.add_argument("--fixed", action="append", default=[]),
-        sp.add_argument("--max-cells", type=int, default=10000)))
-    return p
-
-
-def _run_sweep_stub(a):
-    raise RuntimeError("sweep is dispatched in main()")  # pragma: no cover
-
-
-def _apply_config_file(args: argparse.Namespace):
-    """Line-oriented `key = value` config; flags already set win."""
-    if not getattr(args, "config", None):
-        return
-    overrides = {}
-    with open(args.config) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"bad config line: {line!r}")
-            key, _, val = line.partition("=")
-            overrides[key.strip().replace("-", "_")] = val.strip()
-    parser = build_parser()
-    defaults = {}
-    for sp_action in parser._subparsers._group_actions:  # noqa: SLF001
-        choice = sp_action.choices.get(args.subcommand)
-        if choice is not None:
-            for action in choice._actions:  # noqa: SLF001
-                if action.dest != "help":
-                    defaults[action.dest] = action.default
-    for key, val in overrides.items():
-        if key not in defaults:
-            raise ValidationError(f"unknown config key {key!r}")
-        if getattr(args, key) == defaults[key]:
-            cur = defaults[key]
-            if isinstance(cur, bool):
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            elif isinstance(cur, int) and not isinstance(cur, bool):
-                setattr(args, key, int(val))
-            elif isinstance(cur, float):
-                setattr(args, key, float(val))
-            else:
-                setattr(args, key, val)
-
-
-def _results_to_csv(results) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    if isinstance(results, dict) and "csv" in results:
-        return results["csv"]
-    if isinstance(results, list):
-        keys = sorted({k for row in results for k in row})
-        w.writerow(keys)
-        for row in results:
-            w.writerow([row.get(k, "") for k in keys])
-    else:
-        w.writerow(["key", "value"])
-        for k in sorted(results):
-            w.writerow([k, results[k]])
-    return buf.getvalue()
-
-
-def _emit(args, results, started: float) -> None:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": args.subcommand,
-        "parameters": {
-            k: _jsonable(v) for k, v in sorted(vars(args).items())
-            if k not in ("runner", "output", "format", "config", "timing",
-                         "subcommand", "seed")
-        },
-        "master_seed": args.seed,
-        "version": __version__,
-        "wall_clock": round(time.time() - started, 3) if args.timing else None,
-        "results": _jsonable(results),
-    }
-    if args.format == "csv":
-        text = _results_to_csv(_jsonable(results))
-    else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _run_sweep(args, argv_rest) -> int:
-    """Run a subcommand over a parameter grid, one CSV row per cell."""
-    import itertools
-
-    grids = []
-    for g in args.grid:
-        key, _, vals = g.partition("=")
-        if not vals:
-            raise ValidationError(f"bad --grid {g!r}, expected key=v1,v2")
-        grids.append((key.strip(), [v for v in vals.split(",") if v]))
-    cells = 1
-    for _, vals in grids:
-        cells *= max(1, len(vals))
-    if cells > args.max_cells:
-        raise BudgetError(f"{cells} grid cells exceed --max-cells {args.max_cells}")
-    fixed = []
-    for f in args.fixed:
-        key, _, val = f.partition("=")
-        fixed += [f"--{key.strip()}", val]
-    parser = build_parser()
-    rows = []
-    for combo in itertools.product(*(vals for _, vals in grids)) if grids else [()]:
-        cell_argv = [args.sub]
-        for (key, _), val in zip(grids, combo):
-            cell_argv += [f"--{key}", val]
-        cell_argv += fixed
-        cell = dict(zip((k for k, _ in grids), combo))
-        try:
-            cell_args = parser.parse_args(cell_argv)
-            _apply_config_file(cell_args)
-            results = cell_args.runner(cell_args)
-            if isinstance(results, list):
-                for i, r in enumerate(results):
-                    rows.append({**cell, "row": i, **_flatten(r), "status": "ok"})
-            else:
-                rows.append({**cell, **_flatten(_jsonable(results)), "status": "ok"})
-        except (ValidationError, BudgetError, SoundnessError) as exc:
-            rows.append({**cell, "status": f"error: {exc}"})
-    keys = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
+def _csv(keys, rows: list[dict]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(keys)
     for row in rows:
         w.writerow([row.get(k, "") for k in keys])
-    text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
+    return buf.getvalue()
+
+
+def _results_to_csv(results) -> str:
+    if isinstance(results, dict) and "csv" in results:
+        return results["csv"]
+    if isinstance(results, list):
+        return _csv(sorted({k for row in results for k in row}), results)
+    return _csv(["key", "value"], [{"key": k, "value": results[k]} for k in sorted(results)])
+
+
+def _write(a, text: str) -> None:
+    if not a.output:
         sys.stdout.write(text)
-    return 0
+        return
+    try:
+        with open(a.output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write --output {a.output!r}: {exc}") from exc
+
+
+def _report(name: str, text: dict, a, results, started: float) -> str:
+    if a.format == "csv":
+        return _results_to_csv(_jsonable(results))
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "subcommand": name,
+        # numbers as converted; every other value as given
+        "parameters": {
+            k: v if isinstance(v, (int, float)) else text[k]
+            for k, v in sorted(vars(a).items()) if k not in COMMON
+        },
+        "master_seed": a.seed,
+        "version": __version__,
+        "wall_clock": round(time.time() - started, 3) if a.timing else None,
+        "results": _jsonable(results),
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _flatten(d, prefix=""):
-    out = {}
     if not isinstance(d, dict):
         return {prefix or "value": d}
+    out = {}
     for k, v in d.items():
-        key = f"{prefix}.{k}" if prefix else str(k)
-        if isinstance(v, dict):
-            out.update(_flatten(v, key))
-        else:
-            out[key] = v
+        out.update(_flatten(v, f"{prefix}.{k}" if prefix else str(k)))
     return out
+
+
+def _sweep(a) -> str:
+    """Run a subcommand over a parameter grid, one CSV row per cell.  Cell
+    values go to `_resolve` as given, not re-parsed as argv: table defaults
+    < the cell's `--grid` values < `--fixed` values."""
+    cmd = COMMANDS[a.sub]
+    flags = {**COMMON, **cmd.flags}
+    grids = []
+    for g in a.grid:
+        key, _, vals = g.partition("=")
+        if not vals:
+            raise ValidationError(f"bad --grid {g!r}, expected key=v1,v2")
+        grids.append((key.strip(), [v for v in vals.split(",") if v]))
+    cells = math.prod(max(1, len(vals)) for _, vals in grids)
+    if cells > a.max_cells:
+        raise BudgetError(f"{cells} grid cells exceed --max-cells {a.max_cells}")
+    fixed = {key.strip(): val for key, _, val in (f.partition("=") for f in a.fixed)}
+    rows = []
+    for combo in itertools.product(*(vals for _, vals in grids)):
+        cell = dict(zip((k for k, _ in grids), combo))
+        given = {k.replace("-", "_"): v for k, v in {**cell, **fixed}.items()}
+        try:
+            results = cmd.run(_resolve(flags, given)[1])
+        except (ValidationError, BudgetError, SoundnessError) as exc:
+            rows.append({**cell, "status": f"error: {exc}"})
+        else:
+            if isinstance(results, list):
+                rows += [{**cell, "row": i, **_flatten(r), "status": "ok"}
+                         for i, r in enumerate(results)]
+            else:
+                rows.append({**cell, **_flatten(_jsonable(results)), "status": "ok"})
+    return _csv(list(dict.fromkeys(k for row in rows for k in row)), rows)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     started = time.time()
+    names = [*COMMANDS, "sweep"]
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args)
-        if args.subcommand == "sweep":
-            return _run_sweep(args, argv)
-        results = args.runner(args)
-        _emit(args, results, started)
+        name = argv[0] if argv else ""
+        if name in ("--version", "-h", "--help"):
+            print(f"smallball {__version__} (schema {SCHEMA_VERSION})" if name == "--version"
+                  else f"usage: smallball {{{','.join(names)}}} [--flag value ...]")
+            return 0
+        if name not in names:
+            raise ValidationError(f"unknown subcommand {name!r}; one of {', '.join(names)}")
+        flags = {**COMMON, **(SWEEP_FLAGS if name == "sweep" else COMMANDS[name].flags)}
+        text, a = _resolve(flags, _given(name, flags, argv[1:]))
+        _write(a, _sweep(a) if name == "sweep"
+               else _report(name, text, a, COMMANDS[name].run(a), started))
         return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -217,6 +217,8 @@ def k_universality_check(
 
     if k < 0:
         raise ValidationError("k must be >= 0")
+    if d < 1 or n < 1:
+        raise ValidationError("d and n must be >= 1")
     if k > 0 and math.comb(n, k) * 2**k > per_trial_budget:
         raise BudgetError("per-trial pattern check over budget")
     t0 = time.time()

@@ -227,16 +227,17 @@ def esseen_bound(
     return EsseenBound(bound, est, err, ESSEEN_C1, float(beta))
 
 
-def check_esseen_soundness(A: CoefficientMultiset, beta, xi=None) -> EsseenBound:
-    """Raise SoundnessError if the Esseen bound falls below the exact
-    closed-ball probability from the core module."""
+def check_esseen_soundness(A: CoefficientMultiset, beta, xi=None
+                           ) -> tuple[EsseenBound, Fraction]:
+    """(bound, exact closed-ball probability from the core module); raise
+    SoundnessError if the Esseen bound falls below the exact value."""
     xi = xi or SignDistribution.bernoulli_pm1()
     res = esseen_bound(A, beta, xi)
     exact, _ = ball_probability_1d(A, xi, Fraction(beta))
     if res.bound < float(exact):
         raise SoundnessError(
             f"esseen bound {res.bound} < exact {float(exact)} on {A.entries}")
-    return res
+    return res, exact
 
 
 def rl_count(A: CoefficientMultiset, l: int, budget: int = 10**8) -> int:

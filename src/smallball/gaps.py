@@ -69,10 +69,6 @@ class Gap:
             raise ValidationError("dilate factor must be a positive integer")
         return Gap(self.generators, tuple(t * b for b in self.bounds), self.offset)
 
-    def contains(self, value, budget: int = DEFAULT_MATERIALIZE_BUDGET) -> bool:
-        pts, _ = gap_materialize(self, budget)
-        return Fraction(value) in pts
-
 
 def gap_materialize(Q: Gap, budget: int = DEFAULT_MATERIALIZE_BUDGET):
     """Exact point set of the box image; proper iff |points| = volume."""
@@ -108,6 +104,8 @@ def gap_forward_sample(Q: Gap, n: int, seed: int,
     """Sample n entries uniformly from the points of a proper GAP, compute
     the exact concentration rho, and the quality statistic
     rho * n^(r/2) * |Q| (order 1 by the forward pigeonhole construction)."""
+    if n < 1 or seed < 0:
+        raise ValidationError("forward sampling needs n >= 1 and seed >= 0")
     pts, proper = gap_materialize(Q, budget)
     if not proper:
         raise ValidationError("forward sampling requires a proper GAP")
@@ -292,6 +290,8 @@ def structured_multiset_census(
     """For each rho0 in the grid, the exact number of sorted multisets of
     nonzero integers in [-M, M] with rho(A) >= rho0, with the counting-bound
     shape (rho0^-1 n^-1/2)^n emitted alongside."""
+    if n < 1 or M < 1:
+        raise ValidationError("census needs n >= 1 and M >= 1")
     universe = [x for x in range(-M, M + 1) if x != 0]
     total = math.comb(len(universe) + n - 1, n)
     if total > budget:
@@ -320,6 +320,8 @@ def geometric_progression_rho(x, n: int, quad: tuple[int, int] | None = None,
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
+    if (x is None and quad is None) or (quad is not None and len(quad) != 2):
+        raise ValidationError("give x, or quad = (c1, c0)")
     if quad is None:
         xf = Fraction(x)
         powers = [xf**j for j in range(n + 1)]

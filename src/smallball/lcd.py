@@ -275,8 +275,10 @@ def rv_smallball_bound(
     return RvBound(bound, float(beta), b, lcd, C)
 
 
-def check_rv_soundness(a, beta, alpha, gamma, xi=None, C: float = 2.0) -> RvBound:
-    """Assert the bound dominates the exact closed-ball probability."""
+def check_rv_soundness(a, beta, alpha, gamma, xi=None, C: float = 2.0
+                       ) -> tuple[RvBound, Fraction]:
+    """(bound, exact closed-ball probability); raise SoundnessError unless
+    the bound dominates the exact value."""
     xi = xi or SignDistribution.bernoulli_pm1()
     res = rv_smallball_bound(a, beta, alpha, gamma, xi, C)
     from .core import ball_probability_1d
@@ -286,7 +288,7 @@ def check_rv_soundness(a, beta, alpha, gamma, xi=None, C: float = 2.0) -> RvBoun
     if res.bound < float(exact):
         raise SoundnessError(
             f"rv bound {res.bound} < exact {float(exact)} on {a}")
-    return res
+    return res, exact
 
 
 @dataclass(frozen=True)
@@ -317,6 +319,8 @@ def recurrence_set_measure(
         raise ValidationError("lemma hypothesis t < alpha/2 violated")
     if z < 1:
         raise ValidationError("z must be >= 1")
+    if beta <= 0 or gamma <= 0 or grid_points < 1:
+        raise ValidationError("beta, gamma and grid_points must be positive")
     scale = [float(Fraction(x) * z / beta) for x in a]
     tt = float(t) ** 2
     h = 2.0 / grid_points

@@ -169,6 +169,8 @@ def structured_quadratic_generator(kind: str, params: dict, seed: int):
 
     Returns (matrix, rho_q, predicted_floor).
     """
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     n = int(params["n"])
     if n > 20:
@@ -225,6 +227,8 @@ class MultilinearPolynomial:
     k: int
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValidationError("n must be >= 0")
         for S, c in self.terms:
             if c == 0:
                 raise ValidationError("zero coefficients must not be stored")
@@ -262,7 +266,10 @@ class MultilinearPolynomial:
                 continue
             head, _, tail = line.partition(":")
             coef = parse_rational(head)
-            idx = tuple(sorted(int(t) for t in tail.split()))
+            try:
+                idx = tuple(sorted(int(t) for t in tail.split()))
+            except ValueError as exc:
+                raise ValidationError(f"bad term indices in {line!r}") from exc
             term_map[idx] = term_map.get(idx, Fraction(0)) + coef
         return MultilinearPolynomial.of(term_map, n)
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-Rational = Fraction
-Scalar = Fraction
 Pair = tuple[Fraction, Fraction]
 Value = Union[Fraction, Pair]
 
@@ -262,28 +260,6 @@ class ExactDistribution:
             key = [str(v[0]), str(v[1])] if isinstance(v, tuple) else str(v)
             items.append({"value": key, "prob": f"{p.numerator}/{p.denominator}"})
         return json.dumps({"n_source": self.n_source, "atoms": items})
-
-
-@dataclass(frozen=True)
-class BallQuery:
-    """A ball query: center (or None for the sup over centers) and radius.
-
-    Balls are closed by convention; see the core module notes.
-    """
-
-    radius: Fraction
-    center: Value | None = None
-    closed: bool = True
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValidationError("radius must be >= 0")
-
-
-def float_of(v: Value) -> float | tuple[float, float]:
-    if isinstance(v, tuple):
-        return (float(v[0]), float(v[1]))
-    return float(v)
 
 
 def hypot2(p: Pair, q: Pair) -> Fraction:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
-from smallball.cli import REPORT_SCHEMA, main
+from smallball.cli import COMMANDS, COMMON, REPORT_SCHEMA, SWEEP_FLAGS, main
 
 
 def run_cli(args, capsys):
@@ -116,6 +121,14 @@ def test_sweep_partial_failure_flagged(capsys):
     assert out.count("ok") == 2  # run continues past the failing cell
 
 
+def test_sweep_cells_take_values_not_argv(capsys):
+    # a value that argparse would read as a flag reaches the cell intact
+    code, out = run_cli(["sweep", "--sub", "rho", "--grid", "xi=pm1,bool",
+                         "--fixed", "entries=-4,1"], capsys)
+    assert code == 0
+    assert out.count(",ok") == 2
+
+
 def test_sweep_census_monotone(capsys):
     code, out = run_cli(["sweep", "--sub", "census", "--grid", "n=2,3",
                          "--fixed", "max-entry=4",
@@ -139,6 +152,61 @@ def test_config_file_precedence(tmp_path, capsys):
     cfg3 = tmp_path / "bad.cfg"
     cfg3.write_text("nonsense = 1\n")
     assert run_cli(["rl", "--entries", "1", "--config", str(cfg3)], capsys)[0] == 2
+    # a flag given on the command line wins even when it equals the default
+    cfg4 = tmp_path / "trials.cfg"
+    cfg4.write_text("trials = 50\n")
+    code, out = run_cli(["common-roots", "--n", "3", "--trials", "10000",
+                         "--config", str(cfg4)], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["trials"] == 10000
+    code, out = run_cli(["common-roots", "--n", "3", "--config", str(cfg4)], capsys)
+    assert json.loads(out)["results"]["trials"] == 50
+
+
+@pytest.mark.parametrize("args", [
+    ["stanley", "--n-list", "3,x"],
+    ["geo-rho", "--quad", "1", "--n", "3"],
+    ["geo-rho", "--n", "3"],
+    ["multi-rho", "--poly", "1:a", "--n", "3"],
+    ["gap-forward", "--generators", "1", "--bounds", "x", "--n", "3"],
+    ["decouple", "--matrix", "1,1;1,1", "--u1", "a"],
+    ["quad-gen", "--kind", "lowrank", "--n", "3", "--k", "1,x"],
+    ["lcd", "--d", "2", "--entries", "2,0,0,2,5", "--alpha", "1/8", "--gamma", "1/2"],
+    ["census", "--n", "0", "--max-entry", "0", "--rho-grid", "0"],
+    ["recurrence", "--entries", "1", "--t", "0", "--gamma", "1", "--alpha", "1",
+     "--grid-points", "0"],
+    ["gap-forward", "--generators", "1", "--bounds", "3", "--n", "-1"],
+    ["gap-forward", "--generators", "1", "--bounds", "3", "--n", "3", "--seed", "-1"],
+    ["universal", "--d", "1", "--n", "0", "--k", "0"],
+    ["parity-cor", "--poly", "1:", "--n", "-1"],
+    ["rho", "--entries"],
+    ["rho", "--entries", "1", "--bogus", "1"],
+    ["nonsense"],
+    [],
+])
+def test_malformed_input_exit_code(args, capsys):
+    assert run_cli(args, capsys)[0] == 2
+
+
+TOKENS = ["", "x", "-1", "1/0", "3,x", "1:a", "2,0,0,2,5", "0", "1", "2", "3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_exit_codes(data):
+    """Every subcommand with each of its flags (plus --seed and --format)
+    set to a malformed or tiny token, or to the flag's default text, ends in
+    exit 0, 2, 3 or 4.  Tokens are at most 3, so no case runs long."""
+    name = data.draw(st.sampled_from([*COMMANDS, "sweep"]))
+    flags = {"seed": COMMON["seed"], "format": COMMON["format"],
+             **(SWEEP_FLAGS if name == "sweep" else COMMANDS[name].flags)}
+    argv = [name]
+    for dest, (_, default) in flags.items():
+        alphabet = TOKENS + ([default] if isinstance(default, str) else [])
+        argv.append(f"--{dest.replace('_', '-')}={data.draw(st.sampled_from(alphabet))}")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2, 3, 4), argv
 
 
 def test_cli_process_invocation():
@@ -155,3 +223,10 @@ def test_version_flag():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "schema 1" in proc.stdout
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"one subcommand per operation family:\n\n```\n(.*?)```",
+                      readme, re.S).group(1)
+    assert block.split() == [*COMMANDS, "sweep"]

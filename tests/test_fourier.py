@@ -84,7 +84,7 @@ def test_fp_exponential_bound_soundness():
 
 def test_esseen_examples():
     A16 = CoefficientMultiset.of([1] * 16)
-    res = check_esseen_soundness(A16, 1)
+    res, _ = check_esseen_soundness(A16, 1)
     assert res.bound >= 10016 / 65536
     # O(n^-1/2) shape: compare against the rate constant over two sizes
     res8 = esseen_bound(CoefficientMultiset.of([1] * 8), 1)
@@ -93,8 +93,9 @@ def test_esseen_examples():
     res1 = esseen_bound(CoefficientMultiset.of([1]), 1)
     assert res1.bound >= 1
     A12 = CoefficientMultiset.of(range(1, 13))
-    r = check_esseen_soundness(A12, Fraction(1, 2))
+    r, checked = check_esseen_soundness(A12, Fraction(1, 2))
     exact, _ = ball_probability_1d(A12, PM1, Fraction(1, 2))
+    assert checked == exact
     assert r.bound >= float(exact)
 
 

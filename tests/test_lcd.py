@@ -122,8 +122,8 @@ def test_lcd_multidim_certificate():
 
 def test_rv_bound_soundness_and_preconditions():
     quarter = Fraction(1, 4)
-    res = check_rv_soundness([quarter] * 16, 1, 4, GAMMA)
-    assert res.bound >= 0
+    res, exact = check_rv_soundness([quarter] * 16, 1, 4, GAMMA)
+    assert res.bound >= float(exact) >= 0
     with pytest.raises(ValidationError):
         rv_smallball_bound([Fraction(1, 10)], 1, 1, GAMMA)  # sum a^2 < 1
     with pytest.raises(ValidationError):
