@@ -33,22 +33,6 @@ def bareiss_determinant(matrix) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def cofactor_determinant(matrix) -> int:
-    """Exact determinant by recursive cofactor expansion (cross-validation
-    backend; exponential, use only for tiny matrices)."""
-    A = [list(map(int, row)) for row in matrix]
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    total = 0
-    for j in range(n):
-        if A[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in A[1:]]
-        total += (-1) ** j * A[0][j] * cofactor_determinant(minor)
-    return total
-
-
 def poly_trim(p: list[int]) -> list[int]:
     """Drop leading zeros; coefficients are low-to-high degree."""
     while p and p[-1] == 0:

@@ -435,7 +435,7 @@ def _flatten(d, prefix=""):
 def _sweep(a) -> str:
     """Run a subcommand over a parameter grid, one CSV row per cell.  Cell
     values go to `_resolve` as given, not re-parsed as argv: table defaults
-    < the cell's `--grid` values < `--fixed` values."""
+    < the sweep's own seed < the cell's `--grid` values < `--fixed` values."""
     cmd = COMMANDS[a.sub]
     flags = {**COMMON, **cmd.flags}
     grids = []
@@ -451,7 +451,7 @@ def _sweep(a) -> str:
     rows = []
     for combo in itertools.product(*(vals for _, vals in grids)):
         cell = dict(zip((k for k, _ in grids), combo))
-        given = {k.replace("-", "_"): v for k, v in {**cell, **fixed}.items()}
+        given = {k.replace("-", "_"): v for k, v in {"seed": a.seed, **cell, **fixed}.items()}
         try:
             results = cmd.run(_resolve(flags, given)[1])
         except (ValidationError, BudgetError, SoundnessError) as exc:
@@ -478,7 +478,11 @@ def main(argv=None) -> int:
         if name not in names:
             raise ValidationError(f"unknown subcommand {name!r}; one of {', '.join(names)}")
         flags = {**COMMON, **(SWEEP_FLAGS if name == "sweep" else COMMANDS[name].flags)}
-        text, a = _resolve(flags, _given(name, flags, argv[1:]))
+        try:
+            given = _given(name, flags, argv[1:])
+        except SystemExit:  # argparse printed the help for -h; `error` raises instead
+            return 0
+        text, a = _resolve(flags, given)
         _write(a, _sweep(a) if name == "sweep"
                else _report(name, text, a, COMMANDS[name].run(a), started))
         return 0

@@ -18,6 +18,8 @@ equidistant centers is exhaustive.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from .types import (
     ExactDistribution,
     SignDistribution,
     ValidationError,
-    Value,
+    common_denominator,
     hypot2,
     isqrt_fraction_exact,
     quad_le,
@@ -37,67 +39,56 @@ DEFAULT_ATOM_BUDGET = 10**7
 DEFAULT_2D_ENUM_LIMIT = 22
 
 
+def lattice_counts(steps, budget: int = DEFAULT_ATOM_BUDGET) -> dict[int, int]:
+    """The one exact-law kernel: counts of s_1 + ... + s_n where step i
+    offers integer shift s with integer weight w.  Each step is a sequence of
+    (shift, weight) pairs; equal sums merge eagerly and keys keep the order
+    of their first appearance.  Raises BudgetError if the projected support
+    size exceeds the budget."""
+    counts = {0: 1}
+    for step in steps:
+        if len(counts) * len(step) > budget:
+            raise BudgetError(
+                f"projected atom count {len(counts) * len(step)} exceeds budget {budget}")
+        nxt: dict[int, int] = {}
+        for v, c in counts.items():
+            for s, w in step:
+                key = v + s
+                if key in nxt:
+                    nxt[key] += c * w
+                else:
+                    nxt[key] = c * w
+        counts = nxt
+    return counts
+
+
 def exact_sign_sum_distribution(
     A: CoefficientMultiset,
     xi: SignDistribution,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> ExactDistribution:
-    """Exact law of sum a_i * xi_i by sequential convolution, merging equal
-    values eagerly.  Raises BudgetError if the projected support size exceeds
-    the atom budget."""
-    support = xi.support
+    """Exact law of sum a_i * xi_i as integer counts on the lattice (1/L)Z,
+    or (1/L)Z^2 packed into Z as x + B*y, where L clears the denominators of
+    the entries and of the sign values.  Raises BudgetError if the projected
+    support size exceeds the atom budget."""
+    la = common_denominator(c for e in A.entries for c in (e if A.d == 2 else (e,)))
+    ls, den = common_denominator(xi.values), common_denominator(p for _, p in xi.support)
+    signs = [(int(v * ls), int(p * den)) for v, p in xi.support]
     if A.d == 1:
-        atoms: dict = {Fraction(0): Fraction(1)}
-        for a in A.entries:
-            if len(atoms) * len(support) > atom_budget:
-                raise BudgetError(
-                    f"projected atom count {len(atoms) * len(support)} exceeds "
-                    f"budget {atom_budget}")
-            nxt: dict = {}
-            for v, p in atoms.items():
-                for s, q in support:
-                    key = v + a * s
-                    w = p * q
-                    if key in nxt:
-                        nxt[key] += w
-                    else:
-                        nxt[key] = w
-            atoms = nxt
-        return ExactDistribution(atoms, A.n)
-    atoms2: dict = {(Fraction(0), Fraction(0)): Fraction(1)}
-    for ax, ay in A.entries:
-        if len(atoms2) * len(support) > atom_budget:
-            raise BudgetError(
-                f"projected atom count {len(atoms2) * len(support)} exceeds "
-                f"budget {atom_budget}")
-        nxt2: dict = {}
-        for (vx, vy), p in atoms2.items():
-            for s, q in support:
-                key = (vx + ax * s, vy + ay * s)
-                w = p * q
-                if key in nxt2:
-                    nxt2[key] += w
-                else:
-                    nxt2[key] = w
-        atoms2 = nxt2
-    return ExactDistribution(atoms2, A.n)
+        pack, shifts = 0, [int(a * la) for a in A.entries]
+    else:
+        # B exceeds twice the largest |x| a partial sum can reach
+        top = max(abs(s) for s, _ in signs) * sum(abs(int(x * la)) for x, _ in A.entries)
+        pack = 2 * top + 1
+        shifts = [int(x * la) + pack * int(y * la) for x, y in A.entries]
+    counts = lattice_counts([[(a * s, w) for s, w in signs] for a in shifts], atom_budget)
+    return ExactDistribution(counts, la * ls, den ** A.n, A.n, pack)
 
 
 def bernoulli_int_counts(entries: list[int]) -> dict[int, int]:
-    """Fast path: counts (out of 2^n) of sum +-a_i for integer entries and
-    Bernoulli +-1 signs.  Used by the exhaustive sweeps; equivalent to
-    exact_sign_sum_distribution up to the 2^n normalization."""
-    counts = {0: 1}
-    for a in entries:
-        nxt: dict[int, int] = {}
-        for v, c in counts.items():
-            for s in (v + a, v - a):
-                if s in nxt:
-                    nxt[s] += c
-                else:
-                    nxt[s] = c
-        counts = nxt
-    return counts
+    """Counts (out of 2^n) of sum +-a_i for integer entries and Bernoulli
+    +-1 signs."""
+    return lattice_counts([((-a, 1), (a, 1)) for a in entries])
 
 
 def concentration_probability(
@@ -131,10 +122,11 @@ def ball_probability_1d(
 ) -> tuple[Fraction, Fraction]:
     """Max over centers x of P(S_A in [x-R, x+R]), with a maximizing center.
 
-    Exact sliding window over the sorted support: the optimum is attained by
-    a window whose left edge sits on a support point.  The returned center is
-    the midpoint of the extreme atoms covered by the best window (ties broken
-    by the smallest center).
+    The optimum is attained by a window whose left edge sits on a support
+    point; each such window's mass is a difference of prefix sums of the
+    integer counts, its right end found by bisection over the sorted lattice
+    keys.  The returned center is the midpoint of the extreme atoms covered
+    by the best window (ties broken by the smallest center).
     """
     if A.d != 1:
         raise ValidationError("ball_probability_1d needs d=1")
@@ -142,28 +134,17 @@ def ball_probability_1d(
     if R < 0:
         raise ValidationError("radius must be >= 0")
     dist = exact_sign_sum_distribution(A, xi)
-    items = dist.sorted_items()
-    vals = [v for v, _ in items]
-    probs = [p for _, p in items]
-    width = 2 * R
-    best = Fraction(0)
-    best_center = vals[0]
-    j = 0
-    running = Fraction(0)
-    for i in range(len(vals)):
-        # window anchored with left edge at vals[i]
-        if j < i:
-            j = i
-            running = Fraction(0)
-        while j < len(vals) and vals[j] - vals[i] <= width:
-            running += probs[j]
-            j += 1
-        center = (vals[i] + vals[j - 1]) / 2
-        if running > best or (running == best and center < best_center):
-            best = running
-            best_center = center
-        running -= probs[i]
-    return best, best_center
+    keys = sorted(dist.counts)
+    mass = list(itertools.accumulate((dist.counts[k] for k in keys), initial=0))
+    # integer keys k <= k' fit one window iff k' - k <= 2R*L, i.e. <= floor(2R*L)
+    width = math.floor(2 * R * dist.scale)
+    best, lo, hi = 0, 0, 1
+    for i, k in enumerate(keys):
+        j = bisect.bisect_right(keys, k + width, i)
+        # the centre grows with i, so the first maximum has the smallest one
+        if mass[j] - mass[i] > best:
+            best, lo, hi = mass[j] - mass[i], i, j
+    return Fraction(best, dist.total), Fraction(keys[lo] + keys[hi - 1], 2 * dist.scale)
 
 
 def disk_mass(dist: ExactDistribution, center: tuple, R) -> Fraction:
@@ -305,7 +286,7 @@ def stanley_constant_scan(n_list: list[int]) -> list[tuple[int, Fraction, float]
     out = []
     for n in n_list:
         A0 = centered_progression(n)
-        counts = bernoulli_int_counts([int(e) for e in A0.entries])
+        counts = bernoulli_int_counts(A0.int_entries())
         rho = Fraction(max(counts.values()), 2**n)
         out.append((n, rho, float(rho) * n**1.5))
     return out

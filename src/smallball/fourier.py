@@ -13,21 +13,27 @@ Any valid constant passes the soundness tests; this one is fixed here.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import exact_sign_sum_distribution, ball_probability_1d
+from .core import ball_probability_1d, exact_sign_sum_distribution, lattice_counts
 from .types import (
     BudgetError,
     CoefficientMultiset,
     SignDistribution,
     SoundnessError,
     ValidationError,
+    common_denominator,
 )
 
 ESSEEN_C1 = 1.0 / (4.0 * math.sin(0.5) ** 2)
+
+# Largest p that the F_p operations scan in full: each work array is then at
+# most 32 MB, and a*t stays far inside int64.
+P_BUDGET = 4 * 10**6
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -64,15 +70,6 @@ def next_prime(n: int) -> int:
     return c
 
 
-def _int_entries(A: CoefficientMultiset) -> list[int]:
-    out = []
-    for e in A.entries:
-        if not isinstance(e, Fraction) or e.denominator != 1:
-            raise ValidationError("integer coefficient multiset required")
-        out.append(int(e))
-    return out
-
-
 @dataclass(frozen=True)
 class FpContext:
     """Residues of a scaled integer multiset modulo a prime p.
@@ -90,7 +87,7 @@ class FpContext:
 
     @staticmethod
     def from_multiset(A: CoefficientMultiset, p: int | None = None) -> "FpContext":
-        entries = _int_entries(A)
+        entries = A.int_entries()
         n = len(entries)
         floor = 2**n * (sum(abs(a) for a in entries) + 1)
         if p is None:
@@ -109,13 +106,16 @@ class FpContext:
         return len(self.residues)
 
 
-def _cos_products(ctx: FpContext) -> np.ndarray:
-    """prod_i cos(2 pi a_i t / p) for all t in F_p (vectorized)."""
-    t = np.arange(ctx.p, dtype=np.float64)
-    prod = np.ones(ctx.p)
-    for a in ctx.residues:
-        prod *= np.cos((2.0 * math.pi * a / ctx.p) * t)
-    return prod
+def _full_scan(ctx: FpContext, name: str, dtype) -> np.ndarray:
+    """All of F_p as an array, for a full scan by `name` over a strict
+    context with n <= 24 and p <= P_BUDGET."""
+    if ctx.n > 24:
+        raise BudgetError(f"{name} limited to n <= 24")
+    if not ctx.strict:
+        raise ValidationError(f"{name} requires a strict embedding context")
+    if ctx.p > P_BUDGET:
+        raise BudgetError(f"p={ctx.p} exceeds the F_p scan budget {P_BUDGET}")
+    return np.arange(ctx.p, dtype=dtype)
 
 
 def fp_fourier_identity(ctx: FpContext, a_target: int, imag_tol: float = 1e-9):
@@ -124,12 +124,10 @@ def fp_fourier_identity(ctx: FpContext, a_target: int, imag_tol: float = 1e-9):
 
     Returns (fourier_value, exact_probability, abs_difference).
     """
-    if ctx.n > 24:
-        raise BudgetError("fp_fourier_identity limited to n <= 24")
-    if not ctx.strict:
-        raise ValidationError("identity check requires a strict embedding context")
-    t = np.arange(ctx.p, dtype=np.float64)
-    prod = _cos_products(ctx)
+    t = _full_scan(ctx, "fp_fourier_identity", np.float64)
+    prod = np.ones(ctx.p)  # prod_i cos(2 pi a_i t / p)
+    for a in ctx.residues:
+        prod *= np.cos((2.0 * math.pi * a / ctx.p) * t)
     phase = -2.0 * math.pi * (a_target % ctx.p) / ctx.p * t
     val = complex(np.sum(prod * np.cos(phase)), np.sum(prod * np.sin(phase))) / ctx.p
     if abs(val.imag) > imag_tol:
@@ -142,11 +140,7 @@ def fp_fourier_identity(ctx: FpContext, a_target: int, imag_tol: float = 1e-9):
 
 def fp_exponential_bound(ctx: FpContext) -> float:
     """(1/p) sum_t exp(-2 sum_i ||a_i t / p||^2): an upper bound on rho(A)."""
-    if ctx.n > 24:
-        raise BudgetError("fp_exponential_bound limited to n <= 24")
-    if not ctx.strict:
-        raise ValidationError("bound requires a strict embedding context")
-    t = np.arange(ctx.p, dtype=np.int64)
+    t = _full_scan(ctx, "fp_exponential_bound", np.int64)
     s = np.zeros(ctx.p)
     for a in ctx.residues:
         r = (a * t) % ctx.p
@@ -253,17 +247,9 @@ def rl_count(A: CoefficientMultiset, l: int, budget: int = 10**8) -> int:
         raise ValidationError("l must be >= 1")
     if A.n ** (2 * l) > budget:
         raise BudgetError(f"n^(2l) = {A.n ** (2 * l)} exceeds budget {budget}")
-    counts: dict[Fraction, int] = {Fraction(0): 1}
-    for _ in range(l):
-        nxt: dict[Fraction, int] = {}
-        for v, c in counts.items():
-            for a in A.entries:
-                key = v + a
-                if key in nxt:
-                    nxt[key] += c
-                else:
-                    nxt[key] = c
-        counts = nxt
+    L = common_denominator(A.entries)
+    step = list(Counter(int(a * L) for a in A.entries).items())
+    counts = lattice_counts([step] * l, budget)
     return sum(c * c for c in counts.values())
 
 

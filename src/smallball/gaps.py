@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import bernoulli_int_counts, exact_sign_sum_distribution
+from .core import bernoulli_int_counts, exact_sign_sum_distribution, lattice_counts
 from .types import (
     BudgetError,
     CoefficientMultiset,
@@ -141,13 +141,6 @@ class GapFitCertificate:
         }
 
 
-def _gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(v))
-    return g
-
-
 def _rank1_fit(entries: list[int], keep: int):
     """Best symmetric rank-1 GAP covering >= keep entries (greedy drop of the
     largest |m| outliers)."""
@@ -155,7 +148,7 @@ def _rank1_fit(entries: list[int], keep: int):
     work = sorted(entries, key=abs)
     for drop in range(0, len(entries) - keep + 1):
         kept = work[:len(entries) - drop]
-        g = _gcd_all(kept)
+        g = math.gcd(*kept)
         if g == 0:
             cand = Gap.of([1], [0])
         else:
@@ -187,7 +180,7 @@ def _rank2_candidates(entries: list[int]):
                     start = i + 1
             cluster = uniq[start:]
             centers.append(cluster[len(cluster) // 2])
-            G = _gcd_all(c for c in centers if c != 0)
+            G = math.gcd(*(c for c in centers if c != 0))
             if G > 1:
                 cands.add(G)
             for c in centers:
@@ -211,7 +204,7 @@ def _rank2_fit(entries: list[int], keep: int):
             quot.append(m2)
         order = sorted(range(len(entries)), key=lambda i: (abs(resid[i]), abs(quot[i])))
         kept = order[:keep] if keep < len(entries) else order
-        g1 = _gcd_all(resid[i] for i in kept)
+        g1 = math.gcd(*(resid[i] for i in kept))
         M2 = max(abs(quot[i]) for i in kept)
         if g1 == 0:
             cand = Gap.of([1, G], [0, M2])
@@ -233,13 +226,7 @@ def gap_fit(
     entries; always returns a certificate (fallback: rank-1 with generator
     gcd(entries)).  Coverage and volume in the certificate are re-verified by
     independent membership tests."""
-    if A.d != 1:
-        raise ValidationError("gap_fit needs d=1 integer entries")
-    entries = []
-    for e in A.entries:
-        if e.denominator != 1:
-            raise ValidationError("gap_fit needs integer entries")
-        entries.append(int(e))
+    entries = A.int_entries()
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon < 1:
         raise ValidationError("epsilon must lie in [0, 1)")
@@ -268,17 +255,10 @@ def gap_fit(
         M = gap.bounds[0]
         covered = sum(1 for v in entries if g != 0 and v % g == 0
                       and abs(v) // g <= M)
-    rho, _ = _rho_int(entries)
+    rho = Fraction(max(bernoulli_int_counts(entries).values()), 2**n)
     eps_achieved = Fraction(n - covered, n)
     quality = float(rho) * gap.volume * n ** (gap.rank / 2)
     return GapFitCertificate(gap, covered, eps_achieved, rho, quality)
-
-
-def _rho_int(entries: list[int]) -> tuple[Fraction, int]:
-    counts = bernoulli_int_counts(entries)
-    best = max(counts.values())
-    arg = min(v for v, c in counts.items() if c == best)
-    return Fraction(best, 2 ** len(entries)), arg
 
 
 def structured_multiset_census(
@@ -297,10 +277,8 @@ def structured_multiset_census(
     if total > budget:
         raise BudgetError(f"census universe {total} exceeds budget {budget}")
     grid = sorted((Fraction(r) for r in rho_grid), reverse=True)
-    rhos = []
-    for combo in itertools.combinations_with_replacement(universe, n):
-        counts = bernoulli_int_counts(list(combo))
-        rhos.append(Fraction(max(counts.values()), 2**n))
+    rhos = [Fraction(max(bernoulli_int_counts(combo).values()), 2**n)
+            for combo in itertools.combinations_with_replacement(universe, n)]
     rows = []
     for rho0 in grid:
         cnt = sum(1 for r in rhos if r >= rho0)
@@ -323,30 +301,18 @@ def geometric_progression_rho(x, n: int, quad: tuple[int, int] | None = None,
     if (x is None and quad is None) or (quad is not None and len(quad) != 2):
         raise ValidationError("give x, or quad = (c1, c0)")
     if quad is None:
+        # x = p/q: the powers scaled by q^n are the integers p^j q^(n-j)
         xf = Fraction(x)
-        powers = [xf**j for j in range(n + 1)]
-        counts: dict[Fraction, int] = {Fraction(0): 1}
-        for a in powers:
-            if len(counts) * 2 > budget:
-                raise BudgetError("support exceeds budget")
-            nxt: dict[Fraction, int] = {}
-            for v, c in counts.items():
-                for s in (v + a, v - a):
-                    nxt[s] = nxt.get(s, 0) + c
-            counts = nxt
-        return Fraction(max(counts.values()), 2 ** (n + 1))
-    c1, c0 = quad
-    powers2: list[tuple[int, int]] = [(1, 0)]
-    for _ in range(n):
-        u, v = powers2[-1]
-        powers2.append((v * c0, u + v * c1))
-    counts2: dict[tuple[int, int], int] = {(0, 0): 1}
-    for (pu, pv) in powers2:
-        if len(counts2) * 2 > budget:
-            raise BudgetError("support exceeds budget")
-        nxt2: dict[tuple[int, int], int] = {}
-        for (u, v), c in counts2.items():
-            for su, sv in ((u + pu, v + pv), (u - pu, v - pv)):
-                nxt2[(su, sv)] = nxt2.get((su, sv), 0) + c
-        counts2 = nxt2
-    return Fraction(max(counts2.values()), 2 ** (n + 1))
+        p, q = xf.numerator, xf.denominator
+        shifts = [p**j * q ** (n - j) for j in range(n + 1)]
+    else:
+        c1, c0 = quad
+        powers: list[tuple[int, int]] = [(1, 0)]
+        for _ in range(n):
+            u, v = powers[-1]
+            powers.append((v * c0, u + v * c1))
+        # pack u + v t into u + B v with B above twice every reachable |u|
+        B = 2 * sum(abs(u) for u, _ in powers) + 1
+        shifts = [u + B * v for u, v in powers]
+    counts = lattice_counts([((-s, 1), (s, 1)) for s in shifts], budget)
+    return Fraction(max(counts.values()), 2 ** (n + 1))

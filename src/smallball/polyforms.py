@@ -9,7 +9,6 @@ checks under the wrong convention.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from .types import (
     CoefficientMultiset,
     SignDistribution,
     ValidationError,
+    common_denominator,
 )
 
 QUADRATIC_ENUM_LIMIT = 24
@@ -52,11 +52,7 @@ class SymmetricCoefficientMatrix:
         return len(self.entries)
 
     def common_denominator(self) -> int:
-        d = 1
-        for row in self.entries:
-            for x in row:
-                d = d * x.denominator // math.gcd(d, x.denominator)
-        return d
+        return common_denominator(x for row in self.entries for x in row)
 
 
 def _sign_vectors(support: tuple[int, ...], n: int,
@@ -83,6 +79,18 @@ def _xi_int_support(xi: SignDistribution) -> tuple[int, ...]:
     return tuple(vals)
 
 
+def _int_form(M: SymmetricCoefficientMatrix, support: tuple[int, ...]):
+    """(den * M as an integer array, den).  Every value of the scaled form
+    on the support, and every partial sum of it, is at most
+    sum |den M_ij| * max|s|^2 in size: below 2^63 the array is int64, above
+    it holds exact Python ints."""
+    den = M.common_denominator()
+    rows = [[int(x * den) for x in row] for row in M.entries]
+    top = max(abs(s) for s in support)
+    bound = sum(abs(v) for row in rows for v in row) * top * top
+    return np.array(rows, dtype=np.int64 if bound < 2**63 else object), den
+
+
 def quadratic_concentration(
     M: SymmetricCoefficientMatrix,
     xi: SignDistribution | None = None,
@@ -95,9 +103,7 @@ def quadratic_concentration(
     if n > QUADRATIC_ENUM_LIMIT:
         raise BudgetError(f"n={n} exceeds enumeration limit {QUADRATIC_ENUM_LIMIT}")
     support = _xi_int_support(xi)
-    den = M.common_denominator()
-    Mi = np.array([[int(x * den) for x in row] for row in M.entries],
-                  dtype=np.int64)
+    Mi, den = _int_form(M, support)
     total = len(support) ** n
     chunk = 1 << 20
     buckets: dict[int, int] = {}
@@ -133,13 +139,11 @@ def decoupling_check(
         raise ValidationError("partition must be a proper nonempty subset")
     u2 = tuple(i for i in range(n) if i not in u1)
     support = _xi_int_support(xi)
-    den = M.common_denominator()
+    Mi, den = _int_form(M, support)
     x_scaled = Fraction(x) * den
     if x_scaled.denominator != 1:
         return Fraction(0), Fraction(0), True  # x not representable: empty event
     x_int = int(x_scaled)
-    Mi = np.array([[int(v * den) for v in row] for row in M.entries],
-                  dtype=np.int64)
     Y = _sign_vectors(support, len(u1))
     Z = _sign_vectors(support, len(u2))
     M11 = Mi[np.ix_(u1, u1)]
@@ -204,8 +208,7 @@ def structured_quadratic_generator(kind: str, params: dict, seed: int):
         kv = np.array(k_coeffs, dtype=np.int64)
         bv = np.array(b, dtype=np.int64)
         low_part = np.outer(kv, bv) + np.outer(bv, kv)
-        counts = bernoulli_int_counts(list(k_coeffs))
-        floor_low = Fraction(counts.get(0, 0), 2**n)
+        floor_low = Fraction(bernoulli_int_counts(k_coeffs).get(0, 0), 2**n)
     entries = gap_part + low_part
     M = SymmetricCoefficientMatrix.of(entries.tolist())
     rho_q, _ = quadratic_concentration(M)
@@ -277,8 +280,10 @@ class MultilinearPolynomial:
         return [S for S, _ in self.terms if len(S) == self.k]
 
 
-def _eval_all_boolean(P: MultilinearPolynomial, den: int) -> np.ndarray:
-    """den * P over all 2^n boolean assignments, exact in int64."""
+def _eval_all_boolean(P: MultilinearPolynomial) -> tuple[np.ndarray, int]:
+    """(den * P over all 2^n boolean assignments, exact in int64; den), with
+    den the coefficients' common denominator."""
+    den = common_denominator(c for _, c in P.terms)
     n = P.n
     if n > 22:
         raise BudgetError("multilinear enumeration limited to n <= 22")
@@ -292,7 +297,7 @@ def _eval_all_boolean(P: MultilinearPolynomial, den: int) -> np.ndarray:
             mask |= 1 << i
         hit = (m & mask) == mask
         vals[hit] += int(c * den)
-    return vals
+    return vals, den
 
 
 def greedy_disjoint_terms(P: MultilinearPolynomial) -> int:
@@ -319,11 +324,8 @@ def multilinear_concentration(
     xi = xi or SignDistribution.boolean_01()
     if xi.kind != "boolean_01":
         raise ValidationError("multilinear concentration uses the {0,1} law")
-    den = 1
-    for _, c in P.terms:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    vals, den = _eval_all_boolean(P)
     x_scaled = Fraction(x) * den
-    vals = _eval_all_boolean(P, den)
     if x_scaled.denominator != 1:
         prob = Fraction(0)
     else:
@@ -338,10 +340,7 @@ def parity_correlation(P: MultilinearPolynomial) -> Fraction:
     """Cor(P, parity) = P(P(xi) = parity(xi)) - 1/2 over uniform {0,1}^n,
     exact; outputs outside {0,1} count as disagreement."""
     n = P.n
-    den = 1
-    for _, c in P.terms:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    vals = _eval_all_boolean(P, den)
+    vals, den = _eval_all_boolean(P)
     m = np.arange(2**n, dtype=np.uint64)
     par = np.zeros(2**n, dtype=np.int64)
     bits = m.copy()

@@ -1,8 +1,9 @@
 """Shared data types: coefficient multisets, sign distributions, exact laws.
 
-All probability arithmetic in the exact layers uses `fractions.Fraction`;
-floating point only enters in explicitly numeric operations (quadrature,
-scans, Monte Carlo summaries).
+Exact laws are integer counts on an integer lattice over one common
+denominator; `fractions.Fraction` appears only where values leave the exact
+layers.  Floating point only enters in explicitly numeric operations
+(quadrature, scans, Monte Carlo summaries).
 """
 from __future__ import annotations
 
@@ -30,6 +31,11 @@ class BudgetError(RuntimeError):
 class SoundnessError(RuntimeError):
     """A computed upper bound fell below the exact value it must dominate
     (CLI exit code 4)."""
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The least L with L * v an integer for every v."""
+    return math.lcm(*(v.denominator for v in values))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -204,6 +210,12 @@ class CoefficientMultiset:
     def n(self) -> int:
         return len(self.entries)
 
+    def int_entries(self) -> list[int]:
+        """The entries as ints; ValidationError unless d=1 and all are integers."""
+        if self.d != 1 or any(e.denominator != 1 for e in self.entries):
+            raise ValidationError("integer coefficient multiset required")
+        return [int(e) for e in self.entries]
+
     def scaled(self, c) -> "CoefficientMultiset":
         c = _as_fraction(c)
         if c == 0:
@@ -224,42 +236,106 @@ class CoefficientMultiset:
             [(c * x - s * y, s * x + c * y) for x, y in self.entries])
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Exact law: map value -> probability with rational atoms summing to 1."""
+    """Exact law on a lattice: key k has probability counts[k] / total and
+    stands for the value k / scale (d=1) or, when pack > 0, for the pair
+    (x / scale, y / scale) with k = x + pack * y and 2|x| < pack (d=2)."""
 
-    atoms: Mapping[Value, Fraction]
+    counts: Mapping[int, int]
+    scale: int
+    total: int
     n_source: int
+    pack: int = 0
 
     def __post_init__(self):
-        total = sum(self.atoms.values(), Fraction(0))
-        if total != 1:
-            raise ValidationError(f"atom probabilities sum to {total}, not 1")
+        if sum(self.counts.values()) != self.total:
+            raise ValidationError(f"atom counts do not sum to {self.total}")
+
+    def _coords(self, key: int) -> tuple[int, ...]:
+        """The lattice point of a key: (k,) for d=1, (x, y) for d=2."""
+        if not self.pack:
+            return (key,)
+        y = (key + self.pack // 2) // self.pack
+        return key - self.pack * y, y
+
+    def _value(self, key: int) -> Value:
+        v = tuple(Fraction(c, self.scale) for c in self._coords(key))
+        return v if self.pack else v[0]
+
+    @property
+    def _order(self):
+        """Sort key under which keys sort as their values do."""
+        return self._coords if self.pack else None
+
+    def _sorted_keys(self) -> list[int]:
+        return sorted(self.counts, key=self._order)
+
+    @property
+    def atoms(self) -> Mapping[Value, Fraction]:
+        """value -> probability, in the key order of `counts`."""
+        return self.__dict__.get("_atoms") or _Atoms(self)
 
     def max_atom(self) -> tuple[Fraction, Value]:
         """(probability, smallest value attaining it)."""
-        best_p = max(self.atoms.values())
-        best_v = min(v for v, p in self.atoms.items() if p == best_p)
-        return best_p, best_v
+        best = max(self.counts.values())
+        ties = (k for k, c in self.counts.items() if c == best)
+        return Fraction(best, self.total), self._value(min(ties, key=self._order))
 
-    def sorted_items(self):
-        return sorted(self.atoms.items())
+    def sorted_items(self) -> list[tuple[Value, Fraction]]:
+        return [(self._value(k), Fraction(self.counts[k], self.total))
+                for k in self._sorted_keys()]
+
+    def _rows(self):
+        """(value text, numerator, denominator) per atom, in value order."""
+        for k in self._sorted_keys():
+            text = [_ratio_text(c, self.scale) for c in self._coords(k)]
+            g = math.gcd(self.counts[k], self.total)
+            yield (text if self.pack else text[0]), self.counts[k] // g, self.total // g
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["value", "numerator", "denominator"])
-        for v, p in self.sorted_items():
-            key = f"({v[0]},{v[1]})" if isinstance(v, tuple) else str(v)
-            w.writerow([key, p.numerator, p.denominator])
+        for v, num, den in self._rows():
+            w.writerow([f"({v[0]},{v[1]})" if self.pack else v, num, den])
         return buf.getvalue()
 
     def to_json(self) -> str:
-        items = []
-        for v, p in self.sorted_items():
-            key = [str(v[0]), str(v[1])] if isinstance(v, tuple) else str(v)
-            items.append({"value": key, "prob": f"{p.numerator}/{p.denominator}"})
+        items = [{"value": v, "prob": f"{num}/{den}"}
+                 for v, num, den in self._rows()]
         return json.dumps({"n_source": self.n_source, "atoms": items})
+
+
+class _Atoms(Mapping):
+    """The atoms of a law not yet read: its length is the support size; the
+    first read builds the Fraction dict, which the law then returns itself
+    (so the law never refers back to this view)."""
+
+    def __init__(self, law: ExactDistribution):
+        self._law = law
+
+    def _map(self) -> dict:
+        law = self._law
+        if "_atoms" not in law.__dict__:
+            law.__dict__["_atoms"] = {
+                law._value(k): Fraction(c, law.total) for k, c in law.counts.items()}
+        return law.__dict__["_atoms"]
+
+    def __len__(self):
+        return len(self._law.counts)
+
+    def __getitem__(self, value):
+        return self._map()[value]
+
+    def __iter__(self):
+        return iter(self._map())
 
 
 def hypot2(p: Pair, q: Pair) -> Fraction:

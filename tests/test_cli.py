@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import re
@@ -127,6 +128,24 @@ def test_sweep_cells_take_values_not_argv(capsys):
                          "--fixed", "entries=-4,1"], capsys)
     assert code == 0
     assert out.count(",ok") == 2
+
+
+def test_sweep_cells_take_the_sweep_seed(capsys):
+    base = ["sweep", "--seed", "5", "--sub", "common-roots", "--grid", "n=3",
+            "--fixed", "trials=10"]
+    code, out = run_cli(base, capsys)
+    assert code == 0
+    assert next(csv.DictReader(io.StringIO(out)))["master_seed"] == "5"
+    # a cell's own seed still wins
+    code, out = run_cli(base + ["--fixed", "seed=7"], capsys)
+    assert next(csv.DictReader(io.StringIO(out)))["master_seed"] == "7"
+
+
+@pytest.mark.parametrize("name", ["rho", "sweep"])
+def test_subcommand_help_returns_zero(name, capsys):
+    code, out = run_cli([name, "-h"], capsys)
+    assert code == 0
+    assert out.startswith(f"usage: smallball {name}")
 
 
 def test_sweep_census_monotone(capsys):

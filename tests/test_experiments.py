@@ -7,7 +7,6 @@ import pytest
 
 from smallball.arith import (
     bareiss_determinant,
-    cofactor_determinant,
     poly_gcd_degree_modp,
     poly_gcd_int,
 )
@@ -25,6 +24,14 @@ from smallball.experiments import (
     substream,
 )
 from smallball.types import BudgetError, ValidationError
+
+
+def cofactor_determinant(A) -> int:
+    """Reference determinant by recursive cofactor expansion (tiny matrices)."""
+    if len(A) == 1:
+        return A[0][0]
+    return sum((-1) ** j * A[0][j] * cofactor_determinant([r[:j] + r[j + 1:] for r in A[1:]])
+               for j in range(len(A)))
 
 
 def test_determinant_backends_agree_exhaustively_n3():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smallball import fourier
 from smallball.core import ball_probability_1d, concentration_probability
 from smallball.fourier import (
     ESSEEN_C1,
@@ -24,6 +25,7 @@ from smallball.fourier import (
     xi_norm,
 )
 from smallball.types import (
+    BudgetError,
     CoefficientMultiset,
     SignDistribution,
     ValidationError,
@@ -181,3 +183,27 @@ def test_illustrative_context_rejects_identity():
     ctx = FpContext.from_multiset(CoefficientMultiset.of([1] * 10), p=997)
     with pytest.raises(ValidationError):
         fp_fourier_identity(ctx, 0)
+
+
+def test_fp_scans_refuse_p_above_budget(monkeypatch):
+    # twenty entries of 50 give p ~ 1.05e9: an 8 GB scan.  Any arange that
+    # large fails the test instead of allocating.
+    real_arange = np.arange
+
+    def guarded(stop, *args, **kwargs):
+        assert stop <= 10**7, f"unbudgeted arange({stop})"
+        return real_arange(stop, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)
+    ctx = FpContext.from_multiset(CoefficientMultiset.of([50] * 20))
+    assert ctx.p > 10**9
+    with pytest.raises(BudgetError):
+        fp_exponential_bound(ctx)
+    with pytest.raises(BudgetError):
+        fp_fourier_identity(ctx, 0)
+    small = FpContext.from_multiset(CoefficientMultiset.of([1, 2, 3]))
+    monkeypatch.setattr(fourier, "P_BUDGET", small.p)
+    assert fp_exponential_bound(small) > 0
+    monkeypatch.setattr(fourier, "P_BUDGET", small.p - 1)
+    with pytest.raises(BudgetError):
+        fp_exponential_bound(small)

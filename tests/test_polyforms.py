@@ -219,3 +219,21 @@ def test_weak_exponent_comparison():
     assert weak_multilinear_exponent(2) == 1 / 8
     b2 = 1 / (2 * 2 * 4)
     assert b2 > weak_multilinear_exponent(3)
+
+
+def test_quadratic_beyond_int64_is_exact():
+    # 2^61 (x1 + x2)^2 takes 0 and 2^63; int64 wraps the latter to -2^63
+    big = SymmetricCoefficientMatrix.of([[2**61, 2**61], [2**61, 2**61]])
+    assert quadratic_concentration(big, PM1) == (Fraction(1, 2), 0)
+    mixed = SymmetricCoefficientMatrix.of(
+        [[2**62, -(2**61), 3], [-(2**61), 2**60, 1], [3, 1, -(2**62)]])
+    for xi, support in ((PM1, (-1, 1)), (BOOL, (0, 1))):
+        assert quadratic_concentration(mixed, xi) == brute_quadratic(mixed, support)
+
+
+def test_decoupling_beyond_int64_is_exact():
+    big = SymmetricCoefficientMatrix.of([[2**61, 2**61], [2**61, 2**61]])
+    # Q(y, z) = 2^61 (y + z)^2 is 2^63 exactly when z = y: 1/2 of the pairs,
+    # and the four-copy event needs y = y' = z = z': 2 of 16
+    assert decoupling_check(big, (0,), 2**63) == (Fraction(1, 2), Fraction(1, 8), True)
+    assert decoupling_check(big, (0,), -(2**63)) == (0, 0, True)
