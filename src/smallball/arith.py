@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def bareiss_determinant(matrix) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination."""
     A = [list(map(int, row)) for row in matrix]
     n = len(A)
-    if any(len(r) != n for r in A):
+    if set(map(len, A)) - {n}:
         raise ValueError("matrix must be square")
     sign = 1
     prev = 1
@@ -93,7 +95,7 @@ def poly_gcd_int(f: list[int], g: list[int]) -> list[int]:
 def poly_gcd_degree_modp(f: list[int], g: list[int], p: int) -> int:
     """Degree of gcd(f mod p, g mod p); >= deg gcd_Z(f, g) always, so a
     result of 0 certifies coprimality over Q.  Returns -1 when both vanish
-    mod p."""
+    mod p.  The scalar reference for `poly_gcd_degree_modp_batch`."""
     fm = [c % p for c in f]
     gm = [c % p for c in g]
     poly_trim(fm)
@@ -111,3 +113,54 @@ def poly_gcd_degree_modp(f: list[int], g: list[int], p: int) -> int:
             poly_trim(fm)
         fm, gm = gm, fm
     return len(fm) - 1
+
+
+def poly_gcd_degree_modp_batch(F, G, p: int) -> np.ndarray:
+    """`poly_gcd_degree_modp` for every row pair of two (T, W) integer
+    coefficient arrays (low-to-high), by one batched Euclid over F_p.
+
+    Rows are held leading coefficient first.  Each round, a pair with
+    deg f < deg g swaps them; a pair with g = 0 is then done, with answer
+    deg f; every other pair takes one step f <- lc(g)*f - lc(f)*x^s*g with
+    s = deg f - deg g, which in that layout is the same columnwise for any
+    s.  The step clears lc(f) and keeps gcd(f, g), since lc(g) is a unit
+    mod p.  Products stay below p^2, so int32 suffices for p <= 46340."""
+    dtype = np.int32 if (p - 1) ** 2 < 2**31 else np.int64
+    F = np.asarray(F, dtype=np.int64) % p
+    G = np.asarray(G, dtype=np.int64) % p
+    T, W = F.shape
+
+    def lead_first(A):
+        nonzero = A != 0
+        d = np.where(nonzero.any(axis=1), W - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+        idx = np.arange(W) + (W - 1 - d)[:, None]
+        out = np.take_along_axis(A[:, ::-1], np.minimum(idx, W - 1), axis=1)
+        out[idx >= W] = 0
+        return out.astype(dtype), d
+
+    (F, df), (G, dg) = lead_first(F), lead_first(G)
+    out = np.empty(T, dtype=np.int64)
+    live = np.arange(T)
+    while live.size:
+        swap = df < dg
+        if swap.any():
+            F[swap], G[swap] = G[swap], F[swap]
+            df[swap], dg[swap] = dg[swap], df[swap]
+        done = dg < 0
+        if done.any():
+            out[live[done]] = df[done]
+            keep = ~done
+            live, F, G, df, dg = live[keep], F[keep], G[keep], df[keep], dg[keep]
+            if not live.size:
+                break
+        width = df.max() + 1  # no live row has a coefficient beyond it
+        G = G[:, :width]
+        step = (F[:, :width] * G[:, :1] - F[:, :1] * G) % p
+        F = np.zeros_like(step)
+        F[:, :-1] = step[:, 1:]
+        df = df - 1
+        while (low := (df >= 0) & (F[:, 0] == 0)).any():
+            F[low, :-1] = F[low, 1:]
+            F[low, -1] = 0
+            df -= low
+    return out

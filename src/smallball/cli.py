@@ -6,8 +6,11 @@ the report's `results`.  Flag values resolve as table defaults < `--config`
 file < flags given; `sweep` runs table entries over a grid of flag values.
 
 Reports are deterministic for a fixed configuration: all randomness flows
-from --seed through per-trial substreams, and wall-clock time is reported
-only under --timing, so identical configs give byte-identical reports.
+from --seed, which must lie in [0, 2^64).  Trial i draws from the Philox
+stream with key = seed and counter block i, computed a batch of trials at a
+time, so a report does not depend on the batch size.  Wall-clock time is
+reported only under --timing, so identical configs give byte-identical
+reports.
 
 Exit codes: 0 success, 2 validation error, 3 budget error, 4 soundness
 failure (a bound fell below the exact value it must dominate).
@@ -100,6 +103,13 @@ def _terms(text: str) -> str:
 
 def _bool(text: str) -> bool:
     return text.lower() in ("1", "true", "yes")
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValidationError(f"{text!r} must be >= 1")
+    return value
 
 
 def _choice(convert: Callable, *options) -> Callable:
@@ -280,7 +290,7 @@ COMMANDS: dict[str, Command] = {c.name: c for c in [
                 {"exact_failure_probability": experiments.k1_universality_failure_exact(
                     a.d, a.n)} if a.k == 1 else {})}),
     Command("lsv", {"kind": (_choice(str, "bernoulli_iid", "gaussian_iid"), "gaussian_iid"),
-                    "n": INT, "trials": (int, 200)},
+                    "n": INT, "trials": (_positive, 200)},  # library: 0 gives an empty sample
             lambda a: experiments.least_singular_value_mc(
                 experiments.EnsembleSpec(a.kind, a.n), a.trials, a.seed),
             lambda s, a: ({"csv": s.to_csv()} if a.format == "csv" else {

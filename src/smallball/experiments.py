@@ -2,14 +2,18 @@
 k-universality, least singular values against the Gaussian limit law, and
 common roots of random sign polynomials.
 
-Reproducibility: trial i draws from a Philox substream keyed by
-(master_seed) with the counter block set to i, so results are identical for
-any partitioning of the trial range across workers.
+Reproducibility: trial i draws from the Philox4x64-10 stream with key =
+master seed and counter block i, the stream `substream(seed, i)` returns.
+The sign experiments compute those streams a batch of trials at a time
+(`trial_bits`), so a report does not depend on the batch size.  Seeds must
+lie in [0, 2^64).
 
 Singularity decisions are exact integer arithmetic end to end: a batched
 modular elimination screens out matrices whose determinant is provably
 nonzero (det != 0 mod p), and only the flagged remainder is confirmed by
-fraction-free integer elimination.
+fraction-free integer elimination.  Common roots likewise: a batched gcd
+over F_p certifies most pairs coprime, and the exact integer gcd confirms
+the rest.
 """
 from __future__ import annotations
 
@@ -17,22 +21,85 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from .arith import bareiss_determinant, poly_gcd_degree_modp, poly_gcd_int
+from .arith import bareiss_determinant, poly_gcd_degree_modp_batch, poly_gcd_int
 from .types import BudgetError, ValidationError
 
 EXACT_ENUM_BUDGET_LOG2 = 26
+BATCH = 4096  # trials (or enumerated matrices) per vectorised batch
+_BATCH_DRAWS = 2**21
 _SCREEN_PRIMES = (46337, 65521)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed {seed} outside [0, 2^64)")
+
+
+def _check_mc(trials: int, seed: int, least: int = 1) -> None:
+    if trials < least:
+        raise ValidationError(f"trials must be >= {least}")
+    _check_seed(seed)
+
+
+def _batches(trials: int, draws: int, batch: int = BATCH):
+    """[lo, hi) ranges of at most `batch` trials of `draws` draws each, and
+    of at most `_BATCH_DRAWS` draws unless one trial needs more: larger
+    batches of large matrices only cost more memory and time."""
+    step = min(batch, max(1, _BATCH_DRAWS // draws))
+    for lo in range(0, trials, step):
+        yield lo, min(lo + step, trials)
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Deterministic per-trial generator: Philox keyed by the master seed
     with a disjoint counter block per trial index."""
-    bg = np.random.Philox(key=master_seed & (2**64 - 1),
-                          counter=[0, 0, 0, index])
+    _check_seed(master_seed)
+    bg = np.random.Philox(key=master_seed, counter=[0, 0, 0, index])
     return np.random.Generator(bg)
+
+
+_M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(a, b: np.ndarray):
+    """(high, low) 64-bit words of the 128-bit products a*b, from 32-bit
+    halves so that no partial product leaves uint64."""
+    a0, a1 = a & _M32, a >> _S32
+    b0, b1 = b & _M32, b >> _S32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _S32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32), a * b
+
+
+def trial_bits(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
+    """(hi - lo, k) int8 array of 0/1 draws: row t is exactly
+    `substream(seed, lo + t).integers(0, 2, size=k, dtype=np.int8)`.
+
+    That call reads Philox4x64-10 blocks at counters [1, 0, 0, i],
+    [2, 0, 0, i], ... with key (seed, 0), splits each 64-bit word into two
+    32-bit words (low half first) and those into bytes (low byte first);
+    Lemire's method on a range of two returns each byte's top bit.  Here the
+    blocks of every trial in [lo, hi) are computed at once."""
+    _check_seed(seed)
+    blocks = -(-k // 32)  # a block is 4 words = 32 bytes
+    shape = (hi - lo, blocks)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c1 = c2 = np.zeros(shape, np.uint64)
+    c3 = np.broadcast_to(np.arange(lo, hi, dtype=np.uint64)[:, None], shape)
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
+        k1 = np.uint64(r * _PHILOX_W[1] % 2**64)
+        h0, l0 = _mulhilo(_PHILOX_M[0], c0)
+        h1, l1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = h1 ^ c1 ^ k0, l1, h0 ^ c3 ^ k1, l0
+    words = np.stack([c0, c1, c2, c3], axis=-1).astype("<u8", copy=False)
+    return (words.view(np.uint8).reshape(hi - lo, 32 * blocks)[:, :k] >> 7).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -90,55 +157,74 @@ def _free_entry_count(spec: EnsembleSpec) -> int:
     raise ValidationError("exact enumeration needs a Bernoulli ensemble")
 
 
-def _sample_sign_matrices(spec: EnsembleSpec, rng, count: int) -> np.ndarray:
+def _sign_matrices(spec: EnsembleSpec, bits: np.ndarray) -> np.ndarray:
+    """(T, n, n) int8 sign matrices from (T, n*n) 0/1 draws in row-major
+    order; a symmetric matrix keeps the upper triangle's draws."""
     n = spec.n
-    if spec.kind == "bernoulli_iid":
-        return rng.integers(0, 2, size=(count, n, n), dtype=np.int8) * 2 - 1
+    if spec.kind not in ("bernoulli_iid", "bernoulli_symmetric"):
+        raise ValidationError("sign sampling needs a Bernoulli ensemble")
+    m = bits.reshape(-1, n, n) * 2 - 1
     if spec.kind == "bernoulli_symmetric":
-        m = rng.integers(0, 2, size=(count, n, n), dtype=np.int8) * 2 - 1
-        upper = np.triu(m)
-        return upper + np.triu(m, 1).transpose(0, 2, 1)
-    raise ValidationError("sign sampling needs a Bernoulli ensemble")
+        m = np.triu(m) + np.triu(m, 1).transpose(0, 2, 1)
+    return m
+
+
+def _enumerated_matrices(spec: EnsembleSpec, lo: int, hi: int) -> list:
+    """Matrices lo..hi-1 of the exact enumeration as nested lists: bit k of
+    the index is free entry k (row-major; upper triangle when symmetric),
+    set meaning +1."""
+    n = spec.n
+    idx = np.arange(lo, hi, dtype=np.int64)[:, None]
+    signs = ((idx >> np.arange(_free_entry_count(spec))) & 1) * 2 - 1
+    if spec.kind == "bernoulli_iid":
+        return signs.reshape(-1, n, n).tolist()
+    M = np.empty((hi - lo, n, n), np.int64)
+    rows, cols = np.triu_indices(n)
+    M[:, rows, cols] = signs
+    M[:, cols, rows] = signs
+    return M.tolist()
+
+
+def _inv_modp(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise, by square-and-multiply: the inverse of
+    every nonzero residue.  Products stay below p^2 < 2^63."""
+    out = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
 
 
 def _batch_rank_deficient_modp(mats: np.ndarray, p: int) -> np.ndarray:
     """Boolean mask of matrices with det == 0 (mod p), by batched Gaussian
-    elimination over F_p.  int64 products stay below 2^63 since p < 2^31."""
+    elimination over F_p.  A matrix leaves the batch at the first column
+    with no pivot.  Only the pivot column and row are reduced mod p; the
+    trailing block takes one product below p^2 per step unreduced, so its
+    entries stay below n*p^2 + 1 < 2^63 for p < 2^31 and any n that fits
+    in memory."""
     T, n, _ = mats.shape
-    A = mats.astype(np.int64) % p
-    inv_table = np.zeros(p, dtype=np.int64)
-    inv_table[1:] = np.vectorize(lambda x: pow(int(x), p - 2, p),
-                                 otypes=[np.int64])(np.arange(1, p))
+    A = mats.astype(np.int64)
     singular = np.zeros(T, dtype=bool)
+    live = np.arange(T)
     for k in range(n):
-        col = A[:, :, k]
-        nonzero = col != 0
-        nonzero[:, :k] = False
+        nonzero = A[:, k:, k] % p != 0
         has_pivot = nonzero.any(axis=1)
-        newly_singular = ~has_pivot & ~singular
-        singular |= newly_singular
-        active = has_pivot & ~singular
-        if not active.any():
-            continue
-        pivot_rows = np.argmax(nonzero, axis=1)
-        idx = np.nonzero(active)[0]
-        pr = pivot_rows[idx]
-        # swap pivot row into position k
-        tmp = A[idx, pr, :].copy()
-        A[idx, pr, :] = A[idx, k, :]
-        A[idx, k, :] = tmp
-        pivots = A[idx, k, k]
-        inv_p = inv_table[pivots]
-        below = A[idx, k + 1:, k]  # (active, n-k-1)
-        factors = (below * inv_p[:, None]) % p
-        A[idx, k + 1:, k:] = (
-            A[idx, k + 1:, k:] - factors[:, :, None] * A[idx, k, k:][:, None, :]
-        ) % p
+        if not has_pivot.all():
+            singular[live[~has_pivot]] = True
+            live, A, nonzero = live[has_pivot], A[has_pivot], nonzero[has_pivot]
+        pivot_rows = k + np.argmax(nonzero, axis=1)
+        swap = np.nonzero(pivot_rows != k)[0]
+        if swap.size:
+            pr = pivot_rows[swap]
+            A[swap, k], A[swap, pr] = A[swap, pr], A[swap, k]
+        col = A[:, k:, k] % p
+        factors = col[:, 1:] * _inv_modp(col[:, 0], p)[:, None] % p
+        A[:, k + 1:, k + 1:] -= factors[:, :, None] * (A[:, k, None, k + 1:] % p)
     return singular
-
-
-def _is_singular_exact(mat: np.ndarray) -> bool:
-    return bareiss_determinant(mat.tolist()) == 0
 
 
 def singularity_probability(
@@ -146,7 +232,7 @@ def singularity_probability(
     mode: str = "monte_carlo",
     trials: int = 10**5,
     seed: int = 0,
-    batch: int = 4096,
+    batch: int = BATCH,
 ) -> McReport:
     """P(random sign matrix is singular), exact by full enumeration or by
     seeded Monte Carlo with exact per-trial singularity decisions."""
@@ -160,45 +246,44 @@ def singularity_probability(
                 f"{EXACT_ENUM_BUDGET_LOG2} budget")
         total = 2**free
         count = 0
-        for bits in range(total):
-            M = _matrix_from_bits(spec, bits)
-            if _is_singular_exact(M):
-                count += 1
+        for lo, hi in _batches(total, free):
+            for M in _enumerated_matrices(spec, lo, hi):
+                if bareiss_determinant(M) == 0:
+                    count += 1
         return McReport.from_counts(count, total, seed, time.time() - t0,
                                     "exact", Fraction(count, total))
     if mode != "monte_carlo":
         raise ValidationError("mode must be 'exact' or 'monte_carlo'")
+    _check_mc(trials, seed)
     successes = 0
-    for lo in range(0, trials, batch):
-        hi = min(lo + batch, trials)
-        mats = np.stack([
-            _sample_sign_matrices(spec, substream(seed, i), 1)[0]
-            for i in range(lo, hi)
-        ])
+    for lo, hi in _batches(trials, n * n, batch):
+        mats = _sign_matrices(spec, trial_bits(seed, lo, hi, n * n))
         mask = _batch_rank_deficient_modp(mats, _SCREEN_PRIMES[0])
         if mask.any():
             second = _batch_rank_deficient_modp(mats[mask], _SCREEN_PRIMES[1])
             cands = np.nonzero(mask)[0][second]
             for ci in cands:
-                if _is_singular_exact(mats[ci]):
+                if bareiss_determinant(mats[ci].tolist()) == 0:
                     successes += 1
     return McReport.from_counts(successes, trials, seed, time.time() - t0)
 
 
-def _matrix_from_bits(spec: EnsembleSpec, bits: int) -> np.ndarray:
-    n = spec.n
-    if spec.kind == "bernoulli_iid":
-        vals = [(1 if (bits >> k) & 1 else -1) for k in range(n * n)]
-        return np.array(vals, dtype=np.int64).reshape(n, n)
-    M = np.zeros((n, n), dtype=np.int64)
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            v = 1 if (bits >> k) & 1 else -1
-            M[i, j] = v
-            M[j, i] = v
-            k += 1
-    return M
+def _universality_failures(V: np.ndarray, index_sets: list, k: int) -> int:
+    """Trials in the (T, d, n) 0/1 batch V for which some k coordinates
+    show fewer than all 2^k patterns across the d vectors."""
+    T, d, _ = V.shape
+    if 2**k > d:  # d vectors cannot show 2^k patterns
+        return T
+    weights = 1 << np.arange(k)
+    alive = np.arange(T)  # trials with every pattern seen so far
+    for idx in index_sets:
+        pats = V[:, :, idx][alive].astype(np.int64) @ weights  # (alive, d)
+        seen = np.zeros((len(alive), 2**k), dtype=bool)
+        seen[np.arange(len(alive))[:, None], pats] = True
+        alive = alive[seen.all(axis=1)]
+        if not alive.size:
+            break
+    return T - len(alive)
 
 
 def k_universality_check(
@@ -213,35 +298,20 @@ def k_universality_check(
     a trial fails when some k coordinates and sign pattern are realized by
     none of the d vectors.  Decided exactly per trial by exhaustive pattern
     check."""
-    from itertools import combinations
-
     if k < 0:
         raise ValidationError("k must be >= 0")
     if d < 1 or n < 1:
         raise ValidationError("d and n must be >= 1")
     if k > 0 and math.comb(n, k) * 2**k > per_trial_budget:
         raise BudgetError("per-trial pattern check over budget")
+    _check_mc(trials, seed)
     t0 = time.time()
     failures = 0
-    index_sets = list(combinations(range(n), k)) if k else []
-    full = (1 << (2**k)) - 1 if k else 0
-    for t in range(trials):
-        rng = substream(seed, t)
-        V = rng.integers(0, 2, size=(d, n), dtype=np.int8)
-        if k == 0:
-            continue
-        ok = True
-        for idx in index_sets:
-            cols = V[:, idx]
-            pats = np.zeros(d, dtype=np.int64)
-            for b in range(k):
-                pats |= cols[:, b].astype(np.int64) << b
-            seen = np.bitwise_or.reduce(1 << pats)
-            if seen != full:
-                ok = False
-                break
-        if not ok:
-            failures += 1
+    index_sets = [list(c) for c in combinations(range(n), k)] if k else []
+    if index_sets:
+        for lo, hi in _batches(trials, d * n):
+            V = trial_bits(seed, lo, hi, d * n).reshape(hi - lo, d, n)
+            failures += _universality_failures(V, index_sets, k)
     return McReport.from_counts(failures, trials, seed, time.time() - t0)
 
 
@@ -315,6 +385,7 @@ def least_singular_value_mc(
     """Sorted sample of sqrt(n) * sigma_n over seeded trials."""
     if spec.n > 400:
         raise BudgetError("least_singular_value_mc limited to n <= 400")
+    _check_mc(trials, seed, least=0)
     vals = []
     retries = 0
     scale = math.sqrt(spec.n)
@@ -323,7 +394,8 @@ def least_singular_value_mc(
         if spec.kind == "gaussian_iid":
             M = rng.standard_normal((spec.n, spec.n))
         else:
-            M = _sample_sign_matrices(spec, rng, 1)[0].astype(np.float64)
+            bits = rng.integers(0, 2, size=(1, spec.n**2), dtype=np.int8)
+            M = _sign_matrices(spec, bits)[0].astype(np.float64)
         sigma, converged = _sigma_min_qr_inverse_iteration(M, tol)
         if not converged:
             retries += 1
@@ -366,31 +438,31 @@ def common_root_probability(
     share a complex root, decided exactly per trial via integer polynomial
     gcd (deg gcd >= 1).  Also returns the exact value-at-1 channel.
 
-    Per trial a screen certifies most coprime pairs cheaply: evaluation at
+    Per batch a screen certifies most coprime pairs cheaply: evaluation at
     x = +-1 detects the dominant shared-root channels, and gcd degree 0
     modulo a prime certifies coprimality; only unresolved pairs reach the
     exact integer gcd.
     """
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     if n > 60:
         raise BudgetError("common_root_probability limited to degree <= 60")
+    _check_mc(trials, seed)
     t0 = time.time()
     successes = 0
-    p_screen = _SCREEN_PRIMES[0]
-    for t in range(trials):
-        rng = substream(seed, t)
-        flat = rng.integers(0, 2, size=2 * (n + 1), dtype=np.int8) * 2 - 1
-        c1 = flat[: n + 1].astype(int).tolist()
-        c2 = flat[n + 1:].astype(int).tolist()
-        s1p, s2p = sum(c1), sum(c2)
-        s1m = sum(c * (-1) ** i for i, c in enumerate(c1))
-        s2m = sum(c * (-1) ** i for i, c in enumerate(c2))
-        if (s1p == 0 and s2p == 0) or (s1m == 0 and s2m == 0):
-            successes += 1
-            continue
-        if poly_gcd_degree_modp(c1, c2, p_screen) == 0:
-            continue
-        if _has_common_root_exact(c1, c2):
-            successes += 1
+    alternating = (-1) ** np.arange(n + 1)
+    for lo, hi in _batches(trials, 2 * (n + 1)):
+        flat = trial_bits(seed, lo, hi, 2 * (n + 1)).astype(np.int64) * 2 - 1
+        c1, c2 = flat[:, : n + 1], flat[:, n + 1:]
+        both_at_one = (c1.sum(axis=1) == 0) & (c2.sum(axis=1) == 0)
+        both_at_minus_one = (c1 @ alternating == 0) & (c2 @ alternating == 0)
+        channel = both_at_one | both_at_minus_one
+        successes += int(channel.sum())
+        rest = np.nonzero(~channel)[0]
+        degree = poly_gcd_degree_modp_batch(c1[rest], c2[rest], _SCREEN_PRIMES[0])
+        for t in rest[degree != 0]:
+            if _has_common_root_exact(c1[t].tolist(), c2[t].tolist()):
+                successes += 1
     report = McReport.from_counts(successes, trials, seed, time.time() - t0)
     return report, exact_common_value_at_one(n)
 

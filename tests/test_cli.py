@@ -207,6 +207,33 @@ def test_malformed_input_exit_code(args, capsys):
     assert run_cli(args, capsys)[0] == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["singularity", "--n", "3", "--trials", "-5"],
+    ["singularity", "--n", "3", "--trials", "0"],
+    ["universal", "--d", "3", "--n", "3", "--k", "1", "--trials", "-5"],
+    ["common-roots", "--n", "3", "--trials", "-5"],
+    ["lsv", "--n", "3", "--trials", "-5"],
+    ["lsv", "--n", "3", "--trials", "0"],
+    ["common-roots", "--n", "-1", "--trials", "10"],
+    ["common-roots", "--n", "-2"],
+    ["singularity", "--n", "3", "--trials", "10", "--seed", "-3"],
+    ["common-roots", "--n", "3", "--trials", "10", "--seed", "18446744073709551616"],
+    ["universal", "--d", "3", "--n", "3", "--k", "1", "--trials", "5", "--seed", "-1"],
+    ["lsv", "--n", "3", "--trials", "2", "--seed", "-1"],
+])
+def test_mc_nonsense_exit_code(args, capsys):
+    assert run_cli(args, capsys)[0] == 2
+
+
+def test_seed_range_edges_are_distinct_streams(capsys):
+    # before seeds were range-checked, -3 ran the stream of 2^64 - 3
+    args = ["common-roots", "--n", "7", "--trials", "200", "--seed"]
+    code, top = run_cli(args + [str(2**64 - 3)], capsys)
+    assert code == 0
+    assert json.loads(top)["master_seed"] == 2**64 - 3
+    assert run_cli(args + ["-3"], capsys)[0] == 2
+
+
 TOKENS = ["", "x", "-1", "1/0", "3,x", "1:a", "2,0,0,2,5", "0", "1", "2", "3"]
 
 

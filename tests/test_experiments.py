@@ -5,14 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from smallball import experiments
 from smallball.arith import (
     bareiss_determinant,
     poly_gcd_degree_modp,
+    poly_gcd_degree_modp_batch,
     poly_gcd_int,
 )
 from smallball.experiments import (
+    _SCREEN_PRIMES,
     EnsembleSpec,
     McReport,
+    _inv_modp,
     common_root_probability,
     edelman_cdf,
     exact_common_value_at_one,
@@ -22,6 +26,7 @@ from smallball.experiments import (
     mc_agreement_sigma,
     singularity_probability,
     substream,
+    trial_bits,
 )
 from smallball.types import BudgetError, ValidationError
 
@@ -202,3 +207,136 @@ def test_mcreport_shapes():
     assert rep.std_error == pytest.approx(math.sqrt(0.05 * 0.95 / 100))
     d = rep.to_json_dict()
     assert d["mode"] == "monte_carlo"
+
+
+# ---------------------------------------------------------- batched engine
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 7, 2**64 - 1])
+def test_trial_bits_match_substreams(seed):
+    # byte, 32-bit word and 4-word Philox block boundaries are all crossed
+    for i in (0, 1, 4095, 2**40):
+        for k in (1, 7, 8, 9, 31, 32, 33, 257, 1600):
+            want = substream(seed, i).integers(0, 2, size=k, dtype=np.int8)
+            got = trial_bits(seed, i, i + 1, k)
+            assert got.shape == (1, k) and got.dtype == np.int8
+            assert (got[0] == want).all(), (seed, i, k)
+
+
+def test_trial_bits_partition_independent():
+    for seed, k in ((3, 9), (2**64 - 1, 40)):
+        whole = trial_bits(seed, 0, 300, k)
+        parts = np.vstack([trial_bits(seed, 0, 127, k), trial_bits(seed, 127, 300, k)])
+        assert (whole == parts).all()
+
+
+@pytest.mark.parametrize("p", _SCREEN_PRIMES)
+def test_pivot_inverse_every_residue(p):
+    x = np.arange(1, p, dtype=np.int64)
+    want = np.array([pow(int(v), p - 2, p) for v in x])
+    assert (_inv_modp(x, p) == want).all()
+    assert (x * _inv_modp(x, p) % p == 1).all()
+
+
+def _scalar_screen(F, G, p):
+    return [poly_gcd_degree_modp(f, g, p) for f, g in zip(F.tolist(), G.tolist())]
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 15, 31, 60])
+def test_batched_gcd_screen_matches_scalar(n):
+    rng = np.random.default_rng(n)
+    F = rng.integers(0, 2, size=(300, n + 1)) * 2 - 1
+    G = rng.integers(0, 2, size=(300, n + 1)) * 2 - 1
+    for p in _SCREEN_PRIMES:
+        assert poly_gcd_degree_modp_batch(F, G, p).tolist() == _scalar_screen(F, G, p)
+
+
+def test_batched_gcd_screen_planted_factors():
+    rng = np.random.default_rng(5)
+    p = _SCREEN_PRIMES[0]
+    # equal rows: the gcd is the polynomial itself
+    F = rng.integers(0, 2, size=(40, 8)) * 2 - 1
+    assert poly_gcd_degree_modp_batch(F, F, p).tolist() == [7] * 40
+    # f*(x+1) against g*(x+1): degree >= 1, as the scalar screen says
+    f = rng.integers(0, 2, size=(60, 7)) * 2 - 1
+    g = rng.integers(0, 2, size=(60, 7)) * 2 - 1
+    x1 = np.zeros((60, 8), dtype=np.int64)
+    y1 = np.zeros((60, 8), dtype=np.int64)
+    x1[:, 1:] += f
+    x1[:, :-1] += f
+    y1[:, 1:] += g
+    y1[:, :-1] += g
+    got = poly_gcd_degree_modp_batch(x1, y1, p)
+    assert (got >= 1).all()
+    assert got.tolist() == _scalar_screen(x1, y1, p)
+    # rows vanishing mod p on one side or on both
+    Z = np.array([[0, 0, 0], [p, 0, 2 * p], [0, 0, 0], [1, 1, 0], [2, 0, 0]])
+    W = np.array([[0, 0, 0], [0, -p, 0], [1, 2, 1], [0, 0, 0], [0, 0, 5]])
+    assert poly_gcd_degree_modp_batch(Z, W, p).tolist() == [-1, -1, 2, 1, 0]
+    assert poly_gcd_degree_modp_batch(Z, W, p).tolist() == _scalar_screen(Z, W, p)
+
+
+def test_exact_enumeration_one_determinant_per_matrix(monkeypatch):
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return bareiss_determinant(M)
+
+    monkeypatch.setattr(experiments, "bareiss_determinant", counting)
+    for kind, n, free in (("bernoulli_iid", 3, 9), ("bernoulli_symmetric", 4, 10)):
+        calls.clear()
+        singularity_probability(EnsembleSpec(kind, n), "exact")
+        assert len(calls) == 2**free
+        assert len({tuple(map(tuple, M)) for M in calls}) == 2**free
+        assert all(M == [list(r) for r in zip(*M)] for M in calls) == (
+            kind == "bernoulli_symmetric")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: singularity_probability(EnsembleSpec("bernoulli_iid", 3), trials=-5),
+    lambda: singularity_probability(EnsembleSpec("bernoulli_iid", 3), trials=0),
+    lambda: common_root_probability(3, -5),
+    lambda: common_root_probability(3, 0),
+    lambda: common_root_probability(0, 10),
+    lambda: common_root_probability(-1, 10),
+    lambda: common_root_probability(-2, 10),
+    lambda: k_universality_check(3, 3, 1, -5),
+    lambda: k_universality_check(3, 3, 0, 0),
+    lambda: least_singular_value_mc(EnsembleSpec("gaussian_iid", 3), -5),
+])
+def test_mc_rejects_nonsense_sizes(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**64 + 5])
+def test_mc_rejects_seeds_outside_range(seed):
+    calls = [
+        lambda: singularity_probability(EnsembleSpec("bernoulli_iid", 3), trials=10, seed=seed),
+        lambda: common_root_probability(3, 10, seed),
+        lambda: k_universality_check(3, 3, 1, 10, seed),
+        lambda: least_singular_value_mc(EnsembleSpec("gaussian_iid", 3), 2, seed),
+        lambda: substream(seed, 0),
+        lambda: trial_bits(seed, 0, 1, 8),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+    # the edges of the range are valid and distinct streams
+    assert (trial_bits(0, 0, 1, 64) != trial_bits(2**64 - 1, 0, 1, 64)).any()
+
+
+@pytest.mark.parametrize("d,n,k,trials", [(40, 6, 3, 60), (400, 6, 6, 40), (600, 7, 7, 30)])
+def test_k_universality_against_pattern_sets(d, n, k, trials):
+    # a trial fails when some k coordinates show fewer than 2^k distinct
+    # patterns; k >= 6 needs more than a 64-bit pattern mask
+    want = 0
+    for t in range(trials):
+        V = substream(9, t).integers(0, 2, size=(d, n), dtype=np.int8).tolist()
+        if any(len({tuple(v[i] for i in idx) for v in V}) < 2**k
+               for idx in itertools.combinations(range(n), k)):
+            want += 1
+    got = k_universality_check(d, n, k, trials, seed=9).successes
+    assert got == want
+    assert 0 < got < trials
