@@ -34,6 +34,13 @@ ESSEEN_C1 = 1.0 / (4.0 * math.sin(0.5) ** 2)
 # Largest p that the F_p operations scan in full: each work array is then at
 # most 32 MB, and a*t stays far inside int64.
 P_BUDGET = 4 * 10**6
+# `level_and_dual_sets` scans p <= LEVEL_P_BUDGET and m up to
+# max(LEVEL_M_BUDGET, ceil(n/4)) (S_m = F_p for every m >= n/4, so larger m
+# only repeat the last report), and builds its dual sums in blocks of
+# LEVEL_BLOCK int64 entries.
+LEVEL_P_BUDGET = 10**6
+LEVEL_M_BUDGET = 10**3
+LEVEL_BLOCK = 2**16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -279,52 +286,80 @@ class LevelSetReport:
         }
 
 
-def level_and_dual_sets(
-    ctx: FpContext,
-    m_max: int,
-    scan_budget: int = 10**6,
-) -> list[LevelSetReport]:
+def _add_dual_sums(acc: np.ndarray, a_vals: np.ndarray, ts: np.ndarray, p: int) -> None:
+    """acc += sum_{t in ts} rbar(a t)^2 over a in a_vals, a block of rows of
+    about LEVEL_BLOCK int64 entries at a time.  The dual budget
+    |S_m| * p <= 4e8 keeps |ts| <= 10^4, below LEVEL_BLOCK."""
+    rows = max(1, LEVEL_BLOCK // max(1, ts.size))
+    for i in range(0, acc.size, rows):
+        r = np.multiply.outer(a_vals[i:i + rows], ts)
+        np.remainder(r, p, out=r)
+        np.minimum(r, p - r, out=r)
+        acc[i:i + rows] += np.einsum("ij,ij->i", r, r)
+
+
+def level_and_dual_sets(ctx: FpContext, m_max: int) -> list[LevelSetReport]:
     """Exact sizes of the level sets S_m = {t : sum_i ||a_i t/p||^2 <= m} and
-    dual sets S*_m = {a : sum_{t in S_m} ||a t/p||^2 <= |S_m|/200} by full
-    scans over F_p, with the dual inequality |S*_m| * |S_m| <= 8p verified.
+    dual sets S*_m = {a : sum_{t in S_m} ||a t/p||^2 <= |S_m|/200} for
+    m = 0..m_max by full scans over F_p, with the dual inequality
+    |S*_m| * |S_m| <= 8p verified.
 
     All threshold comparisons are exact integer arithmetic: with r = a t mod
     p and rbar = min(r, p - r), the condition sum (rbar/p)^2 <= m becomes
-    sum rbar^2 <= m p^2.
+    w(t) = sum_i rbar(a_i t)^2 <= m p^2, and the dual condition becomes
+    200 sum_{t in S_m} rbar(a t)^2 <= |S_m| p^2.
+
+    The scan rests on three facts.  Symmetry: rbar(-x) = rbar(x), so
+    w(t) = w(p - t), and a and p - a have the same dual sum; only t and a in
+    H = {1, .., p // 2} are scanned, each counted for itself and its mirror
+    (for p = 2, H = {1} is its own mirror), while t = 0 (w = 0, in every
+    S_m) and a = 0 (sum 0, in every S*_m) are counted once.  Nesting:
+    S_0 is a subset of S_1 and so on, so each t enters the per-a running
+    sums once, at the first m whose level set holds it, and an m that adds
+    no t repeats the previous dual count.  Every m >= n/4 gives S_m = F_p,
+    since w(t) < n p^2 / 4, so m_max above max(LEVEL_M_BUDGET, ceil(n/4))
+    is refused.  Memory: the running sums are built in blocks of about
+    LEVEL_BLOCK int64 entries, so the scan holds a few arrays of p // 2
+    entries plus O(LEVEL_BLOCK), whatever m_max and |S_m|.
     """
+    if m_max < 0:
+        raise ValidationError("m_max must be >= 0")
+    m_cap = max(LEVEL_M_BUDGET, -(-ctx.n // 4))
+    if m_max > m_cap:
+        raise BudgetError(
+            f"m_max={m_max} exceeds budget {m_cap} (S_m = F_p for every m >= n/4)")
     p = ctx.p
-    if p > scan_budget:
-        raise BudgetError(f"p={p} exceeds scan budget {scan_budget}")
-    t = np.arange(p, dtype=np.int64)
-    w = np.zeros(p, dtype=np.int64)
+    if p > LEVEL_P_BUDGET:
+        raise BudgetError(f"p={p} exceeds scan budget {LEVEL_P_BUDGET}")
+    half = np.arange(1, p // 2 + 1, dtype=np.int64)
+    mirror = 1 if p == 2 else 2
+    w = np.zeros(half.size, dtype=np.int64)
     for a in ctx.residues:
-        r = (a * t) % p
+        r = a * half % p
         r = np.minimum(r, p - r)
-        w = w + r * r
+        w += r * r
+    order = np.argsort(w)
+    w_sorted, t_sorted = w[order], half[order]
     pp = p * p
     rho_ref = None
     if ctx.strict:
         A = CoefficientMultiset.of(ctx.entries)
         dist = exact_sign_sum_distribution(A, SignDistribution.bernoulli_pm1())
         rho_ref = dist.max_atom()[0]
+    acc = np.zeros(half.size, dtype=np.int64)  # sum_{t in S_m, t in H} rbar(a t)^2
+    entered, dual = 0, None
     reports = []
     for m in range(0, m_max + 1):
-        level_mask = w <= m * pp
-        level = t[level_mask]
-        size = int(level.size)
-        dual = 0
-        if size:
-            if size * p > 4 * 10**8:
-                raise BudgetError(
-                    f"dual scan cost |S_m| * p = {size * p} exceeds budget")
-            thresh = size * pp  # compare 200 * sum rbar^2 <= size * p^2
-            a_vals = np.arange(p, dtype=np.int64)
-            chunk = max(1, scan_budget // max(size, 1))
-            for lo in range(0, p, chunk):
-                blk = a_vals[lo:lo + chunk, None] * level[None, :] % p
-                blk = np.minimum(blk, p - blk)
-                sums = np.sum(blk * blk, axis=1)
-                dual += int(np.count_nonzero(200 * sums <= thresh))
+        k = int(np.searchsorted(w_sorted, m * pp, side="right"))
+        size = 1 + mirror * k
+        if size * p > 4 * 10**8:
+            raise BudgetError(
+                f"dual scan cost |S_m| * p = {size * p} exceeds budget")
+        if dual is None or k > entered:
+            _add_dual_sums(acc, half, t_sorted[entered:k], p)
+            entered = k
+            # 200 * mirror * acc[a] <= 50 |S_m| p^2 <= 2e16 under the budget
+            dual = 1 + mirror * int(np.count_nonzero(200 * mirror * acc <= size * pp))
             if dual * size > 8 * p:
                 raise SoundnessError(
                     f"dual bound violated at m={m}: |S*|={dual}, |S|={size}, p={p}")

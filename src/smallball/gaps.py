@@ -23,6 +23,7 @@ from .types import (
     CoefficientMultiset,
     SignDistribution,
     ValidationError,
+    common_denominator,
 )
 
 DEFAULT_MATERIALIZE_BUDGET = 10**6
@@ -70,21 +71,37 @@ class Gap:
         return Gap(self.generators, tuple(t * b for b in self.bounds), self.offset)
 
 
-def gap_materialize(Q: Gap, budget: int = DEFAULT_MATERIALIZE_BUDGET):
-    """Exact point set of the box image; proper iff |points| = volume."""
+def gap_lattice_points(Q: Gap, budget: int = DEFAULT_MATERIALIZE_BUDGET):
+    """(L, points): L is the least common denominator of the offset and the
+    generators, and points is the set of integers L*x, exact Python ints,
+    over the points x of Q.  Memory is O(volume) <= O(budget) entries."""
     if Q.volume > budget:
         raise BudgetError(f"volume {Q.volume} exceeds budget {budget}")
-    pts = {Q.offset}
+    L = common_denominator((Q.offset, *Q.generators))
+    pts = {int(Q.offset * L)}
     for g, M in zip(Q.generators, Q.bounds):
-        pts = {v + m * g for v in pts for m in range(-M, M + 1)}
-    return frozenset(pts), len(pts) == Q.volume
+        shifts = [m * int(g * L) for m in range(-M, M + 1)]
+        pts = {v + s for v in pts for s in shifts}
+    return L, pts
+
+
+def gap_materialize(Q: Gap, budget: int = DEFAULT_MATERIALIZE_BUDGET):
+    """Exact point set of the box image; proper iff |points| = volume.
+
+    The points are enumerated as integers on the lattice (1/L)Z by
+    `gap_lattice_points`, at most volume <= budget of them, and become
+    Fractions only here; callers that need only the count, the order or
+    the integer points take them from `gap_lattice_points`.
+    """
+    L, pts = gap_lattice_points(Q, budget)
+    return frozenset(Fraction(v, L) for v in pts), len(pts) == Q.volume
 
 
 def gap_is_proper(Q: Gap, budget: int = DEFAULT_MATERIALIZE_BUDGET) -> bool:
-    """Properness: by materialization within budget, else by an exact
-    pairwise-relation certificate (supported for rank <= 2)."""
+    """Properness: by counting the lattice points within budget, else by an
+    exact pairwise-relation certificate (supported for rank <= 2)."""
     if Q.volume <= budget:
-        return gap_materialize(Q, budget)[1]
+        return len(gap_lattice_points(Q, budget)[1]) == Q.volume
     if Q.rank == 1:
         return Q.generators[0] != 0
     if Q.rank == 2:
@@ -106,13 +123,13 @@ def gap_forward_sample(Q: Gap, n: int, seed: int,
     rho * n^(r/2) * |Q| (order 1 by the forward pigeonhole construction)."""
     if n < 1 or seed < 0:
         raise ValidationError("forward sampling needs n >= 1 and seed >= 0")
-    pts, proper = gap_materialize(Q, budget)
-    if not proper:
+    L, pts = gap_lattice_points(Q, budget)
+    if len(pts) != Q.volume:
         raise ValidationError("forward sampling requires a proper GAP")
     pool = sorted(pts)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(pool), size=n)
-    entries = [pool[i] for i in idx]
+    entries = [Fraction(pool[i], L) for i in idx]
     A = CoefficientMultiset.of(entries)
     dist = exact_sign_sum_distribution(A, SignDistribution.bernoulli_pm1())
     rho = dist.max_atom()[0]
@@ -247,8 +264,8 @@ def gap_fit(
         gap = _rank1_fit(entries, n)[0]
     # independent verification by membership recount
     try:
-        pts, _ = gap_materialize(gap, budget)
-        covered = sum(1 for v in entries if Fraction(v) in pts)
+        L, pts = gap_lattice_points(gap, budget)
+        covered = sum(1 for v in entries if v * L in pts)
     except BudgetError:
         # volume too large to materialize: rank-1 membership is divisibility
         g = int(gap.generators[0])

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import bernoulli_int_counts
-from .gaps import Gap, gap_materialize
+from .gaps import Gap, gap_lattice_points
 from .types import (
     BudgetError,
     CoefficientMultiset,
@@ -189,18 +189,17 @@ def structured_quadratic_generator(kind: str, params: dict, seed: int):
     floor_gap = None
     if kind in ("gap", "mixed"):
         Q: Gap = params.get("gap") or Gap.of([1], [3])
-        pts, proper = gap_materialize(Q)
-        if not proper:
+        L, pts = gap_lattice_points(Q)
+        if len(pts) != Q.volume:
             raise ValidationError("generator GAP must be proper")
         pool = sorted(pts)
-        ints = [int(p) for p in pool]
-        if any(Fraction(p) != ip for p, ip in zip(pool, ints)):
+        if any(v % L for v in pool):
             raise ValidationError("gap generator needs integer GAP points")
         pick = rng.integers(0, len(pool), size=(n, n))
-        gap_part = np.array(ints, dtype=np.int64)[pick]
+        # exact ints: the points may lie beyond int64
+        gap_part = np.array([v // L for v in pool], dtype=object)[pick]
         gap_part = np.triu(gap_part) + np.triu(gap_part, 1).T
-        dilate_pts, _ = gap_materialize(Q.dilate(n * n))
-        floor_gap = Fraction(1, len(dilate_pts))
+        floor_gap = Fraction(1, len(gap_lattice_points(Q.dilate(n * n))[1]))
     low_part = np.zeros((n, n), dtype=np.int64)
     floor_low = None
     if kind in ("lowrank", "mixed"):

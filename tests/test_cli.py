@@ -225,6 +225,33 @@ def test_mc_nonsense_exit_code(args, capsys):
     assert run_cli(args, capsys)[0] == 2
 
 
+@pytest.mark.parametrize("m_max, code", [("-1", 2), ("-7", 2), ("20000", 3),
+                                         (str(10**12), 3)])
+def test_levels_m_max_bounds(m_max, code, capsys):
+    # a negative m_max printed an empty `levels` list with exit 0, and a large
+    # one printed a report per m although every m >= n/4 repeats the last
+    out = run_cli(["levels", "--entries", "1,1,1", f"--m-max={m_max}"], capsys)
+    assert out == (code, "")
+
+
+def test_quad_gen_gap_points_beyond_int64(capsys):
+    # a generator of 10^19 raised OverflowError out of an int64 conversion
+    code, out = run_cli(["quad-gen", "--kind", "gap", "--n", "3",
+                         "--gap-generators", str(10**19), "--gap-bounds", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["predicted_floor"] == "1/19"
+
+
+@pytest.mark.parametrize("args", [
+    ["quad-gen", "--kind", "gap", "--n", "3", "--gap-generators", f"{10**19},1",
+     "--gap-bounds", "0,1"],
+    ["gap-forward", "--generators", str(10**19), "--bounds", "0", "--n", "2"],
+])
+def test_gap_commands_zero_bound_generator_beyond_int64(args, capsys):
+    # a generator beyond int64 with bound 0 adds no point and must not overflow
+    assert run_cli(args, capsys)[0] == 0
+
+
 def test_seed_range_edges_are_distinct_streams(capsys):
     # before seeds were range-checked, -3 ran the stream of 2^64 - 3
     args = ["common-roots", "--n", "7", "--trials", "200", "--seed"]

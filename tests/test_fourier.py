@@ -166,6 +166,116 @@ def test_qualifying_level_exists_strict():
     assert qualifying_level_exists(reports, ctx.p)
 
 
+def _levels_by_definition(ctx, m_max):
+    """(|S_m|, |S*_m|) for m = 0..m_max straight from the definitions: every
+    t and every a of F_p, exact ints, no symmetry and no nesting."""
+    p = ctx.p
+    rbar2 = [min(r, p - r) ** 2 for r in range(p)]
+    w = [sum(rbar2[a * t % p] for a in ctx.residues) for t in range(p)]
+    out = []
+    for m in range(m_max + 1):
+        level = [t for t in range(p) if w[t] <= m * p * p]
+        if p <= 400:
+            dual = sum(1 for a in range(p)
+                       if 200 * sum(rbar2[a * t % p] for t in level) <= len(level) * p * p)
+        else:  # the same sums, exact in int64, a block of rows at a time
+            lv = np.array(level, dtype=np.int64)
+            dual = 0
+            for a0 in range(0, p, 256):
+                r = np.arange(a0, min(a0 + 256, p), dtype=np.int64)[:, None] * lv % p
+                r = np.minimum(r, p - r)
+                dual += int(np.count_nonzero(200 * (r * r).sum(axis=1) <= len(level) * p * p))
+        out.append((len(level), dual))
+    return out
+
+
+@pytest.mark.parametrize("entries, p", [
+    ([1], None), ([1, 2, 3], None), ([1, 1, 1, 1, 1], None), ([2, -3, 5], None),
+    ([3, -1, 4, 1, 5], None), ([0, 1], None), ([1, 1, 2, 3, 5, 8], None),
+    ([0], 2), ([0, 0], 2), ([0, 0], 3), ([1], 3), ([1, -1], 5), ([1, 2], 7),
+    ([2, 4, 6], 101), ([1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 997),
+    ([7, -6, -6, -8, 1, -4, 1, -7], 2411), ([5, 12, -9, 3], 2999),
+    # many entries: small level sets, so dual sets hold more than a = 0
+    ([1] * 100, 211), ([1, 2] * 40, 251), ([1] * 300, 601), ([3, 5, 7] * 30, 2003),
+    ([2, 3] * 60, 2999),
+])
+def test_level_sets_match_definition(entries, p):
+    ctx = FpContext.from_multiset(CoefficientMultiset.of(entries), p=p)
+    assert ctx.p <= 3000
+    reports = level_and_dual_sets(ctx, 6)
+    assert [(r.m, r.level_size, r.dual_size) for r in reports] == \
+        [(m, *sd) for m, sd in enumerate(_levels_by_definition(ctx, 6))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=4), st.integers(1, 25),
+       st.integers(0, 6), st.sampled_from([2, 3, 5, 7, 31, 61, 127, 251]))
+def test_level_sets_match_definition_random(base, reps, m_max, p):
+    entries = base * reps
+    p = max(p, next_prime(2 * sum(map(abs, entries))))
+    ctx = FpContext.from_multiset(CoefficientMultiset.of(entries), p=p)
+    reports = level_and_dual_sets(ctx, m_max)
+    assert [(r.level_size, r.dual_size) for r in reports] == \
+        _levels_by_definition(ctx, m_max)
+
+
+def test_level_sets_m_max_bounds():
+    ctx = FpContext.from_multiset(CoefficientMultiset.of([1, 2, 3]))
+    with pytest.raises(ValidationError):
+        level_and_dual_sets(ctx, -1)
+    with pytest.raises(BudgetError):
+        level_and_dual_sets(ctx, fourier.LEVEL_M_BUDGET + 1)
+    reports = level_and_dual_sets(ctx, fourier.LEVEL_M_BUDGET)
+    # w(t) < n p^2 / 4, so every m >= n/4 repeats the same report
+    assert {(r.level_size, r.dual_size) for r in reports[1:]} == {(ctx.p, 1)}
+
+
+def test_level_sets_m_max_cap_grows_with_n():
+    # with n > 4000 entries the levels above LEVEL_M_BUDGET can still differ:
+    # here S_1000 misses the t with rbar(t) >= 4003 and S_1001 = F_p
+    n, p = 4004, 8009
+    ctx = FpContext.from_multiset(CoefficientMultiset.of([1] * n), p=p)
+    reports = level_and_dual_sets(ctx, 1001)
+    rbar = np.minimum(np.arange(p), p - np.arange(p))
+    w = n * rbar * rbar
+    assert [r.level_size for r in reports] == \
+        [int(np.count_nonzero(w <= m * p * p)) for m in range(1002)]
+    assert (reports[1000].level_size, reports[1001].level_size) == (p - 4, p)
+    level = np.flatnonzero(w <= 1000 * p * p)
+    sums = [int((rbar[a * level % p] ** 2).sum()) for a in range(p)]
+    assert reports[1000].dual_size == sum(200 * s <= level.size * p * p for s in sums)
+    with pytest.raises(BudgetError):
+        level_and_dual_sets(ctx, 1002)
+
+
+def test_level_sets_refuse_p_above_budget(monkeypatch):
+    ctx = FpContext.from_multiset(CoefficientMultiset.of([1, 2]), p=1000003)
+    with pytest.raises(BudgetError):
+        level_and_dual_sets(ctx, 1)
+    small = FpContext.from_multiset(CoefficientMultiset.of([1, 2, 3]))
+    monkeypatch.setattr(fourier, "LEVEL_P_BUDGET", small.p - 1)
+    with pytest.raises(BudgetError):
+        level_and_dual_sets(small, 1)
+
+
+def test_level_sets_scan_memory_is_bounded():
+    # the largest levels query of the exact-dense benchmark: the dual scan
+    # held 23 MB of full-F_p blocks before it scanned in LEVEL_BLOCK pieces
+    import tracemalloc
+
+    ctx = FpContext.from_multiset(
+        CoefficientMultiset.of([7, -6, -6, -8, 1, -4, 1, -7]), p=2411)
+    tracemalloc.start()
+    try:
+        reports = level_and_dual_sets(ctx, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.level_size, r.dual_size) for r in reports] == \
+        [(1, 2411), (2211, 1), (2411, 1), (2411, 1)]
+    assert peak < 4 * 2**20, peak
+
+
 @given(st.fractions(min_value=-50, max_value=50))
 def test_norm_rz_properties(x):
     assert norm_rz(x + 1) == norm_rz(x)

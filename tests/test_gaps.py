@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smallball.core import bernoulli_int_counts
 from smallball.gaps import (
@@ -10,6 +11,7 @@ from smallball.gaps import (
     gap_fit,
     gap_forward_sample,
     gap_is_proper,
+    gap_lattice_points,
     gap_materialize,
     geometric_progression_rho,
     structured_multiset_census,
@@ -32,6 +34,61 @@ def test_materialize_examples():
     # and a wider-step variant collapsing 15 combinations onto 13 points
     pts, proper = gap_materialize(Gap.of([1, 4], [2, 1]))
     assert len(pts) == 13 and not proper
+
+
+def _fraction_points(Q):
+    """The point set as the box image in Fractions, one generator at a time."""
+    pts = {Q.offset}
+    for g, M in zip(Q.generators, Q.bounds):
+        pts = {v + m * g for v in pts for m in range(-M, M + 1)}
+    return pts
+
+
+def _assert_lattice_matches_fractions(Q):
+    ref = _fraction_points(Q)
+    L, pts = gap_lattice_points(Q)
+    assert all(type(v) is int for v in pts)
+    assert {Fraction(v, L) for v in pts} == ref and len(pts) == len(ref)
+    assert gap_materialize(Q) == (frozenset(ref), len(ref) == Q.volume)
+    assert gap_is_proper(Q) == (len(ref) == Q.volume)
+
+
+@pytest.mark.parametrize("gens, bounds, offset", [
+    ([Fraction(1, 2)], [3], 0),
+    ([Fraction(-2, 3)], [0], Fraction(5, 7)),
+    ([Fraction(1, 2), Fraction(1, 3)], [2, 2], 0),  # improper: 2/2 = 3/3
+    ([Fraction(1, 6), Fraction(7, 4)], [4, 2], Fraction(-1, 9)),
+    ([1, 0], [2, 3], 0),  # a zero generator
+    ([0], [5], 3),
+    ([1, 5, 25], [2, 2, 1], 0),
+    ([1, 4, 9], [2, 1, 1], 0),  # improper rank 3
+    ([Fraction(1, 3), Fraction(5, 7), Fraction(2, 11)], [1, 2, 1], Fraction(1, 2)),
+    ([3, -3], [2, 2], -1),
+    ([], [], Fraction(4, 5)),
+])
+def test_lattice_points_match_fraction_builder(gens, bounds, offset):
+    _assert_lattice_matches_fractions(Gap.of(gens, bounds, offset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.fractions(-20, 20, max_denominator=12), st.integers(0, 4)),
+                max_size=3),
+       st.fractions(-5, 5, max_denominator=6))
+def test_lattice_points_match_fraction_builder_random(steps, offset):
+    _assert_lattice_matches_fractions(
+        Gap.of([g for g, _ in steps], [M for _, M in steps], offset))
+
+
+@pytest.mark.parametrize("gens, bounds, offset", [
+    ([2**61 - 1, 1], [2, 2], 0),  # points up to 2^62
+    ([2**62], [1], 0),
+    ([Fraction(2**61, 3), Fraction(1, 2)], [1, 1], 0),  # L = 6: 2^62 + 3
+    ([2**63 + 5, 7], [2, 3], -(2**70)),
+    ([10**19, 1], [0, 2], 0),  # a zero bound on a generator beyond int64
+    ([10**19], [0], 0),
+])
+def test_lattice_points_near_and_beyond_int64(gens, bounds, offset):
+    _assert_lattice_matches_fractions(Gap.of(gens, bounds, offset))
 
 
 def test_dilate():
