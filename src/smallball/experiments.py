@@ -8,12 +8,14 @@ The sign experiments compute those streams a batch of trials at a time
 (`trial_bits`), so a report does not depend on the batch size.  Seeds must
 lie in [0, 2^64).
 
-Singularity decisions are exact integer arithmetic end to end: a batched
-modular elimination screens out matrices whose determinant is provably
-nonzero (det != 0 mod p), and only the flagged remainder is confirmed by
-fraction-free integer elimination.  Common roots likewise: a batched gcd
-over F_p certifies most pairs coprime, and the exact integer gcd confirms
-the rest.
+Singularity decisions are exact integer arithmetic end to end.  In Monte
+Carlo mode a batched modular elimination screens out matrices whose
+determinant is provably nonzero (det != 0 mod p).  While Hadamard's bound
+|det| <= n^(n/2) stays below the modulus (n <= 9 for one prime, n <= 15
+for both), a flagged matrix is singular; at larger n fraction-free integer
+elimination confirms each one, as it does every enumerated matrix in exact
+mode.  Common roots likewise: a batched gcd over F_p certifies most pairs
+coprime, and the exact integer gcd confirms the rest.
 """
 from __future__ import annotations
 
@@ -30,8 +32,22 @@ from .types import BudgetError, ValidationError
 
 EXACT_ENUM_BUDGET_LOG2 = 26
 BATCH = 4096  # trials (or enumerated matrices) per vectorised batch
-_BATCH_DRAWS = 2**21
+MAX_TRIAL_DRAWS = 2**21  # draws per trial, and per batch of trials
 _SCREEN_PRIMES = (46337, 65521)
+
+
+def _hadamard_exact_n(modulus: int) -> int:
+    """Largest n with n^n < modulus^2.  A +-1 matrix of order n has
+    |det| <= n^(n/2) (Hadamard), so up to that n, det == 0 mod `modulus`
+    means det == 0."""
+    n = 1
+    while (n + 1) ** (n + 1) < modulus**2:
+        n += 1
+    return n
+
+
+_ONE_PRIME_EXACT_N = _hadamard_exact_n(_SCREEN_PRIMES[0])  # 9
+_TWO_PRIMES_EXACT_N = _hadamard_exact_n(_SCREEN_PRIMES[0] * _SCREEN_PRIMES[1])  # 15
 
 
 def _check_seed(seed: int) -> None:
@@ -47,9 +63,13 @@ def _check_mc(trials: int, seed: int, least: int = 1) -> None:
 
 def _batches(trials: int, draws: int, batch: int = BATCH):
     """[lo, hi) ranges of at most `batch` trials of `draws` draws each, and
-    of at most `_BATCH_DRAWS` draws unless one trial needs more: larger
-    batches of large matrices only cost more memory and time."""
-    step = min(batch, max(1, _BATCH_DRAWS // draws))
+    of at most `MAX_TRIAL_DRAWS` draws: larger batches of large matrices
+    only cost more memory and time.  A trial of more draws is refused
+    before anything is drawn."""
+    if draws > MAX_TRIAL_DRAWS:
+        raise BudgetError(f"one trial needs {draws} draws, over the "
+                          f"{MAX_TRIAL_DRAWS} budget")
+    step = min(batch, MAX_TRIAL_DRAWS // draws)
     for lo in range(0, trials, step):
         yield lo, min(lo + step, trials)
 
@@ -258,13 +278,13 @@ def singularity_probability(
     successes = 0
     for lo, hi in _batches(trials, n * n, batch):
         mats = _sign_matrices(spec, trial_bits(seed, lo, hi, n * n))
-        mask = _batch_rank_deficient_modp(mats, _SCREEN_PRIMES[0])
-        if mask.any():
-            second = _batch_rank_deficient_modp(mats[mask], _SCREEN_PRIMES[1])
-            cands = np.nonzero(mask)[0][second]
-            for ci in cands:
-                if bareiss_determinant(mats[ci].tolist()) == 0:
-                    successes += 1
+        flagged = mats[_batch_rank_deficient_modp(mats, _SCREEN_PRIMES[0])]
+        if n > _ONE_PRIME_EXACT_N and len(flagged):
+            flagged = flagged[_batch_rank_deficient_modp(flagged, _SCREEN_PRIMES[1])]
+        if n <= _TWO_PRIMES_EXACT_N:
+            successes += len(flagged)
+        else:
+            successes += sum(bareiss_determinant(M.tolist()) == 0 for M in flagged)
     return McReport.from_counts(successes, trials, seed, time.time() - t0)
 
 
@@ -322,30 +342,49 @@ def k1_universality_failure_exact(d: int, n: int) -> Fraction:
     return 1 - (1 - per) ** n
 
 
-def _sigma_min_qr_inverse_iteration(mat: np.ndarray, tol: float = 1e-10,
+_NON_FINITE = "array must not contain infs or NaNs"
+
+
+def _sigma_min_qr_inverse_iteration(mat: np.ndarray, trtrs, tol: float = 1e-10,
                                     max_iter: int = 200):
     """Smallest singular value: orthogonal (QR) reduction, then inverse
     iteration on the normal-equations operator R^T R via two triangular
     solves per step; SVD fallback on non-convergence.
-    Returns (sigma, converged)."""
-    from scipy.linalg import solve_triangular
+    Returns (sigma, converged).
 
+    `trtrs` is LAPACK's float64 triangular solver, called with the
+    arguments `scipy.linalg.solve_triangular(R, b, trans, lower=False)`
+    passes it for the C-ordered R of `np.linalg.qr` (R.T, with `lower` and
+    `trans` flipped), and a vector norm is sqrt(v.dot(v)), as in
+    `np.linalg.norm`: the iterates are theirs bit for bit, without their
+    per-call checks.  R has no zero on its diagonal, so `trtrs` cannot
+    fail.  R is checked to be finite once; a non-finite iterate makes sigma
+    non-finite, so only then are the iterates checked, and refused with
+    `solve_triangular`'s ValueError."""
     n = mat.shape[0]
     _, R = np.linalg.qr(mat)
     if np.abs(np.diag(R)).min() < 1e-300:
         return 0.0, True
+    if not np.isfinite(R).all():
+        raise ValueError(_NON_FINITE)
+    Rt = R.T
     rng = np.random.default_rng(12345)
     x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
+    x /= math.sqrt(x.dot(x))
     prev = np.inf
-    for _ in range(max_iter):
-        y = solve_triangular(R, x, trans="T", lower=False)
-        z = solve_triangular(R, y, trans="N", lower=False)
-        nz = np.linalg.norm(z)
-        x = z / nz
-        sigma = np.linalg.norm(R @ x)
+    for it in range(max_iter):
+        y, _ = trtrs(Rt, x, lower=True, trans=False)
+        z, _ = trtrs(Rt, y, lower=True, trans=True)
+        x = z / math.sqrt(z.dot(z))
+        v = R @ x
+        sigma = math.sqrt(v.dot(v))
         if abs(sigma - prev) <= tol * max(sigma, 1e-300):
-            return float(sigma), True
+            return sigma, True
+        # solve_triangular refuses a non-finite y at once and x on the next
+        # step; a non-finite y makes sigma NaN, which never converges
+        if not math.isfinite(sigma) and (not np.isfinite(y).all()
+                                         or it + 1 < max_iter and not np.isfinite(x).all()):
+            raise ValueError(_NON_FINITE)
         prev = sigma
     return float(np.linalg.svd(mat, compute_uv=False)[-1]), False
 
@@ -386,6 +425,9 @@ def least_singular_value_mc(
     if spec.n > 400:
         raise BudgetError("least_singular_value_mc limited to n <= 400")
     _check_mc(trials, seed, least=0)
+    from scipy.linalg import get_lapack_funcs
+
+    trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
     vals = []
     retries = 0
     scale = math.sqrt(spec.n)
@@ -396,10 +438,10 @@ def least_singular_value_mc(
         else:
             bits = rng.integers(0, 2, size=(1, spec.n**2), dtype=np.int8)
             M = _sign_matrices(spec, bits)[0].astype(np.float64)
-        sigma, converged = _sigma_min_qr_inverse_iteration(M, tol)
+        sigma, converged = _sigma_min_qr_inverse_iteration(M, trtrs, tol)
         if not converged:
             retries += 1
-            sigma, converged = _sigma_min_qr_inverse_iteration(M, tol * 10)
+            sigma, converged = _sigma_min_qr_inverse_iteration(M, trtrs, tol * 10)
         vals.append(scale * sigma)
     vals.sort()
     return LsvSamples(tuple(vals), retries, spec, seed)
@@ -409,6 +451,8 @@ def edelman_cdf(t: float) -> float:
     """Limit law of sqrt(n) * sigma_n for Gaussian matrices:
     1 - exp(-t^2/2 - t), the closed form of the density integral; its series
     is t - t^3/3 + O(t^4)."""
+    if not math.isfinite(t):
+        raise ValidationError("t must be finite")
     if t < 0:
         raise ValidationError("t must be >= 0")
     return -math.expm1(-(t * t) / 2.0 - t)

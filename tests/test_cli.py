@@ -225,6 +225,32 @@ def test_mc_nonsense_exit_code(args, capsys):
     assert run_cli(args, capsys)[0] == 2
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_edelman_non_finite_t_exit_code(t, capsys):
+    # nan and inf printed NaN / Infinity with exit 0, which is not JSON
+    assert run_cli(["edelman", f"--t={t}"], capsys) == (2, "")
+
+
+@pytest.mark.parametrize("args", [
+    ["singularity", "--n=100000", "--trials=1"],
+    ["singularity", "--n=1449", "--trials=1", "--kind=bernoulli_symmetric"],
+    ["universal", "--d=100000", "--n=100000", "--k=1", "--trials=1"],
+])
+def test_draws_per_trial_budget_exit_code(args, capsys, monkeypatch):
+    # these tried to allocate more than 2 GiB for one trial; unguarded code
+    # fails the patched draw before it allocates
+    from smallball import experiments
+
+    real = experiments.trial_bits
+
+    def guarded(seed, lo, hi, k):
+        assert k <= experiments.MAX_TRIAL_DRAWS, f"{k} draws per trial"
+        return real(seed, lo, hi, k)
+
+    monkeypatch.setattr(experiments, "trial_bits", guarded)
+    assert run_cli(args, capsys) == (3, "")
+
+
 @pytest.mark.parametrize("m_max, code", [("-1", 2), ("-7", 2), ("20000", 3),
                                          (str(10**12), 3)])
 def test_levels_m_max_bounds(m_max, code, capsys):

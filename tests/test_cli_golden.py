@@ -4,7 +4,10 @@
 The outputs were captured from the CLI before it became one command table;
 the only edit since is the removal of the `workers` parameter from every
 JSON report.  Cases cover `--format csv`, seeded Monte Carlo runs, sweep
-error cells and an exit-2 input.
+error cells and an exit-2 input.  Later cases were captured before a change
+to the code they run: Monte Carlo `singularity` at n = 9, 10, 15 and 16
+(iid and symmetric), either side of the orders at which the F_p screens
+decide alone, and `lsv` on 2 x 2 sign matrices, half of them singular.
 """
 import json
 from pathlib import Path

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from smallball import experiments
 from smallball.arith import (
@@ -13,10 +14,17 @@ from smallball.arith import (
     poly_gcd_int,
 )
 from smallball.experiments import (
+    _ONE_PRIME_EXACT_N,
     _SCREEN_PRIMES,
+    _TWO_PRIMES_EXACT_N,
+    MAX_TRIAL_DRAWS,
     EnsembleSpec,
     McReport,
+    _batch_rank_deficient_modp,
+    _batches,
     _inv_modp,
+    _sigma_min_qr_inverse_iteration,
+    _sign_matrices,
     common_root_probability,
     edelman_cdf,
     exact_common_value_at_one,
@@ -29,6 +37,8 @@ from smallball.experiments import (
     trial_bits,
 )
 from smallball.types import BudgetError, ValidationError
+
+TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 def cofactor_determinant(A) -> int:
@@ -167,7 +177,7 @@ def test_lsv_sigma_matches_svd():
 
     for _ in range(20):
         M = rng.standard_normal((30, 30))
-        sigma, _ = _sigma_min_qr_inverse_iteration(M)
+        sigma, _ = _sigma_min_qr_inverse_iteration(M, TRTRS)
         ref = np.linalg.svd(M, compute_uv=False)[-1]
         assert sigma == pytest.approx(ref, rel=1e-6)
 
@@ -340,3 +350,147 @@ def test_k_universality_against_pattern_sets(d, n, k, trials):
     got = k_universality_check(d, n, k, trials, seed=9).successes
     assert got == want
     assert 0 < got < trials
+
+
+def test_hadamard_thresholds():
+    # |det| <= n^(n/2) for a +-1 matrix, so det == 0 mod m decides det == 0
+    # while n^n < m^2: one screen prime up to n = 9, both up to n = 15
+    p1, p2 = _SCREEN_PRIMES
+    assert (_ONE_PRIME_EXACT_N, _TWO_PRIMES_EXACT_N) == (9, 15)
+    assert 9**9 < p1**2 <= 10**10
+    assert 15**15 < (p1 * p2) ** 2 <= 16**16
+
+
+@pytest.mark.parametrize("kind,n,seed", [("bernoulli_iid", 3, 31), ("bernoulli_iid", 4, 41),
+                                         ("bernoulli_symmetric", 10, 60)])
+def test_hadamard_shortcut_agrees_with_bareiss(kind, n, seed):
+    # the Monte Carlo runs of acceptance criterion 11 at n <= 15: every
+    # matrix the screens flag is singular, so counting them is exact
+    spec, trials = EnsembleSpec(kind, n), 10**5
+    flagged = 0
+    for lo, hi in _batches(trials, n * n):
+        mats = _sign_matrices(spec, trial_bits(seed, lo, hi, n * n))
+        first = mats[_batch_rank_deficient_modp(mats, _SCREEN_PRIMES[0])]
+        both = first[_batch_rank_deficient_modp(first, _SCREEN_PRIMES[1])]
+        decided = first if n <= _ONE_PRIME_EXACT_N else both
+        assert all(bareiss_determinant(M.tolist()) == 0 for M in decided)
+        flagged += len(decided)
+    assert flagged > 0
+    assert singularity_probability(spec, trials=trials, seed=seed).successes == flagged
+
+
+def test_bareiss_confirms_only_above_hadamard(monkeypatch):
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return bareiss_determinant(M)
+
+    monkeypatch.setattr(experiments, "bareiss_determinant", counting)
+    for n, seed in ((15, 31), (16, 32)):
+        calls.clear()
+        rep = singularity_probability(EnsembleSpec("bernoulli_symmetric", n), trials=1500,
+                                      seed=seed)
+        assert rep.successes > 0
+        assert (len(calls) > 0) == (n > _TWO_PRIMES_EXACT_N)
+
+
+def _sigma_min_reference(mat, tol=1e-10, max_iter=200):
+    """The inverse iteration through `solve_triangular` and `np.linalg.norm`."""
+    n = mat.shape[0]
+    _, R = np.linalg.qr(mat)
+    if np.abs(np.diag(R)).min() < 1e-300:
+        return 0.0, True
+    rng = np.random.default_rng(12345)
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    prev = np.inf
+    for _ in range(max_iter):
+        y = solve_triangular(R, x, trans="T", lower=False)
+        z = solve_triangular(R, y, trans="N", lower=False)
+        x = z / np.linalg.norm(z)
+        sigma = np.linalg.norm(R @ x)
+        if abs(sigma - prev) <= tol * max(sigma, 1e-300):
+            return float(sigma), True
+        prev = sigma
+    return float(np.linalg.svd(mat, compute_uv=False)[-1]), False
+
+
+def _lsv_cases():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 18, 22):
+        yield from (rng.standard_normal((n, n)) for _ in range(25))
+    for n in (2, 20):
+        for t in range(25):
+            M = _sign_matrices(EnsembleSpec("bernoulli_iid", n),
+                               rng.integers(0, 2, (1, n * n)))[0].astype(np.float64)
+            if t % 3 == 0:  # plant a singular draw: a repeated or negated row
+                M[-1] = M[0] * (-1) ** t
+            yield M
+
+
+def test_lsv_lapack_iteration_matches_solve_triangular():
+    singular = 0
+    for M in _lsv_cases():
+        ref = _sigma_min_reference(M)
+        got = _sigma_min_qr_inverse_iteration(M, TRTRS)
+        assert repr(got) == repr(ref)  # bit for bit, and a Python float
+        singular += np.linalg.matrix_rank(M) < len(M)
+        # the SVD fallback once the iteration runs out of steps
+        ref = _sigma_min_reference(M, max_iter=2)
+        assert repr(_sigma_min_qr_inverse_iteration(M, TRTRS, max_iter=2)) == repr(ref)
+    assert singular >= 20
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e307])
+def test_lsv_lapack_iteration_non_finite_like_solve_triangular(scale):
+    # extreme scales overflow the iterates; both raise, or both return the same
+    rng = np.random.default_rng(31)
+    for M in (rng.standard_normal((5, 5)) * scale, np.diag([1.0] * 4 + [1e-160])):
+        for max_iter in (1, 2, 200):
+            try:
+                ref = repr(_sigma_min_reference(M, max_iter=max_iter))
+            except ValueError:
+                ref = "ValueError"
+            try:
+                got = repr(_sigma_min_qr_inverse_iteration(M, TRTRS, max_iter=max_iter))
+            except ValueError:
+                got = "ValueError"
+            assert got == ref
+    M = rng.standard_normal((4, 4))
+    M[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        _sigma_min_qr_inverse_iteration(M, TRTRS)
+
+
+def test_edelman_rejects_non_finite_t():
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            edelman_cdf(t)
+
+
+def _draw_guard(monkeypatch):
+    # unguarded code must fail here, before it allocates a huge batch
+    real = experiments.trial_bits
+
+    def guarded(seed, lo, hi, k):
+        assert k <= MAX_TRIAL_DRAWS, f"{k} draws per trial"
+        return real(seed, lo, hi, k)
+
+    monkeypatch.setattr(experiments, "trial_bits", guarded)
+
+
+def test_draws_per_trial_are_capped(monkeypatch):
+    _draw_guard(monkeypatch)
+    with pytest.raises(BudgetError):
+        singularity_probability(EnsembleSpec("bernoulli_iid", 100000), trials=1)
+    with pytest.raises(BudgetError):
+        singularity_probability(EnsembleSpec("bernoulli_symmetric", 1449), trials=1)
+    with pytest.raises(BudgetError):
+        k_universality_check(100000, 100000, 1, 1)
+    with pytest.raises(BudgetError):
+        k_universality_check(MAX_TRIAL_DRAWS // 1024 + 1, 1024, 1, 1)
+    # at the cap a trial runs; with k = 0 nothing is drawn
+    assert k_universality_check(MAX_TRIAL_DRAWS // 1024, 1024, 1, 2).trials == 2
+    assert k_universality_check(100000, 100000, 0, 1).successes == 0
