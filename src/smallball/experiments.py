@@ -20,7 +20,6 @@ coprime, and the exact integer gcd confirms the rest.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -129,7 +128,6 @@ class McReport:
     successes: int
     std_error: float
     master_seed: int
-    wall_clock: float
     mode: str  # 'exact' | 'monte_carlo'
     exact_value: Fraction | None = None
 
@@ -148,13 +146,13 @@ class McReport:
         return d
 
     @staticmethod
-    def from_counts(successes: int, trials: int, seed: int, wall: float,
+    def from_counts(successes: int, trials: int, seed: int,
                     mode: str = "monte_carlo",
                     exact: Fraction | None = None) -> "McReport":
         est = successes / trials if trials else 0.0
         se = 0.0 if mode == "exact" or not trials else \
             math.sqrt(est * (1 - est) / trials)
-        return McReport(est, trials, successes, se, seed, wall, mode, exact)
+        return McReport(est, trials, successes, se, seed, mode, exact)
 
 
 @dataclass(frozen=True)
@@ -256,7 +254,6 @@ def singularity_probability(
 ) -> McReport:
     """P(random sign matrix is singular), exact by full enumeration or by
     seeded Monte Carlo with exact per-trial singularity decisions."""
-    t0 = time.time()
     n = spec.n
     if mode == "exact":
         free = _free_entry_count(spec)
@@ -270,8 +267,7 @@ def singularity_probability(
             for M in _enumerated_matrices(spec, lo, hi):
                 if bareiss_determinant(M) == 0:
                     count += 1
-        return McReport.from_counts(count, total, seed, time.time() - t0,
-                                    "exact", Fraction(count, total))
+        return McReport.from_counts(count, total, seed, "exact", Fraction(count, total))
     if mode != "monte_carlo":
         raise ValidationError("mode must be 'exact' or 'monte_carlo'")
     _check_mc(trials, seed)
@@ -285,7 +281,7 @@ def singularity_probability(
             successes += len(flagged)
         else:
             successes += sum(bareiss_determinant(M.tolist()) == 0 for M in flagged)
-    return McReport.from_counts(successes, trials, seed, time.time() - t0)
+    return McReport.from_counts(successes, trials, seed)
 
 
 def _universality_failures(V: np.ndarray, index_sets: list, k: int) -> int:
@@ -325,14 +321,13 @@ def k_universality_check(
     if k > 0 and math.comb(n, k) * 2**k > per_trial_budget:
         raise BudgetError("per-trial pattern check over budget")
     _check_mc(trials, seed)
-    t0 = time.time()
     failures = 0
     index_sets = [list(c) for c in combinations(range(n), k)] if k else []
     if index_sets:
         for lo, hi in _batches(trials, d * n):
             V = trial_bits(seed, lo, hi, d * n).reshape(hi - lo, d, n)
             failures += _universality_failures(V, index_sets, k)
-    return McReport.from_counts(failures, trials, seed, time.time() - t0)
+    return McReport.from_counts(failures, trials, seed)
 
 
 def k1_universality_failure_exact(d: int, n: int) -> Fraction:
@@ -468,11 +463,6 @@ def exact_common_value_at_one(n: int) -> Fraction:
     return p * p
 
 
-def _has_common_root_exact(c1: list[int], c2: list[int]) -> bool:
-    g = poly_gcd_int(c1[:], c2[:])
-    return len(g) - 1 >= 1
-
-
 def common_root_probability(
     n: int,
     trials: int,
@@ -492,7 +482,6 @@ def common_root_probability(
     if n > 60:
         raise BudgetError("common_root_probability limited to degree <= 60")
     _check_mc(trials, seed)
-    t0 = time.time()
     successes = 0
     alternating = (-1) ** np.arange(n + 1)
     for lo, hi in _batches(trials, 2 * (n + 1)):
@@ -505,9 +494,9 @@ def common_root_probability(
         rest = np.nonzero(~channel)[0]
         degree = poly_gcd_degree_modp_batch(c1[rest], c2[rest], _SCREEN_PRIMES[0])
         for t in rest[degree != 0]:
-            if _has_common_root_exact(c1[t].tolist(), c2[t].tolist()):
+            if len(poly_gcd_int(c1[t].tolist(), c2[t].tolist())) > 1:
                 successes += 1
-    report = McReport.from_counts(successes, trials, seed, time.time() - t0)
+    report = McReport.from_counts(successes, trials, seed)
     return report, exact_common_value_at_one(n)
 
 

@@ -1,6 +1,8 @@
-"""Quadratic and multilinear concentration: exact rho_q by sign-vector
-enumeration, the four-copy decoupling inequality, structured quadratic
-generators, disjoint-term multilinear bounds, and parity correlation.
+"""Quadratic and multilinear concentration: exact rho_q built from the sign
+vectors of the two index halves, the four-copy decoupling inequality,
+structured quadratic generators, disjoint-term multilinear bounds, and parity
+correlation.  The quadratic budgets count sign vectors: at most 2^24 for
+rho_q and 2^16 for decoupling.
 
 Sign conventions differ per operation and are explicit: quadratic forms are
 usually evaluated with +-1 signs, the multilinear/Boolean operations with
@@ -34,6 +36,8 @@ class SymmetricCoefficientMatrix:
 
     def __post_init__(self):
         n = len(self.entries)
+        if not n:
+            raise ValidationError("matrix must be nonempty")
         for row in self.entries:
             if len(row) != n:
                 raise ValidationError("matrix must be square")
@@ -55,18 +59,14 @@ class SymmetricCoefficientMatrix:
         return common_denominator(x for row in self.entries for x in row)
 
 
-def _sign_vectors(support: tuple[int, ...], n: int,
-                  lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Rows lo..hi of the (len(support))^n assignment matrix."""
+def _sign_vectors(support: tuple[int, ...], n: int) -> np.ndarray:
+    """The (len(support))^n x n assignment matrix, index 0 varying fastest;
+    one empty row for n = 0."""
     k = len(support)
-    if hi is None:
-        hi = k**n
-    idx = np.arange(lo, hi)
-    cols = []
+    idx = np.arange(k**n)
     sup = np.array(support, dtype=np.int64)
-    for j in range(n):
-        cols.append(sup[(idx // (k**j)) % k])
-    return np.stack(cols, axis=1)
+    return np.array([sup[idx // k**j % k] for j in range(n)],
+                    dtype=np.int64).reshape(n, k**n).T
 
 
 def _xi_int_support(xi: SignDistribution) -> tuple[int, ...]:
@@ -91,31 +91,43 @@ def _int_form(M: SymmetricCoefficientMatrix, support: tuple[int, ...]):
     return np.array(rows, dtype=np.int64 if bound < 2**63 else object), den
 
 
+def _split_form(Mi: np.ndarray, support: tuple[int, ...], u1, u2):
+    """Q(y, z) = q(y) + q(z) + 2 y^T M_12 z over the index parts u1 | u2:
+    (Y, q(Y), q(Z), W) with Y the sign table of u1 and W = 2 M_12 Z^T, so
+    Q on the rows Y[r] against every z is q(Y)[r, None] + q(Z) + Y[r] @ W."""
+    Y = _sign_vectors(support, len(u1))
+    Z = _sign_vectors(support, len(u2))
+    qy = np.einsum("si,ij,sj->s", Y, Mi[np.ix_(u1, u1)], Y)
+    qz = np.einsum("si,ij,sj->s", Z, Mi[np.ix_(u2, u2)], Z)
+    return Y, qy, qz, 2 * Mi[np.ix_(u1, u2)] @ Z.T
+
+
 def quadratic_concentration(
     M: SymmetricCoefficientMatrix,
     xi: SignDistribution | None = None,
 ) -> tuple[Fraction, Fraction]:
     """rho_q(M) = sup_a P(sum_{i,j} a_ij xi_i xi_j = a) by full enumeration
-    of sign vectors with exact value bucketing; returns (rho_q, smallest
-    maximizing value)."""
+    of sign vectors, built from the two index halves, with exact value
+    bucketing; returns (rho_q, smallest maximizing value)."""
     xi = xi or SignDistribution.bernoulli_pm1()
     n = M.n
-    if n > QUADRATIC_ENUM_LIMIT:
-        raise BudgetError(f"n={n} exceeds enumeration limit {QUADRATIC_ENUM_LIMIT}")
+    if len(xi.support) ** n > 2**QUADRATIC_ENUM_LIMIT:
+        raise BudgetError(f"{len(xi.support)}^{n} sign vectors exceed the "
+                          f"2^{QUADRATIC_ENUM_LIMIT} enumeration budget")
     support = _xi_int_support(xi)
     Mi, den = _int_form(M, support)
-    total = len(support) ** n
-    chunk = 1 << 20
+    h = n - n // 2
+    Y, qy, qz, W = _split_form(Mi, support, range(h), range(h, n))
+    rows = (1 << 20) // len(qz)  # len(qz) = k^(n//2) <= 2^12
     buckets: dict[int, int] = {}
-    for lo in range(0, total, chunk):
-        signs = _sign_vectors(support, n, lo, min(lo + chunk, total))
-        vals = np.einsum("si,ij,sj->s", signs, Mi, signs)
+    for lo in range(0, len(Y), rows):
+        vals = qy[lo:lo + rows, None] + qz + Y[lo:lo + rows] @ W
         uniq, counts = np.unique(vals, return_counts=True)
         for u, c in zip(uniq.tolist(), counts.tolist()):
             buckets[u] = buckets.get(u, 0) + c
     best = max(buckets.values())
     arg = min(u for u, c in buckets.items() if c == best)
-    return Fraction(best, total), Fraction(arg, den)
+    return Fraction(best, len(support) ** n), Fraction(arg, den)
 
 
 def decoupling_check(
@@ -125,15 +137,16 @@ def decoupling_check(
     xi: SignDistribution | None = None,
 ) -> tuple[Fraction, Fraction, bool]:
     """Exact check of P(Q(Y,Z)=x)^4 <= P(Q(Y,Z)=Q(Y,Z')=Q(Y',Z)=Q(Y',Z')=x)
-    for the partition U1 | U2 of the indices.
+    for the partition U1 | U2 of the indices (at most 2^16 sign vectors).
 
     Returns (lhs, joint, lhs^4 <= joint).  The joint probability is computed
     as E_{Y,Y'} [count_Z(Y,Y')^2] using that Z, Z' are iid.
     """
     xi = xi or SignDistribution.bernoulli_pm1()
     n = M.n
-    if n > 16:
-        raise BudgetError("decoupling_check limited to n <= 16")
+    if len(xi.support) ** n > 2**16:
+        raise BudgetError(f"{len(xi.support)}^{n} sign vectors exceed the "
+                          "decoupling budget of 2^16")
     u1 = tuple(sorted(u1))
     if not u1 or len(u1) == n or any(i < 0 or i >= n for i in u1):
         raise ValidationError("partition must be a proper nonempty subset")
@@ -143,23 +156,14 @@ def decoupling_check(
     x_scaled = Fraction(x) * den
     if x_scaled.denominator != 1:
         return Fraction(0), Fraction(0), True  # x not representable: empty event
-    x_int = int(x_scaled)
-    Y = _sign_vectors(support, len(u1))
-    Z = _sign_vectors(support, len(u2))
-    M11 = Mi[np.ix_(u1, u1)]
-    M22 = Mi[np.ix_(u2, u2)]
-    M12 = Mi[np.ix_(u1, u2)]
-    qy = np.einsum("si,ij,sj->s", Y, M11, Y)
-    qz = np.einsum("si,ij,sj->s", Z, M22, Z)
-    cross = Y @ M12 @ Z.T
-    # Q(y, z) = qy + qz + 2 * y^T M12 z (symmetric cross block counted twice)
-    table = qy[:, None] + qz[None, :] + 2 * cross
-    B = (table == x_int)
-    hits = int(B.sum())
-    lhs = Fraction(hits, B.size)
-    pair_counts = B.astype(np.int64) @ B.astype(np.int64).T
-    joint_num = int((pair_counts.astype(object) ** 2).sum())
-    joint = Fraction(joint_num, len(Y) ** 2 * len(Z) ** 2)
+    Y, qy, qz, W = _split_form(Mi, support, u1, u2)
+    B = (qy[:, None] + qz + Y @ W == int(x_scaled)).astype(np.int64)
+    lhs = Fraction(int(B.sum()), B.size)
+    # sum_{y,y'} count_Z(y,y')^2 = |B B^T|_F^2 = |B^T B|_F^2, the Gram matrix
+    # of the smaller side; B has <= 2^16 entries, so every sum is below 2^32
+    side = B if B.shape[0] <= B.shape[1] else B.T
+    gram = side @ side.T
+    joint = Fraction(int((gram * gram).sum()), B.size**2)
     return lhs, joint, lhs**4 <= joint
 
 
@@ -177,8 +181,8 @@ def structured_quadratic_generator(kind: str, params: dict, seed: int):
         raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     n = int(params["n"])
-    if n > 20:
-        raise ValidationError("structured generators limited to n <= 20")
+    if not 1 <= n <= 20:
+        raise ValidationError("structured generators need 1 <= n <= 20")
     if kind not in ("gap", "lowrank", "mixed"):
         raise ValidationError(f"unknown kind {kind!r}")
     k_coeffs = params.get("k")

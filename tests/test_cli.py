@@ -190,6 +190,9 @@ def test_config_file_precedence(tmp_path, capsys):
     ["gap-forward", "--generators", "1", "--bounds", "x", "--n", "3"],
     ["decouple", "--matrix", "1,1;1,1", "--u1", "a"],
     ["quad-gen", "--kind", "lowrank", "--n", "3", "--k", "1,x"],
+    ["quad-gen", "--kind", "lowrank", "--n", "0"],
+    ["quad-gen", "--kind", "gap", "--n", "-1"],
+    ["quad-rho", "--matrix", ";"],
     ["lcd", "--d", "2", "--entries", "2,0,0,2,5", "--alpha", "1/8", "--gamma", "1/2"],
     ["census", "--n", "0", "--max-entry", "0", "--rho-grid", "0"],
     ["recurrence", "--entries", "1", "--t", "0", "--gamma", "1", "--alpha", "1",
@@ -266,6 +269,40 @@ def test_quad_gen_gap_points_beyond_int64(capsys):
                          "--gap-generators", str(10**19), "--gap-bounds", "1"], capsys)
     assert code == 0
     assert json.loads(out)["results"]["predicted_floor"] == "1/19"
+
+
+def test_quad_rho_budget_counts_sign_vectors(capsys, monkeypatch):
+    # lazy signs at n = 16 are 3^16 > 2^24 vectors, which the old n <= 24
+    # check let through; the patched enumerator fails the test instead
+    from smallball import polyforms
+
+    real = polyforms._sign_vectors
+
+    def guarded(support, n, *args):
+        assert len(support) ** n <= 2**polyforms.QUADRATIC_ENUM_LIMIT
+        return real(support, n, *args)
+
+    monkeypatch.setattr(polyforms, "_sign_vectors", guarded)
+    ones = ";".join([",".join(["1"] * 16)] * 16)
+    assert run_cli(["quad-rho", f"--matrix={ones}", "--xi=lazy:2/3"], capsys) == (3, "")
+
+
+def test_decouple_lopsided_n16_bounded_memory():
+    # with |u1| = 15 the joint probability needed a 2^15 x 2^15 int64 Gram
+    # matrix (8 GiB); the child's address space is capped at 1 GiB so such
+    # an allocation fails there instead of in this process
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    ones = ";".join([",".join(["1"] * 16)] * 16)
+    proc = subprocess.run(
+        [sys.executable, "-m", "smallball.cli", "decouple", f"--matrix={ones}",
+         f"--u1={','.join(map(str, range(15)))}"],
+        capture_output=True, text=True, preexec_fn=cap, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["holds"] is True
 
 
 @pytest.mark.parametrize("args", [

@@ -212,7 +212,7 @@ def test_common_root_theta_shape():
 
 
 def test_mcreport_shapes():
-    rep = McReport.from_counts(5, 100, 7, 0.0)
+    rep = McReport.from_counts(5, 100, 7)
     assert rep.estimate == 0.05
     assert rep.std_error == pytest.approx(math.sqrt(0.05 * 0.95 / 100))
     d = rep.to_json_dict()

@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from smallball import polyforms
 from smallball.core import concentration_probability
 from smallball.gaps import Gap
 from smallball.polyforms import (
@@ -27,11 +29,19 @@ from smallball.types import (
 
 PM1 = SignDistribution.bernoulli_pm1()
 BOOL = SignDistribution.boolean_01()
+LAZY = SignDistribution.lazy(Fraction(2, 3))
+LAWS = ((PM1, (-1, 1)), (BOOL, (0, 1)), (LAZY, (-1, 0, 1)))
 
 
 def rand_pm1_symmetric(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.integers(0, 2, size=(n, n)) * 2 - 1
+    return SymmetricCoefficientMatrix.of((np.triu(m) + np.triu(m, 1).T).tolist())
+
+
+def rand_symmetric(n, seed, lo=-6, hi=6, scale=1):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(lo, hi + 1, size=(n, n)).astype(object) * scale
     return SymmetricCoefficientMatrix.of((np.triu(m) + np.triu(m, 1).T).tolist())
 
 
@@ -64,6 +74,11 @@ def test_quadratic_matches_brute():
         rho, arg = quadratic_concentration(M, PM1)
         brho, barg = brute_quadratic(M, (-1, 1))
         assert (rho, arg) == (brho, Fraction(barg))
+    # odd n and n = 1, where the second half of the split is empty
+    for n in (1, 2, 3, 5, 8):
+        for xi, support in LAWS:
+            M = rand_symmetric(n, 10 * n + len(support))
+            assert quadratic_concentration(M, xi) == brute_quadratic(M, support), (n, xi)
 
 
 def test_quadratic_invariances():
@@ -109,25 +124,35 @@ def test_decoupling_examples():
         assert ok, seed
 
 
+def brute_decoupling(M, u1, x, support):
+    """(lhs, joint) by independent four-copy enumeration."""
+    n = M.n
+    u2 = [i for i in range(n) if i not in u1]
+
+    def q(y, z):
+        full = dict(zip(u1, y)) | dict(zip(u2, z))
+        return sum(M.entries[i][j] * full[i] * full[j]
+                   for i in range(n) for j in range(n))
+
+    Ys = list(itertools.product(support, repeat=len(u1)))
+    Zs = list(itertools.product(support, repeat=len(u2)))
+    hit = {(y, z): q(y, z) == x for y in Ys for z in Zs}
+    count = sum(hit[y, z] and hit[y, z2] and hit[y2, z] and hit[y2, z2]
+                for y in Ys for y2 in Ys for z in Zs for z2 in Zs)
+    return Fraction(sum(hit.values()), len(hit)), Fraction(count, len(hit) ** 2)
+
+
 def test_decoupling_brute_agreement():
-    # independent four-copy enumeration on a tiny instance
     M = rand_pm1_symmetric(4, 9)
-    u1, u2 = (0, 1), (2, 3)
-    lhs, joint, ok = decoupling_check(M, u1, 0)
-    count = 0
-    total = 0
-    for y in itertools.product((-1, 1), repeat=2):
-        for y2 in itertools.product((-1, 1), repeat=2):
-            for z in itertools.product((-1, 1), repeat=2):
-                for z2 in itertools.product((-1, 1), repeat=2):
-                    def q(yv, zv):
-                        full = [yv[0], yv[1], zv[0], zv[1]]
-                        return sum(M.entries[i][j] * full[i] * full[j]
-                                   for i in range(4) for j in range(4))
-                    total += 1
-                    if q(y, z) == q(y, z2) == q(y2, z) == q(y2, z2) == 0:
-                        count += 1
-    assert joint == Fraction(count, total)
+    assert decoupling_check(M, (0, 1), 0)[:2] == brute_decoupling(M, (0, 1), 0, (-1, 1))
+    # lopsided partitions, and the {0,1} law
+    M = rand_symmetric(5, 3, -2, 2)
+    for u1 in ((2,), (0, 1, 3, 4), (1, 4)):
+        for xi, support in LAWS[:2]:
+            x = brute_quadratic(M, support)[1]
+            got = decoupling_check(M, u1, x, xi)
+            assert got[:2] == brute_decoupling(M, u1, x, support), (u1, xi)
+            assert got[2] == (got[0] ** 4 <= got[1])
 
 
 def test_structured_generators():
@@ -229,6 +254,11 @@ def test_quadratic_beyond_int64_is_exact():
         [[2**62, -(2**61), 3], [-(2**61), 2**60, 1], [3, 1, -(2**62)]])
     for xi, support in ((PM1, (-1, 1)), (BOOL, (0, 1))):
         assert quadratic_concentration(mixed, xi) == brute_quadratic(mixed, support)
+    # both halves of the split, and their cross term, beyond int64
+    for n in (3, 5):
+        M = rand_symmetric(n, n, scale=2**60 + 1)
+        for xi, support in LAWS:
+            assert quadratic_concentration(M, xi) == brute_quadratic(M, support), (n, xi)
 
 
 def test_decoupling_beyond_int64_is_exact():
@@ -237,3 +267,42 @@ def test_decoupling_beyond_int64_is_exact():
     # and the four-copy event needs y = y' = z = z': 2 of 16
     assert decoupling_check(big, (0,), 2**63) == (Fraction(1, 2), Fraction(1, 8), True)
     assert decoupling_check(big, (0,), -(2**63)) == (0, 0, True)
+
+
+def test_decoupling_memory_follows_the_smaller_side():
+    # with |u1| = 11 of 12 the joint probability came from the 2048 x 2048
+    # Gram matrix of the y rows (32 MB, then an object copy); that of the
+    # two z columns is 2 x 2
+    M = rand_pm1_symmetric(12, 5)
+    x = quadratic_concentration(M, PM1)[1]
+    tracemalloc.start()
+    try:
+        lhs, _, ok = decoupling_check(M, tuple(range(11)), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lhs > 0 and ok
+    assert peak < 4 * 2**20, peak
+
+
+def test_budgets_count_sign_vectors(monkeypatch):
+    # lazy signs passed the old n <= 24 and n <= 16 checks and then
+    # enumerated 3^n vectors; the patched enumerator fails the test before
+    # it enumerates past the quadratic budget
+    real = polyforms._sign_vectors
+
+    def guarded(support, n, *args):
+        assert len(support) ** n <= 2**polyforms.QUADRATIC_ENUM_LIMIT, \
+            f"{len(support)}^{n} sign vectors"
+        return real(support, n, *args)
+
+    monkeypatch.setattr(polyforms, "_sign_vectors", guarded)
+    ones = SymmetricCoefficientMatrix.of([[1] * 16] * 16)
+    with pytest.raises(BudgetError):
+        quadratic_concentration(ones, LAZY)  # 3^16 > 2^24
+    assert quadratic_concentration(ones, BOOL)[0] == Fraction(math.comb(16, 8), 2**16)
+    ones11 = SymmetricCoefficientMatrix.of([[1] * 11] * 11)
+    with pytest.raises(BudgetError):
+        decoupling_check(ones11, (0, 1, 2, 3, 4), 0, LAZY)  # 3^11 > 2^16
+    ones10 = SymmetricCoefficientMatrix.of([[1] * 10] * 10)
+    assert decoupling_check(ones10, (0, 1, 2, 3, 4), 0, LAZY)[2]  # 3^10 <= 2^16
