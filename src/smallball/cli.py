@@ -4,6 +4,8 @@ One table, `COMMANDS`, gives each subcommand its flags (converter and
 default), a call into the library and a mapper from the library's result to
 the report's `results`.  Flag values resolve as table defaults < `--config`
 file < flags given; `sweep` runs table entries over a grid of flag values.
+Each subcommand's argv parser is built on its first `main` call and reused
+by every later call in the process.
 
 Reports are deterministic for a fixed configuration: all randomness flows
 from --seed, which must lie in [0, 2^64).  Trial i draws from the Philox
@@ -28,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -324,14 +326,22 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _given(name: str, flags: dict, argv: list[str]) -> dict:
-    """The flags present on the command line, as text."""
+def _flags(name: str) -> dict:
+    """Every flag of subcommand `name` (or `sweep`): dest -> (converter, default)."""
+    return {**COMMON, **(SWEEP_FLAGS if name == "sweep" else COMMANDS[name].flags)}
+
+
+@cache
+def _parser(name: str) -> _Parser:
+    """The argv parser of subcommand `name`, built on first use.  It keeps no
+    state between calls: parsed values go to a fresh namespace each time and
+    `error` raises, so one parser serves every later call in the process."""
     parser = _Parser(prog=f"smallball {name}", argument_default=argparse.SUPPRESS)
-    for dest, (conv, default) in flags.items():
+    for dest, (conv, default) in _flags(name).items():
         how = ({"action": "store_const", "const": "true"} if conv is _bool
                else {"action": "append"} if isinstance(default, list) else {})
         parser.add_argument(_flag(dest), **how)
-    return vars(parser.parse_args(argv))
+    return parser
 
 
 def _config(path: str | None) -> dict:
@@ -447,7 +457,7 @@ def _sweep(a) -> str:
     values go to `_resolve` as given, not re-parsed as argv: table defaults
     < the sweep's own seed < the cell's `--grid` values < `--fixed` values."""
     cmd = COMMANDS[a.sub]
-    flags = {**COMMON, **cmd.flags}
+    flags = _flags(a.sub)
     grids = []
     for g in a.grid:
         key, _, vals = g.partition("=")
@@ -487,12 +497,11 @@ def main(argv=None) -> int:
             return 0
         if name not in names:
             raise ValidationError(f"unknown subcommand {name!r}; one of {', '.join(names)}")
-        flags = {**COMMON, **(SWEEP_FLAGS if name == "sweep" else COMMANDS[name].flags)}
         try:
-            given = _given(name, flags, argv[1:])
+            given = vars(_parser(name).parse_args(argv[1:]))  # the flags given, as text
         except SystemExit:  # argparse printed the help for -h; `error` raises instead
             return 0
-        text, a = _resolve(flags, given)
+        text, a = _resolve(_flags(name), given)
         _write(a, _sweep(a) if name == "sweep"
                else _report(name, text, a, COMMANDS[name].run(a), started))
         return 0

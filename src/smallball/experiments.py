@@ -416,7 +416,8 @@ def least_singular_value_mc(
     seed: int = 0,
     tol: float = 1e-10,
 ) -> LsvSamples:
-    """Sorted sample of sqrt(n) * sigma_n over seeded trials."""
+    """Sorted sample of sqrt(n) * sigma_n over seeded trials.  A singular
+    sign matrix is reported as exactly 0.0."""
     if spec.n > 400:
         raise BudgetError("least_singular_value_mc limited to n <= 400")
     _check_mc(trials, seed, least=0)
@@ -426,17 +427,27 @@ def least_singular_value_mc(
     vals = []
     retries = 0
     scale = math.sqrt(spec.n)
+    # Householder QR is backward stable (Higham, Accuracy and Stability of
+    # Numerical Algorithms, Thm 19.4): R is exact for M + E with ||E||_F <=
+    # c n^2 u ||M||_F, u = 2^-53, and ||M||_F = n for signs, so a singular
+    # sign matrix reports sigma <= c n^3 u instead of 0.  Draws below
+    # n^3 2^-44 (c up to 2^9) are decided by an exact determinant; others
+    # keep their float sigma, so the bound only sets the Bareiss calls.
+    exact_below = spec.n**3 * 2.0**-44
     for t in range(trials):
         rng = substream(seed, t)
         if spec.kind == "gaussian_iid":
-            M = rng.standard_normal((spec.n, spec.n))
+            S, M = None, rng.standard_normal((spec.n, spec.n))
         else:
             bits = rng.integers(0, 2, size=(1, spec.n**2), dtype=np.int8)
-            M = _sign_matrices(spec, bits)[0].astype(np.float64)
+            S = _sign_matrices(spec, bits)[0]
+            M = S.astype(np.float64)
         sigma, converged = _sigma_min_qr_inverse_iteration(M, trtrs, tol)
         if not converged:
             retries += 1
             sigma, converged = _sigma_min_qr_inverse_iteration(M, trtrs, tol * 10)
+        if S is not None and sigma < exact_below and bareiss_determinant(S.tolist()) == 0:
+            sigma = 0.0
         vals.append(scale * sigma)
     vals.sort()
     return LsvSamples(tuple(vals), retries, spec, seed)

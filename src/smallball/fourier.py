@@ -42,6 +42,11 @@ LEVEL_P_BUDGET = 10**6
 LEVEL_M_BUDGET = 10**3
 LEVEL_BLOCK = 2**16
 
+# Most factor evaluations (integrand calls x entries x sign-law support
+# size) one Esseen quadrature may make: more than ten times the most that
+# any test, golden case or benchmark workload makes (about 2.5e5).
+ESSEEN_EVAL_BUDGET = 3 * 10**6
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -157,11 +162,23 @@ def fp_exponential_bound(ctx: FpContext) -> float:
 
 
 def _charfn_abs(A: CoefficientMultiset, xi: SignDistribution):
-    """|E exp(iu S)| = prod_i |E exp(iu a_i xi)| as a float function."""
+    """|E exp(iu S)| = prod_i |E exp(iu a_i xi)| as a float function.  It
+    raises BudgetError at the call that would take its factor evaluations
+    past ESSEEN_EVAL_BUDGET."""
     entries = [float(e) for e in A.entries]
     vals = [(float(v), float(p)) for v, p in xi.support]
+    per_call = len(entries) * len(vals)
+    max_calls = ESSEEN_EVAL_BUDGET // per_call
+    calls = 0
 
     def f(u: float) -> float:
+        nonlocal calls
+        calls += 1
+        if calls > max_calls:
+            raise BudgetError(
+                f"esseen quadrature: {calls} integrand calls x {per_call} factors "
+                f"= {calls * per_call} factor evaluations exceed the budget "
+                f"{ESSEEN_EVAL_BUDGET}")
         out = 1.0
         for a in entries:
             re = sum(p * math.cos(u * a * v) for v, p in vals)

@@ -118,7 +118,10 @@ def quadratic_concentration(
     Mi, den = _int_form(M, support)
     h = n - n // 2
     Y, qy, qz, W = _split_form(Mi, support, range(h), range(h, n))
-    rows = (1 << 20) // len(qz)  # len(qz) = k^(n//2) <= 2^12
+    # values per block: 2^20 int64 values take 8 MB, but an object block of
+    # Python ints peaks near 200 MB at that size, so it holds 2^16
+    block = 1 << 20 if Mi.dtype == np.int64 else 1 << 16
+    rows = block // len(qz)  # len(qz) = k^(n//2) <= 2^12
     buckets: dict[int, int] = {}
     for lo in range(0, len(Y), rows):
         vals = qy[lo:lo + rows, None] + qz + Y[lo:lo + rows] @ W

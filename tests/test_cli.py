@@ -305,6 +305,24 @@ def test_decouple_lopsided_n16_bounded_memory():
     assert json.loads(proc.stdout)["results"]["holds"] is True
 
 
+def test_quad_gen_beyond_int64_bounded_memory():
+    # past the int64 guard rho_q works on object blocks of Python ints; at
+    # 2^20 values a block took this case to 205 MB peak RSS, at 2^16 about
+    # 51 MB.  The child reports its own peak RSS in KiB (VmHWM: getrusage's
+    # ru_maxrss would count this process's pages, kept across the exec).
+    code = ("import re, sys; from pathlib import Path; from smallball.cli import main; "
+            "c = main(sys.argv[1:]); "
+            "print(re.search(r'VmHWM:\\s*(\\d+)', Path('/proc/self/status').read_text())[1], "
+            "file=sys.stderr); sys.exit(c)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "quad-gen", "--kind", "gap", "--n", "20",
+         "--gap-generators", str(10**19), "--gap-bounds", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["n"] == 20
+    assert int(proc.stderr.split()[-1]) < 120 * 1024
+
+
 @pytest.mark.parametrize("args", [
     ["quad-gen", "--kind", "gap", "--n", "3", "--gap-generators", f"{10**19},1",
      "--gap-bounds", "0,1"],

@@ -182,6 +182,30 @@ def test_lsv_sigma_matches_svd():
         assert sigma == pytest.approx(ref, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_lsv_reports_exact_zero_for_every_singular_sign_matrix(n, monkeypatch):
+    # draw t of the patched stream is sign matrix t of the enumeration; the
+    # float iteration leaves about 1e-16 on each singular one
+    class Draw:
+        def __init__(self, t):
+            self.t = t
+
+        def integers(self, low, high, size, dtype):
+            return np.array([[self.t >> k & 1 for k in range(n * n)]], dtype=dtype)
+
+    monkeypatch.setattr(experiments, "substream", lambda seed, t: Draw(t))
+    spec = EnsembleSpec("bernoulli_iid", n)
+    expected = []
+    for t in range(2 ** (n * n)):
+        S = _sign_matrices(spec, Draw(t).integers(0, 2, (1, n * n), np.int8))[0]
+        sigma, _ = _sigma_min_qr_inverse_iteration(S.astype(np.float64), TRTRS)
+        assert sigma > 0.0
+        expected.append(0.0 if bareiss_determinant(S.tolist()) == 0 else math.sqrt(n) * sigma)
+    got = least_singular_value_mc(spec, 2 ** (n * n), seed=0)
+    assert got.values == tuple(sorted(expected))
+    assert got.values.count(0.0) == {2: 8, 3: 320}[n]
+
+
 def test_common_root_exact_channels():
     assert exact_common_value_at_one(3) == Fraction(9, 64)
     assert exact_common_value_at_one(4) == 0  # five signs cannot sum to zero

@@ -295,6 +295,29 @@ def test_illustrative_context_rejects_identity():
         fp_fourier_identity(ctx, 0)
 
 
+def test_esseen_refuses_past_evaluation_budget(monkeypatch):
+    # entries 1, 2 at beta = 1/1000 took 17 s (3.84M integrand calls) with no
+    # budget; the patched integrand fails the test just past the budget
+    real = fourier._charfn_abs
+
+    def guarded(A, xi):
+        f = real(A, xi)
+        per_call = len(A.entries) * len(xi.support)
+        calls = 0
+
+        def g(u):
+            nonlocal calls
+            calls += 1
+            assert (calls - 1) * per_call <= fourier.ESSEEN_EVAL_BUDGET, "unbudgeted quadrature"
+            return f(u)
+
+        return g
+
+    monkeypatch.setattr(fourier, "_charfn_abs", guarded)
+    with pytest.raises(BudgetError, match="factor evaluations exceed"):
+        esseen_bound(CoefficientMultiset.of([1, 2]), Fraction(1, 1000))
+
+
 def test_fp_scans_refuse_p_above_budget(monkeypatch):
     # twenty entries of 50 give p ~ 1.05e9: an 8 GB scan.  Any arange that
     # large fails the test instead of allocating.
