@@ -44,12 +44,17 @@ def lattice_counts(steps, budget: int = DEFAULT_ATOM_BUDGET) -> dict[int, int]:
     offers integer shift s with integer weight w.  Each step is a sequence of
     (shift, weight) pairs; equal sums merge eagerly and keys keep the order
     of their first appearance.  Raises BudgetError if the projected support
-    size exceeds the budget."""
+    size, weighted by the signed 64-bit words of the widest key the step can
+    reach, exceeds the budget: keys that fit int64 count one each, wider
+    ones cost memory in proportion to their width."""
     counts = {0: 1}
+    reach = 0  # a bound on |key| after the steps so far
     for step in steps:
-        if len(counts) * len(step) > budget:
-            raise BudgetError(
-                f"projected atom count {len(counts) * len(step)} exceeds budget {budget}")
+        reach += max([abs(s) for s, _ in step], default=0)
+        projected = len(counts) * len(step) * (reach.bit_length() // 64 + 1)
+        if projected > budget:
+            raise BudgetError(f"projected atom count {len(counts) * len(step)} x key width "
+                              f"= {projected} words exceeds budget {budget}")
         nxt: dict[int, int] = {}
         for v, c in counts.items():
             for s, w in step:
@@ -177,8 +182,6 @@ def ball_probability_2d(
     A: CoefficientMultiset,
     xi: SignDistribution,
     R,
-    enum_limit: int = DEFAULT_2D_ENUM_LIMIT,
-    atom_budget: int = DEFAULT_ATOM_BUDGET,
 ):
     """Max over disk centers of the closed-disk mass of the exact 2-D law.
 
@@ -188,12 +191,12 @@ def ball_probability_2d(
     """
     if A.d != 2:
         raise ValidationError("ball_probability_2d needs d=2")
-    if A.n > enum_limit:
-        raise BudgetError(f"n={A.n} exceeds 2-D enumeration limit {enum_limit}")
+    if A.n > DEFAULT_2D_ENUM_LIMIT:
+        raise BudgetError(f"n={A.n} exceeds 2-D enumeration limit {DEFAULT_2D_ENUM_LIMIT}")
     R = Fraction(R)
     if R < 0:
         raise ValidationError("radius must be >= 0")
-    dist = exact_sign_sum_distribution(A, xi, atom_budget)
+    dist = exact_sign_sum_distribution(A, xi)
     pts = list(dist.atoms.keys())
     rr = R * R
     best = Fraction(0)

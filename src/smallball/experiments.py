@@ -16,6 +16,11 @@ for both), a flagged matrix is singular; at larger n fraction-free integer
 elimination confirms each one, as it does every enumerated matrix in exact
 mode.  Common roots likewise: a batched gcd over F_p certifies most pairs
 coprime, and the exact integer gcd confirms the rest.
+
+Least singular values come from one batched LAPACK SVD per batch of trials,
+each trial drawn from its own substream.  A sign draw whose float sigma lies
+within the SVD's backward error of zero is decided by an exact determinant,
+so a singular sign matrix reports exactly 0.
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from .types import BudgetError, ValidationError
 EXACT_ENUM_BUDGET_LOG2 = 26
 BATCH = 4096  # trials (or enumerated matrices) per vectorised batch
 MAX_TRIAL_DRAWS = 2**21  # draws per trial, and per batch of trials
+LSV_TRIAL_BUDGET = 10**5  # lsv keeps every sample; tests take at most 2000
 _SCREEN_PRIMES = (46337, 65521)
 
 
@@ -337,57 +343,10 @@ def k1_universality_failure_exact(d: int, n: int) -> Fraction:
     return 1 - (1 - per) ** n
 
 
-_NON_FINITE = "array must not contain infs or NaNs"
-
-
-def _sigma_min_qr_inverse_iteration(mat: np.ndarray, trtrs, tol: float = 1e-10,
-                                    max_iter: int = 200):
-    """Smallest singular value: orthogonal (QR) reduction, then inverse
-    iteration on the normal-equations operator R^T R via two triangular
-    solves per step; SVD fallback on non-convergence.
-    Returns (sigma, converged).
-
-    `trtrs` is LAPACK's float64 triangular solver, called with the
-    arguments `scipy.linalg.solve_triangular(R, b, trans, lower=False)`
-    passes it for the C-ordered R of `np.linalg.qr` (R.T, with `lower` and
-    `trans` flipped), and a vector norm is sqrt(v.dot(v)), as in
-    `np.linalg.norm`: the iterates are theirs bit for bit, without their
-    per-call checks.  R has no zero on its diagonal, so `trtrs` cannot
-    fail.  R is checked to be finite once; a non-finite iterate makes sigma
-    non-finite, so only then are the iterates checked, and refused with
-    `solve_triangular`'s ValueError."""
-    n = mat.shape[0]
-    _, R = np.linalg.qr(mat)
-    if np.abs(np.diag(R)).min() < 1e-300:
-        return 0.0, True
-    if not np.isfinite(R).all():
-        raise ValueError(_NON_FINITE)
-    Rt = R.T
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(n)
-    x /= math.sqrt(x.dot(x))
-    prev = np.inf
-    for it in range(max_iter):
-        y, _ = trtrs(Rt, x, lower=True, trans=False)
-        z, _ = trtrs(Rt, y, lower=True, trans=True)
-        x = z / math.sqrt(z.dot(z))
-        v = R @ x
-        sigma = math.sqrt(v.dot(v))
-        if abs(sigma - prev) <= tol * max(sigma, 1e-300):
-            return sigma, True
-        # solve_triangular refuses a non-finite y at once and x on the next
-        # step; a non-finite y makes sigma NaN, which never converges
-        if not math.isfinite(sigma) and (not np.isfinite(y).all()
-                                         or it + 1 < max_iter and not np.isfinite(x).all()):
-            raise ValueError(_NON_FINITE)
-        prev = sigma
-    return float(np.linalg.svd(mat, compute_uv=False)[-1]), False
-
-
 @dataclass(frozen=True)
 class LsvSamples:
     values: tuple[float, ...]  # sorted sqrt(n) * sigma_min samples
-    retries: int
+    retries: int  # always 0; kept in the report's schema
     spec: EnsembleSpec
     master_seed: int
 
@@ -414,43 +373,42 @@ def least_singular_value_mc(
     spec: EnsembleSpec,
     trials: int,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> LsvSamples:
-    """Sorted sample of sqrt(n) * sigma_n over seeded trials.  A singular
-    sign matrix is reported as exactly 0.0."""
+    """Sorted sample of sqrt(n) * sigma_n over seeded trials, sigma_n from
+    one batched SVD per batch of trials.  A singular sign matrix is reported
+    as exactly 0.0."""
     if spec.n > 400:
         raise BudgetError("least_singular_value_mc limited to n <= 400")
     _check_mc(trials, seed, least=0)
-    from scipy.linalg import get_lapack_funcs
-
-    trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
+    if trials > LSV_TRIAL_BUDGET:
+        raise BudgetError(f"{trials} trials exceed the lsv budget of {LSV_TRIAL_BUDGET}")
+    n = spec.n
+    # LAPACK's SVD is backward stable (LAPACK Users' Guide, sec. 4.9): its
+    # singular values are exact for M + E with ||E||_2 <= p(n) u ||M||_2,
+    # u = 2^-53, so by Weyl's inequality each moves by at most ||E||_2.  A
+    # sign matrix has ||M||_2 <= ||M||_F = n, so a singular one reports
+    # sigma <= p(n) n u instead of 0.  Draws below n^3 2^-44 = n^3 2^9 u
+    # (p(n) up to 2^9 n^2) are decided by an exact determinant; others keep
+    # their float sigma, so the bound only sets the Bareiss calls.
+    exact_below = n**3 * 2.0**-44
     vals = []
-    retries = 0
-    scale = math.sqrt(spec.n)
-    # Householder QR is backward stable (Higham, Accuracy and Stability of
-    # Numerical Algorithms, Thm 19.4): R is exact for M + E with ||E||_F <=
-    # c n^2 u ||M||_F, u = 2^-53, and ||M||_F = n for signs, so a singular
-    # sign matrix reports sigma <= c n^3 u instead of 0.  Draws below
-    # n^3 2^-44 (c up to 2^9) are decided by an exact determinant; others
-    # keep their float sigma, so the bound only sets the Bareiss calls.
-    exact_below = spec.n**3 * 2.0**-44
-    for t in range(trials):
-        rng = substream(seed, t)
+    for lo, hi in _batches(trials, n * n):
         if spec.kind == "gaussian_iid":
-            S, M = None, rng.standard_normal((spec.n, spec.n))
+            S, M = None, np.stack([substream(seed, t).standard_normal((n, n))
+                                   for t in range(lo, hi)])
         else:
-            bits = rng.integers(0, 2, size=(1, spec.n**2), dtype=np.int8)
-            S = _sign_matrices(spec, bits)[0]
+            S = _sign_matrices(spec, np.concatenate([
+                substream(seed, t).integers(0, 2, size=(1, n * n), dtype=np.int8)
+                for t in range(lo, hi)]))
             M = S.astype(np.float64)
-        sigma, converged = _sigma_min_qr_inverse_iteration(M, trtrs, tol)
-        if not converged:
-            retries += 1
-            sigma, converged = _sigma_min_qr_inverse_iteration(M, trtrs, tol * 10)
-        if S is not None and sigma < exact_below and bareiss_determinant(S.tolist()) == 0:
-            sigma = 0.0
-        vals.append(scale * sigma)
+        sigma = np.linalg.svd(M, compute_uv=False)[:, -1]
+        if S is not None:
+            for t in np.nonzero(sigma < exact_below)[0]:
+                if bareiss_determinant(S[t].tolist()) == 0:
+                    sigma[t] = 0.0
+        vals += (math.sqrt(n) * sigma).tolist()
     vals.sort()
-    return LsvSamples(tuple(vals), retries, spec, seed)
+    return LsvSamples(tuple(vals), 0, spec, seed)
 
 
 def edelman_cdf(t: float) -> float:

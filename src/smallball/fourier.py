@@ -30,6 +30,9 @@ from .types import (
 )
 
 ESSEEN_C1 = 1.0 / (4.0 * math.sin(0.5) ** 2)
+ESSEEN_TOL = 1e-10  # adaptive Simpson's target error
+FP_IMAG_TOL = 1e-9  # largest imaginary part the F_p Fourier identity tolerates
+RL_BUDGET = 10**8  # n^(2l) tuples, and lattice atoms, for R_l
 
 # Largest p that the F_p operations scan in full: each work array is then at
 # most 32 MB, and a*t stays far inside int64.
@@ -130,7 +133,7 @@ def _full_scan(ctx: FpContext, name: str, dtype) -> np.ndarray:
     return np.arange(ctx.p, dtype=dtype)
 
 
-def fp_fourier_identity(ctx: FpContext, a_target: int, imag_tol: float = 1e-9):
+def fp_fourier_identity(ctx: FpContext, a_target: int):
     """Evaluate rho(a_target) = (1/p) sum_t prod_i cos(2 pi t a_i / p)
     e_p(-t a_target) and compare against the exact convolution probability.
 
@@ -142,8 +145,8 @@ def fp_fourier_identity(ctx: FpContext, a_target: int, imag_tol: float = 1e-9):
         prod *= np.cos((2.0 * math.pi * a / ctx.p) * t)
     phase = -2.0 * math.pi * (a_target % ctx.p) / ctx.p * t
     val = complex(np.sum(prod * np.cos(phase)), np.sum(prod * np.sin(phase))) / ctx.p
-    if abs(val.imag) > imag_tol:
-        raise SoundnessError(f"imaginary part {val.imag} exceeds {imag_tol}")
+    if abs(val.imag) > FP_IMAG_TOL:
+        raise SoundnessError(f"imaginary part {val.imag} exceeds {FP_IMAG_TOL}")
     A = CoefficientMultiset.of(ctx.entries)
     dist = exact_sign_sum_distribution(A, SignDistribution.bernoulli_pm1())
     exact = dist.atoms.get(Fraction(a_target), Fraction(0))
@@ -227,7 +230,6 @@ def esseen_bound(
     A: CoefficientMultiset,
     beta,
     xi: SignDistribution | None = None,
-    tol: float = 1e-10,
 ) -> EsseenBound:
     """C(1) * beta * integral_{|u| <= 1/beta} |E exp(iuS)| du, an upper bound
     on the closed-ball concentration rho_{1,beta}(A).  The reported bound
@@ -240,7 +242,7 @@ def esseen_bound(
     xi = xi or SignDistribution.bernoulli_pm1()
     f = _charfn_abs(A, xi)
     lim = 1.0 / float(beta)
-    est, err = _adaptive_simpson(f, -lim, lim, tol)
+    est, err = _adaptive_simpson(f, -lim, lim, ESSEEN_TOL)
     bound = ESSEEN_C1 * float(beta) * (est + err)
     return EsseenBound(bound, est, err, ESSEEN_C1, float(beta))
 
@@ -258,7 +260,7 @@ def check_esseen_soundness(A: CoefficientMultiset, beta, xi=None
     return res, exact
 
 
-def rl_count(A: CoefficientMultiset, l: int, budget: int = 10**8) -> int:
+def rl_count(A: CoefficientMultiset, l: int) -> int:
     """Number of ordered 2l-index tuples with equal side sums:
     #{(i_1..i_l, j_1..j_l) in [n]^2l : sum a_i = sum a_j}.
 
@@ -269,11 +271,11 @@ def rl_count(A: CoefficientMultiset, l: int, budget: int = 10**8) -> int:
         raise ValidationError("rl_count needs d=1")
     if l < 1:
         raise ValidationError("l must be >= 1")
-    if A.n ** (2 * l) > budget:
-        raise BudgetError(f"n^(2l) = {A.n ** (2 * l)} exceeds budget {budget}")
+    if A.n ** (2 * l) > RL_BUDGET:
+        raise BudgetError(f"n^(2l) = {A.n ** (2 * l)} exceeds budget {RL_BUDGET}")
     L = common_denominator(A.entries)
     step = list(Counter(int(a * L) for a in A.entries).items())
-    counts = lattice_counts([step] * l, budget)
+    counts = lattice_counts([step] * l, RL_BUDGET)
     return sum(c * c for c in counts.values())
 
 

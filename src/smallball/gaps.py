@@ -27,6 +27,9 @@ from .types import (
 )
 
 DEFAULT_MATERIALIZE_BUDGET = 10**6
+# Most bits the n + 1 powers of `geometric_progression_rho` may take, each
+# counted at one word or more: far above any test or workload (under 1e3).
+GEO_POWER_BITS_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,13 @@ def gap_is_proper(Q: Gap, budget: int = DEFAULT_MATERIALIZE_BUDGET) -> bool:
     raise BudgetError("properness beyond rank 2 requires materialization")
 
 
-def gap_forward_sample(Q: Gap, n: int, seed: int,
-                       budget: int = DEFAULT_MATERIALIZE_BUDGET):
+def gap_forward_sample(Q: Gap, n: int, seed: int):
     """Sample n entries uniformly from the points of a proper GAP, compute
     the exact concentration rho, and the quality statistic
     rho * n^(r/2) * |Q| (order 1 by the forward pigeonhole construction)."""
     if n < 1 or seed < 0:
         raise ValidationError("forward sampling needs n >= 1 and seed >= 0")
-    L, pts = gap_lattice_points(Q, budget)
+    L, pts = gap_lattice_points(Q)
     if len(pts) != Q.volume:
         raise ValidationError("forward sampling requires a proper GAP")
     pool = sorted(pts)
@@ -237,7 +239,6 @@ def gap_fit(
     A: CoefficientMultiset,
     epsilon,
     max_rank: int = 2,
-    budget: int = DEFAULT_MATERIALIZE_BUDGET,
 ) -> GapFitCertificate:
     """Search for a small proper symmetric GAP containing all but epsilon*n
     entries; always returns a certificate (fallback: rank-1 with generator
@@ -255,16 +256,16 @@ def gap_fit(
     if max_rank >= 2 and len(set(entries)) > 2:
         c2 = _rank2_fit(entries, keep)
         # rank-2 certificates must stay materializable for verification
-        if c2 is not None and c2[0].volume <= budget:
+        if c2 is not None and c2[0].volume <= DEFAULT_MATERIALIZE_BUDGET:
             candidates.append(c2)
     best = min(candidates, key=lambda c: c[0].volume)
     gap = best[0]
-    if not gap_is_proper(gap, budget):
+    if not gap_is_proper(gap):
         # fall back to the always-proper rank-1 gcd cover
         gap = _rank1_fit(entries, n)[0]
     # independent verification by membership recount
     try:
-        L, pts = gap_lattice_points(gap, budget)
+        L, pts = gap_lattice_points(gap)
         covered = sum(1 for v in entries if v * L in pts)
     except BudgetError:
         # volume too large to materialize: rank-1 membership is divisibility
@@ -304,14 +305,27 @@ def structured_multiset_census(
     return rows
 
 
-def geometric_progression_rho(x, n: int, quad: tuple[int, int] | None = None,
-                              budget: int = 10**7) -> Fraction:
+def _check_power_bits(n: int, growth: int) -> None:
+    """Refuse n + 1 powers whose entries grow by at most a factor `growth`
+    per power when, at a bit length of n * bit_length(growth - 1) + 1 (a
+    bound on the largest) and no less than one word each, they pass
+    GEO_POWER_BITS_BUDGET bits."""
+    bits = max(64, n * (growth - 1).bit_length() + 1)
+    if (n + 1) * bits > GEO_POWER_BITS_BUDGET:
+        raise BudgetError(f"{n + 1} powers of up to {bits} bits exceed the budget of "
+                          f"{GEO_POWER_BITS_BUDGET} bits")
+
+
+def geometric_progression_rho(x, n: int, quad: tuple[int, int] | None = None) -> Fraction:
     """Exact rho of sum_{j=0..n} xi_j x^j for Bernoulli signs.
 
     x is either an exact rational, or (with quad=(c1, c0)) the root of the
     monic quadratic t^2 = c1 t + c0, in which case arithmetic is exact in
     the quotient ring Z[t]/(t^2 - c1 t - c0): elements are integer pairs
     (u, v) meaning u + v t and equality is pairwise.
+
+    Refuses (BudgetError) before building any power when the powers could
+    pass GEO_POWER_BITS_BUDGET bits; see `_check_power_bits`.
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
@@ -321,9 +335,11 @@ def geometric_progression_rho(x, n: int, quad: tuple[int, int] | None = None,
         # x = p/q: the powers scaled by q^n are the integers p^j q^(n-j)
         xf = Fraction(x)
         p, q = xf.numerator, xf.denominator
+        _check_power_bits(n, max(abs(p), q))
         shifts = [p**j * q ** (n - j) for j in range(n + 1)]
     else:
         c1, c0 = quad
+        _check_power_bits(n, 1 + abs(c1) + abs(c0))
         powers: list[tuple[int, int]] = [(1, 0)]
         for _ in range(n):
             u, v = powers[-1]
@@ -331,5 +347,5 @@ def geometric_progression_rho(x, n: int, quad: tuple[int, int] | None = None,
         # pack u + v t into u + B v with B above twice every reachable |u|
         B = 2 * sum(abs(u) for u, _ in powers) + 1
         shifts = [u + B * v for u, v in powers]
-    counts = lattice_counts([((-s, 1), (s, 1)) for s in shifts], budget)
+    counts = lattice_counts([((-s, 1), (s, 1)) for s in shifts])
     return Fraction(max(counts.values()), 2 ** (n + 1))

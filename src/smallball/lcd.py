@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .types import (
+    BudgetError,
     CoefficientMultiset,
     SignDistribution,
     SoundnessError,
@@ -30,6 +31,11 @@ from .types import (
 
 DEFAULT_RESOLUTION = Fraction(1, 4)
 RECURRENCE_C = 4.0  # frozen once against the d=1 corpus; never auto-fit
+# Most candidates one LCD scan may build, and most grid points x entries one
+# recurrence scan may take: each more than ten times the most that any test,
+# golden case or benchmark workload needs (about 5e3 and 1e6).
+LCD_CANDIDATE_BUDGET = 10**5
+RECURRENCE_BUDGET = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -76,16 +82,27 @@ def _nearest_int(x: Fraction) -> int:
     return fl if x - fl <= Fraction(1, 2) else fl + 1
 
 
-def _candidates_1d(a: list[Fraction], theta_max: Fraction, resolution: Fraction):
+def _check_scan(theta_max, resolution, sizes) -> None:
+    """Refuse, before building any, a candidate scan up to theta_max that
+    could build more than LCD_CANDIDATE_BUDGET candidates: at most
+    theta_max / resolution on the grid and theta_max * m lattice points for
+    each coefficient of absolute value at most m in `sizes`."""
+    if not resolution > 0:
+        raise ValidationError("resolution must be positive")
+    count = theta_max / resolution + sum(theta_max * m for m in sizes)
+    if count > LCD_CANDIDATE_BUDGET:
+        raise BudgetError(f"an LCD scan up to theta_max {theta_max} in steps of "
+                          f"{resolution} exceeds the budget of {LCD_CANDIDATE_BUDGET} "
+                          "candidates")
+
+
+def _candidates(coeffs: list, theta_max, resolution) -> list:
+    """Sorted candidates up to theta_max: the grid k * resolution and the
+    lattice points k / |c| for each nonzero coefficient c, k >= 1; exact
+    for Fractions, floats for floats."""
+    _check_scan(theta_max, resolution, [abs(c) for c in coeffs])
     cands = set()
-    k = 1
-    while k * resolution <= theta_max:
-        cands.add(k * resolution)
-        k += 1
-    for ai in a:
-        if ai == 0:
-            continue
-        step = 1 / abs(ai)
+    for step in (resolution, *(1 / abs(c) for c in coeffs if c)):
         k = 1
         while k * step <= theta_max:
             cands.add(k * step)
@@ -117,7 +134,7 @@ def lcd_1d(
     alpha2 = alpha * alpha
     gamma2 = gamma * gamma
     best_margin = None
-    for theta in _candidates_1d(a, theta_max, Fraction(resolution)):
+    for theta in _candidates(a, theta_max, Fraction(resolution)):
         xs = [ai * theta for ai in a]
         ps = [_nearest_int(x) for x in xs]
         d2 = sum((x - p) * (x - p) for x, p in zip(xs, ps))
@@ -152,20 +169,7 @@ def _radial_scan(coeffs: list[float], alpha: float, gamma: float,
     a2 = sum(c * c for c in coeffs)
     if a2 == 0:
         return None
-    cands = set()
-    k = 1
-    while k * resolution <= theta_max:
-        cands.add(k * resolution)
-        k += 1
-    for c in coeffs:
-        if abs(c) < 1e-12:
-            continue
-        step = 1.0 / abs(c)
-        k = 1
-        while k * step <= theta_max:
-            cands.add(k * step)
-            k += 1
-    for r in sorted(cands):
+    for r in _candidates([c for c in coeffs if abs(c) >= 1e-12], theta_max, resolution):
         d2 = 0.0
         for c in coeffs:
             x = c * r
@@ -205,12 +209,14 @@ def lcd_multidim(
         raise ValidationError(
             "super-isotropy violated: smallest eigenvalue of sum a a^T < 1")
     n = len(pts)
+    fpts = [(float(x), float(y)) for x, y in pts]
     if theta_max is None:
         theta_max = (math.isqrt(n) + 1) / gamma_f
     theta_max = float(theta_max)
+    # |<a_i, e>| <= ||a_i|| bounds every direction's scan
+    _check_scan(theta_max, float(resolution), [math.hypot(x, y) for x, y in fpts])
     best_r = None
     best_dir = None
-    fpts = [(float(x), float(y)) for x, y in pts]
     for k in range(angle_grid):
         phi = math.pi * k / angle_grid
         e = (math.cos(phi), math.sin(phi))
@@ -246,8 +252,6 @@ def rv_smallball_bound(
     gamma,
     xi: SignDistribution | None = None,
     C: float = 2.0,
-    theta_max=None,
-    resolution: Fraction = DEFAULT_RESOLUTION,
 ) -> RvBound:
     """Right-hand side C beta / (gamma sqrt(b)) + C exp(-2 b alpha^2) with
     the preconditions of the Diophantine small-ball theorem checked:
@@ -262,7 +266,7 @@ def rv_smallball_bound(
     if b <= 0:
         raise ValidationError(
             "precondition failed: sign law concentrates in a unit window (b = 0)")
-    lcd = lcd_1d(a, alpha, gamma, theta_max, resolution)
+    lcd = lcd_1d(a, alpha, gamma)
     if not lcd.is_infinite:
         lcd_val = lcd.lcd
         ok = (beta * lcd_val >= 1) if isinstance(lcd_val, Fraction) \
@@ -321,11 +325,13 @@ def recurrence_set_measure(
         raise ValidationError("z must be >= 1")
     if beta <= 0 or gamma <= 0 or grid_points < 1:
         raise ValidationError("beta, gamma and grid_points must be positive")
+    if grid_points * max(1, len(a)) > RECURRENCE_BUDGET:
+        raise BudgetError(f"{grid_points} grid points x {len(a)} entries exceed the "
+                          f"recurrence budget of {RECURRENCE_BUDGET}")
     scale = [float(Fraction(x) * z / beta) for x in a]
     tt = float(t) ** 2
     h = 2.0 / grid_points
-    inside = 0
-    flags = []
+    inside = boundary = 0
     for i in range(grid_points):
         theta = -1.0 + (i + 0.5) * h
         d2 = 0.0
@@ -335,8 +341,9 @@ def recurrence_set_measure(
             d2 += d * d
         good = d2 <= tt
         inside += good
-        flags.append(good)
-    boundary = sum(1 for i in range(1, grid_points) if flags[i] != flags[i - 1])
+        if i and good != prev:
+            boundary += 1
+        prev = good
     measure = inside * h
     boundary_fraction = (boundary * h / measure) if measure > 0 else 0.0
     bound = RECURRENCE_C * float(t) * float(beta) / float(gamma)

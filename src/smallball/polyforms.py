@@ -4,10 +4,9 @@ structured quadratic generators, disjoint-term multilinear bounds, and parity
 correlation.  The quadratic budgets count sign vectors: at most 2^24 for
 rho_q and 2^16 for decoupling.
 
-Sign conventions differ per operation and are explicit: quadratic forms are
-usually evaluated with +-1 signs, the multilinear/Boolean operations with
-{0,1} signs.  Callers pass the SignDistribution; validators refuse theorem
-checks under the wrong convention.
+Sign conventions differ per operation: quadratic forms take a
+SignDistribution (+-1 signs by default), while the multilinear/Boolean
+operations always use uniform {0,1} signs.
 """
 from __future__ import annotations
 
@@ -321,15 +320,10 @@ def greedy_disjoint_terms(P: MultilinearPolynomial) -> int:
 def multilinear_concentration(
     P: MultilinearPolynomial,
     x,
-    xi: SignDistribution | None = None,
-    C: float = MULTILINEAR_C,
 ):
     """Exact P(P(xi) = x) over uniform {0,1}^n, the greedy disjoint
-    degree-k term count r, and the bound C * r^(-b_k) with
+    degree-k term count r, and the bound MULTILINEAR_C * r^(-b_k) with
     b_k = 1/(2k 2^k)."""
-    xi = xi or SignDistribution.boolean_01()
-    if xi.kind != "boolean_01":
-        raise ValidationError("multilinear concentration uses the {0,1} law")
     vals, den = _eval_all_boolean(P)
     x_scaled = Fraction(x) * den
     if x_scaled.denominator != 1:
@@ -338,7 +332,7 @@ def multilinear_concentration(
         prob = Fraction(int(np.count_nonzero(vals == int(x_scaled))), 2**P.n)
     r = greedy_disjoint_terms(P)
     b_k = 1.0 / (2 * P.k * 2**P.k)
-    bound = C * r ** (-b_k) if r > 0 else float("inf")
+    bound = MULTILINEAR_C * r ** (-b_k) if r > 0 else float("inf")
     return prob, r, bound
 
 

@@ -194,6 +194,10 @@ def test_config_file_precedence(tmp_path, capsys):
     ["quad-gen", "--kind", "gap", "--n", "-1"],
     ["quad-rho", "--matrix", ";"],
     ["lcd", "--d", "2", "--entries", "2,0,0,2,5", "--alpha", "1/8", "--gamma", "1/2"],
+    # a resolution <= 0 never ends the candidate grid
+    ["lcd", "--entries", "1,2", "--alpha", "1/8", "--gamma", "1/2", "--resolution", "0"],
+    ["lcd", "--d", "2", "--entries", "2,0,0,2", "--alpha", "1/8", "--gamma", "1/2",
+     "--resolution=-1/4"],
     ["census", "--n", "0", "--max-entry", "0", "--rho-grid", "0"],
     ["recurrence", "--entries", "1", "--t", "0", "--gamma", "1", "--alpha", "1",
      "--grid-points", "0"],
@@ -321,6 +325,32 @@ def test_quad_gen_beyond_int64_bounded_memory():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["n"] == 20
     assert int(proc.stderr.split()[-1]) < 120 * 1024
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["rho", "--entries", ",".join(str(2**j * 10**2000) for j in range(24))],
+                 id="rho-wide-keys"),
+    pytest.param(["geo-rho", "--x=1/1000000000000", "--n=3000"], id="geo-rho-x"),
+    pytest.param(["geo-rho", "--quad=3,1", "--n=20000"], id="geo-rho-quad"),
+    pytest.param(["lcd", "--entries=1,2", "--alpha=1/100", "--gamma=1/2",
+                  "--resolution=1/1000000"], id="lcd"),
+    pytest.param(["rv-bound", "--entries=1,2", "--beta=1", "--alpha=1/100",
+                  "--gamma=1/1000000"], id="rv-bound"),
+    pytest.param(["recurrence", "--entries=1,2", "--t=1/16", "--gamma=1/2", "--alpha=1",
+                  "--grid-points=100000000"], id="recurrence"),
+    pytest.param(["lsv", "--n=1", "--trials=1000000"], id="lsv"),
+])
+def test_input_past_a_budget_exits_3_in_bounded_memory(args):
+    # without its budget each input runs out of memory or runs for minutes;
+    # in a child capped at 1 GiB of address space it must be refused at once
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run([sys.executable, "-m", "smallball.cli", *args],
+                          capture_output=True, text=True, preexec_fn=cap, timeout=20)
+    assert proc.returncode == 3, proc.stderr[-400:]
 
 
 @pytest.mark.parametrize("args", [

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from smallball import experiments
 from smallball.arith import (
@@ -23,7 +22,6 @@ from smallball.experiments import (
     _batch_rank_deficient_modp,
     _batches,
     _inv_modp,
-    _sigma_min_qr_inverse_iteration,
     _sign_matrices,
     common_root_probability,
     edelman_cdf,
@@ -38,7 +36,6 @@ from smallball.experiments import (
 )
 from smallball.types import BudgetError, ValidationError
 
-TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 def cofactor_determinant(A) -> int:
@@ -171,21 +168,36 @@ def test_lsv_gaussian_matches_limit_law():
     assert empty.values == ()
 
 
-def test_lsv_sigma_matches_svd():
-    rng = np.random.default_rng(3)
-    from smallball.experiments import _sigma_min_qr_inverse_iteration
-
-    for _ in range(20):
-        M = rng.standard_normal((30, 30))
-        sigma, _ = _sigma_min_qr_inverse_iteration(M, TRTRS)
-        ref = np.linalg.svd(M, compute_uv=False)[-1]
-        assert sigma == pytest.approx(ref, rel=1e-6)
+def test_lsv_sigma_matches_svd(monkeypatch):
+    # each value is sqrt(n) * sigma_min of one SVD of its trial's own matrix,
+    # bit for bit, except that a singular sign draw reports exactly 0.0; the
+    # values do not depend on how the trials are batched
+    for kind, n, trials in (("gaussian_iid", 1, 7), ("gaussian_iid", 12, 40),
+                            ("bernoulli_iid", 4, 100), ("bernoulli_iid", 9, 60)):
+        spec = EnsembleSpec(kind, n)
+        expected = []
+        for t in range(trials):
+            rng = substream(5, t)
+            if kind == "gaussian_iid":
+                S, M = None, rng.standard_normal((n, n))
+            else:
+                S = _sign_matrices(spec, rng.integers(0, 2, size=(1, n * n), dtype=np.int8))[0]
+                M = S.astype(np.float64)
+            sigma = np.linalg.svd(M, compute_uv=False)[-1]
+            singular = S is not None and bareiss_determinant(S.tolist()) == 0
+            expected.append(0.0 if singular else math.sqrt(n) * sigma)
+        expected.sort()
+        assert least_singular_value_mc(spec, trials, seed=5).values == tuple(expected)
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "MAX_TRIAL_DRAWS", 3 * n * n)  # batches of 3 trials
+            assert least_singular_value_mc(spec, trials, seed=5).values == tuple(expected)
+        assert (0.0 in expected) == (kind == "bernoulli_iid")
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_lsv_reports_exact_zero_for_every_singular_sign_matrix(n, monkeypatch):
     # draw t of the patched stream is sign matrix t of the enumeration; the
-    # float iteration leaves about 1e-16 on each singular one
+    # float SVD leaves about 1e-16 on each singular one
     class Draw:
         def __init__(self, t):
             self.t = t
@@ -198,7 +210,7 @@ def test_lsv_reports_exact_zero_for_every_singular_sign_matrix(n, monkeypatch):
     expected = []
     for t in range(2 ** (n * n)):
         S = _sign_matrices(spec, Draw(t).integers(0, 2, (1, n * n), np.int8))[0]
-        sigma, _ = _sigma_min_qr_inverse_iteration(S.astype(np.float64), TRTRS)
+        sigma = np.linalg.svd(S.astype(np.float64), compute_uv=False)[-1]
         assert sigma > 0.0
         expected.append(0.0 if bareiss_determinant(S.tolist()) == 0 else math.sqrt(n) * sigma)
     got = least_singular_value_mc(spec, 2 ** (n * n), seed=0)
@@ -417,75 +429,6 @@ def test_bareiss_confirms_only_above_hadamard(monkeypatch):
                                       seed=seed)
         assert rep.successes > 0
         assert (len(calls) > 0) == (n > _TWO_PRIMES_EXACT_N)
-
-
-def _sigma_min_reference(mat, tol=1e-10, max_iter=200):
-    """The inverse iteration through `solve_triangular` and `np.linalg.norm`."""
-    n = mat.shape[0]
-    _, R = np.linalg.qr(mat)
-    if np.abs(np.diag(R)).min() < 1e-300:
-        return 0.0, True
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    prev = np.inf
-    for _ in range(max_iter):
-        y = solve_triangular(R, x, trans="T", lower=False)
-        z = solve_triangular(R, y, trans="N", lower=False)
-        x = z / np.linalg.norm(z)
-        sigma = np.linalg.norm(R @ x)
-        if abs(sigma - prev) <= tol * max(sigma, 1e-300):
-            return float(sigma), True
-        prev = sigma
-    return float(np.linalg.svd(mat, compute_uv=False)[-1]), False
-
-
-def _lsv_cases():
-    rng = np.random.default_rng(29)
-    for n in (1, 2, 18, 22):
-        yield from (rng.standard_normal((n, n)) for _ in range(25))
-    for n in (2, 20):
-        for t in range(25):
-            M = _sign_matrices(EnsembleSpec("bernoulli_iid", n),
-                               rng.integers(0, 2, (1, n * n)))[0].astype(np.float64)
-            if t % 3 == 0:  # plant a singular draw: a repeated or negated row
-                M[-1] = M[0] * (-1) ** t
-            yield M
-
-
-def test_lsv_lapack_iteration_matches_solve_triangular():
-    singular = 0
-    for M in _lsv_cases():
-        ref = _sigma_min_reference(M)
-        got = _sigma_min_qr_inverse_iteration(M, TRTRS)
-        assert repr(got) == repr(ref)  # bit for bit, and a Python float
-        singular += np.linalg.matrix_rank(M) < len(M)
-        # the SVD fallback once the iteration runs out of steps
-        ref = _sigma_min_reference(M, max_iter=2)
-        assert repr(_sigma_min_qr_inverse_iteration(M, TRTRS, max_iter=2)) == repr(ref)
-    assert singular >= 20
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e307])
-def test_lsv_lapack_iteration_non_finite_like_solve_triangular(scale):
-    # extreme scales overflow the iterates; both raise, or both return the same
-    rng = np.random.default_rng(31)
-    for M in (rng.standard_normal((5, 5)) * scale, np.diag([1.0] * 4 + [1e-160])):
-        for max_iter in (1, 2, 200):
-            try:
-                ref = repr(_sigma_min_reference(M, max_iter=max_iter))
-            except ValueError:
-                ref = "ValueError"
-            try:
-                got = repr(_sigma_min_qr_inverse_iteration(M, TRTRS, max_iter=max_iter))
-            except ValueError:
-                got = "ValueError"
-            assert got == ref
-    M = rng.standard_normal((4, 4))
-    M[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        _sigma_min_qr_inverse_iteration(M, TRTRS)
 
 
 def test_edelman_rejects_non_finite_t():
