@@ -227,7 +227,7 @@ COMMANDS: dict[str, Command] = {c.name: c for c in [
             lambda a: (lcd.lcd_1d(a.entries, a.alpha, a.gamma, a.theta_max, a.resolution)
                        if a.d == 1 else
                        lcd.lcd_multidim(_pairs_of(a.entries), a.alpha, a.gamma,
-                                        a.theta_max, float(a.resolution)))),
+                                        a.theta_max, a.resolution))),
     Command("rv-bound", {"entries": RATIONALS, "xi": XI, "beta": RATIONAL, "alpha": RATIONAL,
                          "gamma": RATIONAL, "constant": (float, 2.0)},
             lambda a: lcd.check_rv_soundness(a.entries, a.beta, a.alpha, a.gamma, a.xi,

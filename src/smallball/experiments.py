@@ -4,13 +4,15 @@ common roots of random sign polynomials.
 
 Reproducibility: trial i draws from the Philox4x64-10 stream with key =
 master seed and counter block i, the stream `substream(seed, i)` returns.
-The sign experiments compute those streams a batch of trials at a time
-(`trial_bits`), so a report does not depend on the batch size.  Seeds must
-lie in [0, 2^64).
+Every sign draw comes from `trial_bits`, which computes those streams a
+batch of trials at a time, so a report does not depend on the batch size;
+Gaussian draws come from one generator per batch, re-pointed to counter
+block i before trial i.  Seeds must lie in [0, 2^64).
 
 Singularity decisions are exact integer arithmetic end to end.  In Monte
 Carlo mode a batched modular elimination screens out matrices whose
-determinant is provably nonzero (det != 0 mod p).  While Hadamard's bound
+determinant is provably nonzero (det != 0 mod p); its pivot inverses come
+from a table of x^(p-2) mod p built once per prime.  While Hadamard's bound
 |det| <= n^(n/2) stays below the modulus (n <= 9 for one prime, n <= 15
 for both), a flagged matrix is singular; at larger n fraction-free integer
 elimination confirms each one, as it does every enumerated matrix in exact
@@ -18,12 +20,13 @@ mode.  Common roots likewise: a batched gcd over F_p certifies most pairs
 coprime, and the exact integer gcd confirms the rest.
 
 Least singular values come from one batched LAPACK SVD per batch of trials,
-each trial drawn from its own substream.  A sign draw whose float sigma lies
+each trial drawn from its own stream.  A sign draw whose float sigma lies
 within the SVD's backward error of zero is decided by an exact determinant,
 so a singular sign matrix reports exactly 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,18 +212,28 @@ def _enumerated_matrices(spec: EnsembleSpec, lo: int, hi: int) -> list:
     return M.tolist()
 
 
-def _inv_modp(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p elementwise, by square-and-multiply: the inverse of
-    every nonzero residue.  Products stay below p^2 < 2^63."""
-    out = np.ones_like(x)
-    base = x % p
+@functools.cache
+def _inverse_table(p: int) -> np.ndarray:
+    """x^(p-2) mod p for every residue x, as read-only int32: the inverse of
+    every nonzero residue (and 0 at 0).  Built once per prime, by
+    square-and-multiply over all residues; products stay below p^2 < 2^63."""
+    out = np.ones(p, dtype=np.int64)
+    base = np.arange(p, dtype=np.int64)
     e = p - 2
     while e:
         if e & 1:
             out = out * base % p
         base = base * base % p
         e >>= 1
-    return out
+    table = out.astype(np.int32)
+    table.flags.writeable = False
+    return table
+
+
+def _inv_modp(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of the residues x in [0, p), elementwise, read from the
+    prime's table."""
+    return _inverse_table(p)[x]
 
 
 def _batch_rank_deficient_modp(mats: np.ndarray, p: int) -> np.ndarray:
@@ -369,6 +382,23 @@ class LsvSamples:
         return "\n".join(lines) + "\n"
 
 
+def _gaussian_matrices(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """(hi - lo, n, n) array whose row t is exactly
+    `substream(seed, lo + t).standard_normal((n, n))`, from one generator
+    re-pointed to counter block [0, 0, 0, lo + t] before each trial: the
+    state a fresh substream starts from, without building a bit generator
+    per trial."""
+    bits = np.random.Philox(key=seed)
+    rng = np.random.Generator(bits)
+    state = bits.state  # counter [0, 0, 0, 0] and an empty output buffer
+    out = np.empty((hi - lo, n, n))
+    for i, t in enumerate(range(lo, hi)):
+        state["state"]["counter"][3] = t
+        bits.state = state
+        rng.standard_normal(out=out[i])
+    return out
+
+
 def least_singular_value_mc(
     spec: EnsembleSpec,
     trials: int,
@@ -394,12 +424,9 @@ def least_singular_value_mc(
     vals = []
     for lo, hi in _batches(trials, n * n):
         if spec.kind == "gaussian_iid":
-            S, M = None, np.stack([substream(seed, t).standard_normal((n, n))
-                                   for t in range(lo, hi)])
+            S, M = None, _gaussian_matrices(seed, lo, hi, n)
         else:
-            S = _sign_matrices(spec, np.concatenate([
-                substream(seed, t).integers(0, 2, size=(1, n * n), dtype=np.int8)
-                for t in range(lo, hi)]))
+            S = _sign_matrices(spec, trial_bits(seed, lo, hi, n * n))
             M = S.astype(np.float64)
         sigma = np.linalg.svd(M, compute_uv=False)[:, -1]
         if S is not None:

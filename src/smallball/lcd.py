@@ -82,6 +82,18 @@ def _nearest_int(x: Fraction) -> int:
     return fl if x - fl <= Fraction(1, 2) else fl + 1
 
 
+def _float(x, name: str) -> float:
+    """float(x), refusing a rational beyond the float range or a nonzero one
+    that rounds to 0."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = 0.0
+    if f == 0.0 and x != 0:
+        raise ValidationError(f"{name} lies outside the float range")
+    return f
+
+
 def _check_scan(theta_max, resolution, sizes) -> None:
     """Refuse, before building any, a candidate scan up to theta_max that
     could build more than LCD_CANDIDATE_BUDGET candidates: at most
@@ -196,7 +208,7 @@ def lcd_multidim(
     is >= 1, checked exactly.
     """
     pts = [(Fraction(x), Fraction(y)) for x, y in pairs]
-    alpha_f, gamma_f = float(alpha), float(gamma)
+    alpha_f, gamma_f = _float(alpha, "alpha"), _float(gamma, "gamma")
     if not 0 < gamma_f < 1:
         raise ValidationError("gamma must lie in (0, 1)")
     sxx = sum(x * x for x, _ in pts)
@@ -209,12 +221,13 @@ def lcd_multidim(
         raise ValidationError(
             "super-isotropy violated: smallest eigenvalue of sum a a^T < 1")
     n = len(pts)
-    fpts = [(float(x), float(y)) for x, y in pts]
+    fpts = [(_float(x, "an entry"), _float(y, "an entry")) for x, y in pts]
     if theta_max is None:
         theta_max = (math.isqrt(n) + 1) / gamma_f
-    theta_max = float(theta_max)
+    theta_max = _float(theta_max, "theta_max")
+    resolution = _float(resolution, "resolution")
     # |<a_i, e>| <= ||a_i|| bounds every direction's scan
-    _check_scan(theta_max, float(resolution), [math.hypot(x, y) for x, y in fpts])
+    _check_scan(theta_max, resolution, [math.hypot(x, y) for x, y in fpts])
     best_r = None
     best_dir = None
     for k in range(angle_grid):
@@ -223,17 +236,17 @@ def lcd_multidim(
         coeffs = [e[0] * x + e[1] * y for x, y in fpts]
         r = _radial_scan(coeffs, alpha_f, gamma_f,
                          best_r if best_r is not None else theta_max,
-                         float(resolution))
+                         resolution)
         if r is not None and (best_r is None or r < best_r):
             best_r, best_dir = r, e
     if best_r is None:
         return LcdResult(None, None, None, float("nan"), float("nan"),
-                         theta_max, float(resolution))
+                         theta_max, resolution)
     theta = (best_dir[0] * best_r, best_dir[1] * best_r)
     prods = [theta[0] * x + theta[1] * y for x, y in fpts]
     ps = tuple(round(v) for v in prods)
     d = math.sqrt(sum((v - p) ** 2 for v, p in zip(prods, ps)))
-    return LcdResult(best_r, theta, ps, d, 0.0, theta_max, float(resolution))
+    return LcdResult(best_r, theta, ps, d, 0.0, theta_max, resolution)
 
 
 @dataclass(frozen=True)
@@ -328,8 +341,11 @@ def recurrence_set_measure(
     if grid_points * max(1, len(a)) > RECURRENCE_BUDGET:
         raise BudgetError(f"{grid_points} grid points x {len(a)} entries exceed the "
                           f"recurrence budget of {RECURRENCE_BUDGET}")
-    scale = [float(Fraction(x) * z / beta) for x in a]
-    tt = float(t) ** 2
+    scale = [_float(Fraction(x) * z / beta, "an entry times z / beta") for x in a]
+    t_f, beta_f, gamma_f = _float(t, "t"), _float(beta, "beta"), _float(gamma, "gamma")
+    # every squared distance below is finite, so a t whose square overflows
+    # admits every theta
+    tt = t_f ** 2 if t_f < 2.0**511 else math.inf
     h = 2.0 / grid_points
     inside = boundary = 0
     for i in range(grid_points):
@@ -346,7 +362,7 @@ def recurrence_set_measure(
         prev = good
     measure = inside * h
     boundary_fraction = (boundary * h / measure) if measure > 0 else 0.0
-    bound = RECURRENCE_C * float(t) * float(beta) / float(gamma)
+    bound = RECURRENCE_C * t_f * beta_f / gamma_f
     return RecurrenceMeasure(
         measure_estimate=measure,
         lemma_bound=bound,

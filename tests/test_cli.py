@@ -182,6 +182,9 @@ def test_config_file_precedence(tmp_path, capsys):
     assert json.loads(out)["results"]["trials"] == 50
 
 
+HUGE = str(10**400)
+
+
 @pytest.mark.parametrize("args", [
     ["stanley", "--n-list", "3,x"],
     ["geo-rho", "--quad", "1", "--n", "3"],
@@ -209,6 +212,12 @@ def test_config_file_precedence(tmp_path, capsys):
     ["rho", "--entries", "1", "--bogus", "1"],
     ["nonsense"],
     [],
+    # rationals beyond the float range, or a nonzero one that rounds to 0
+    ["lcd", "--d", "2", "--entries", f"{HUGE},0,0,{HUGE}", "--alpha", "1/8", "--gamma", "1/2"],
+    ["recurrence", "--entries", HUGE, "--t", "1/16", "--gamma", "1/2", "--alpha", "1",
+     "--grid-points", "10"],
+    ["recurrence", "--entries", "1", "--t", "1/16", "--gamma", f"1/{HUGE}", "--alpha", "1",
+     "--grid-points", "10"],
 ])
 def test_malformed_input_exit_code(args, capsys):
     assert run_cli(args, capsys)[0] == 2

@@ -8,6 +8,12 @@ error cells and an exit-2 input.  Later cases were captured before a change
 to the code they run: Monte Carlo `singularity` at n = 9, 10, 15 and 16
 (iid and symmetric), either side of the orders at which the F_p screens
 decide alone, and `lsv` on 2 x 2 sign matrices, half of them singular.
+The last four were captured before the F_p screen read its pivot inverses
+from a table and before `lsv` drew from one generator per batch: Monte
+Carlo `singularity` at n = 5 over two batches of trials (5000) at seed
+2^64 - 1, `lsv --kind gaussian_iid` at seed 2^63 + 7, `lsv --kind
+bernoulli_iid --format csv` with ten singular draws of sixteen, and
+`common-roots` at n = 11.
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`.
 """

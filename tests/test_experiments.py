@@ -172,12 +172,14 @@ def test_lsv_sigma_matches_svd(monkeypatch):
     # each value is sqrt(n) * sigma_min of one SVD of its trial's own matrix,
     # bit for bit, except that a singular sign draw reports exactly 0.0; the
     # values do not depend on how the trials are batched
-    for kind, n, trials in (("gaussian_iid", 1, 7), ("gaussian_iid", 12, 40),
-                            ("bernoulli_iid", 4, 100), ("bernoulli_iid", 9, 60)):
+    for seed, (kind, n, trials) in itertools.product(
+            (5, 2**63 + 7, 2**64 - 1),
+            (("gaussian_iid", 1, 7), ("gaussian_iid", 12, 40), ("bernoulli_iid", 4, 100),
+             ("bernoulli_iid", 9, 60), ("bernoulli_symmetric", 6, 60))):
         spec = EnsembleSpec(kind, n)
         expected = []
         for t in range(trials):
-            rng = substream(5, t)
+            rng = substream(seed, t)
             if kind == "gaussian_iid":
                 S, M = None, rng.standard_normal((n, n))
             else:
@@ -187,35 +189,46 @@ def test_lsv_sigma_matches_svd(monkeypatch):
             singular = S is not None and bareiss_determinant(S.tolist()) == 0
             expected.append(0.0 if singular else math.sqrt(n) * sigma)
         expected.sort()
-        assert least_singular_value_mc(spec, trials, seed=5).values == tuple(expected)
+        assert least_singular_value_mc(spec, trials, seed=seed).values == tuple(expected)
         with monkeypatch.context() as m:
             m.setattr(experiments, "MAX_TRIAL_DRAWS", 3 * n * n)  # batches of 3 trials
-            assert least_singular_value_mc(spec, trials, seed=5).values == tuple(expected)
-        assert (0.0 in expected) == (kind == "bernoulli_iid")
+            assert least_singular_value_mc(spec, trials, seed=seed).values == tuple(expected)
+        if n > 1:
+            assert (0.0 in expected) == (kind != "gaussian_iid")
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_lsv_reports_exact_zero_for_every_singular_sign_matrix(n, monkeypatch):
-    # draw t of the patched stream is sign matrix t of the enumeration; the
-    # float SVD leaves about 1e-16 on each singular one
-    class Draw:
-        def __init__(self, t):
-            self.t = t
+    # draw t of the patched batch draw is sign matrix t of the enumeration;
+    # the float SVD leaves about 1e-16 on each singular one
+    def draw(seed, lo, hi, k):
+        t = np.arange(lo, hi)[:, None]
+        return (t >> np.arange(k) & 1).astype(np.int8)
 
-        def integers(self, low, high, size, dtype):
-            return np.array([[self.t >> k & 1 for k in range(n * n)]], dtype=dtype)
-
-    monkeypatch.setattr(experiments, "substream", lambda seed, t: Draw(t))
+    monkeypatch.setattr(experiments, "trial_bits", draw)
     spec = EnsembleSpec("bernoulli_iid", n)
     expected = []
     for t in range(2 ** (n * n)):
-        S = _sign_matrices(spec, Draw(t).integers(0, 2, (1, n * n), np.int8))[0]
+        S = _sign_matrices(spec, draw(0, t, t + 1, n * n))[0]
         sigma = np.linalg.svd(S.astype(np.float64), compute_uv=False)[-1]
         assert sigma > 0.0
         expected.append(0.0 if bareiss_determinant(S.tolist()) == 0 else math.sqrt(n) * sigma)
     got = least_singular_value_mc(spec, 2 ** (n * n), seed=0)
     assert got.values == tuple(sorted(expected))
     assert got.values.count(0.0) == {2: 8, 3: 320}[n]
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 7, 2**64 - 1])
+def test_gaussian_draws_match_substreams(seed):
+    # one re-pointed generator gives each trial its own substream's draws,
+    # whatever the previous trial left in the generator's output buffer, and
+    # across the boundary between two batches
+    for n in (1, 3, 7):
+        want = np.stack([substream(seed, t).standard_normal((n, n)) for t in range(9)])
+        got = np.concatenate([experiments._gaussian_matrices(seed, 0, 5, n),
+                              experiments._gaussian_matrices(seed, 5, 9, n)])
+        assert got.shape == (9, n, n)
+        assert (got == want).all()
 
 
 def test_common_root_exact_channels():
@@ -282,6 +295,38 @@ def test_pivot_inverse_every_residue(p):
     want = np.array([pow(int(v), p - 2, p) for v in x])
     assert (_inv_modp(x, p) == want).all()
     assert (x * _inv_modp(x, p) % p == 1).all()
+
+
+@pytest.mark.parametrize("kind", ["bernoulli_iid", "bernoulli_symmetric"])
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 16, 20])
+def test_rank_screen_matches_bareiss(kind, n):
+    # the batched F_p elimination flags exactly the matrices whose integer
+    # determinant is divisible by p; a third of the batch gets a repeated
+    # row (and column, to stay symmetric) so that every n has singular ones
+    spec, trials = EnsembleSpec(kind, n), 120
+    mats = _sign_matrices(spec, trial_bits(n, 0, trials, n * n)).copy()
+    if n > 1:
+        mats[::3, 1] = mats[::3, 0]
+        mats[::3, :, 1] = mats[::3, :, 0]
+    dets = [bareiss_determinant(M.tolist()) for M in mats]
+    for p in _SCREEN_PRIMES:
+        want = [d % p == 0 for d in dets]
+        assert _batch_rank_deficient_modp(mats, p).tolist() == want
+    assert any(d == 0 for d in dets) == (n > 1)
+
+
+def test_inverse_table_built_once_per_prime():
+    experiments._inverse_table.cache_clear()
+    for seed in range(6):
+        singularity_probability(EnsembleSpec("bernoulli_iid", 4), trials=300, seed=seed)
+        singularity_probability(EnsembleSpec("bernoulli_symmetric", 12), trials=300, seed=seed)
+    info = experiments._inverse_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and info.hits > 12
+    for p in _SCREEN_PRIMES:
+        table = experiments._inverse_table(p)
+        assert table.dtype == np.int32 and table.shape == (p,)
+        assert not table.flags.writeable
+    assert sum(experiments._inverse_table(p).nbytes for p in _SCREEN_PRIMES) < 2**19
 
 
 def _scalar_screen(F, G, p):
