@@ -14,12 +14,23 @@ candidate k/|a_i| that is not a multiple of 1/gcd some coordinate sits at a
 rational with denominator |a_i|, hence at distance >= 1/|a_i| > alpha from
 the integers, and grid candidates k delta with delta = 1/4 are either
 lattice hits or at coordinate distance >= 1/4 > alpha.
+
+The 1-D scan decides on the integer lattice: over one common denominator
+each candidate is m / L, the numerators come lazily in increasing order,
+and every comparison is between integers; a Fraction is built only for the
+reported lcd.  The 2-D scan and the recurrence grid run in floats, the
+grid in numpy blocks of RECURRENCE_BLOCK points.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .types import (
     BudgetError,
@@ -36,6 +47,7 @@ RECURRENCE_C = 4.0  # frozen once against the d=1 corpus; never auto-fit
 # golden case or benchmark workload needs (about 5e3 and 1e6).
 LCD_CANDIDATE_BUDGET = 10**5
 RECURRENCE_BUDGET = 2 * 10**7
+RECURRENCE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -77,11 +89,6 @@ class LcdResult:
         }
 
 
-def _nearest_int(x: Fraction) -> int:
-    fl = math.floor(x)
-    return fl if x - fl <= Fraction(1, 2) else fl + 1
-
-
 def _float(x, name: str) -> float:
     """float(x), refusing a rational beyond the float range or a nonzero one
     that rounds to 0."""
@@ -109,9 +116,8 @@ def _check_scan(theta_max, resolution, sizes) -> None:
 
 
 def _candidates(coeffs: list, theta_max, resolution) -> list:
-    """Sorted candidates up to theta_max: the grid k * resolution and the
-    lattice points k / |c| for each nonzero coefficient c, k >= 1; exact
-    for Fractions, floats for floats."""
+    """Sorted float candidates up to theta_max: the grid k * resolution and
+    the lattice points k / |c| for each nonzero coefficient c, k >= 1."""
     _check_scan(theta_max, resolution, [abs(c) for c in coeffs])
     cands = set()
     for step in (resolution, *(1 / abs(c) for c in coeffs if c)):
@@ -131,7 +137,9 @@ def lcd_1d(
 ) -> LcdResult:
     """Least candidate theta with dist(theta a, Z^n) < min(gamma ||theta a||,
     alpha), scanning the grid of step `resolution` plus the exact lattice
-    candidates k/|a_i|.  All decisions are exact rational comparisons."""
+    candidates k/|a_i|.  With a_i = A_i / D over one common denominator,
+    every candidate is theta = m / L for an integer m, and every decision is
+    an exact integer comparison; nearest integers round ties down."""
     a = [Fraction(x) for x in a]
     alpha, gamma = Fraction(alpha), Fraction(gamma)
     if not 0 < gamma < 1:
@@ -141,38 +149,47 @@ def lcd_1d(
     n = len(a)
     if theta_max is None:
         theta_max = Fraction(math.isqrt(n) + 1) / gamma
-    theta_max = Fraction(theta_max)
-    a2 = sum(x * x for x in a)
-    alpha2 = alpha * alpha
-    gamma2 = gamma * gamma
+    theta_max, resolution = Fraction(theta_max), Fraction(resolution)
+    _check_scan(theta_max, resolution, [abs(x) for x in a])
+    D = math.lcm(*(x.denominator for x in a))
+    A = [x.numerator * (D // x.denominator) for x in a]
+    L = math.lcm(resolution.denominator, *(abs(x) for x in A if x))
+    # theta = m / L steps m by P L / Q on the grid of step P / Q and by
+    # D L / |A_i| on coefficient i's lattice; a step that is a multiple of
+    # another adds no candidate
+    steps = {resolution.numerator * (L // resolution.denominator),
+             *(D * (L // abs(x)) for x in A if x)}
+    steps = [s for s in steps if not any(s % u == 0 for u in steps if u < s)]
+    m_max = theta_max.numerator * L // theta_max.denominator
+    # theta a_i = m A_i / N, so dist^2 = E / N^2 with E = sum min(r, N - r)^2
+    # over r = m A_i mod N; gamma^2 ||a||^2 theta^2 = gn^2 S m^2 / (gd^2 N^2)
+    # with S = sum A_i^2, and alpha^2 = an^2 / ad^2
+    N = D * L
+    N2 = N * N
+    weights = Counter(abs(x) for x in A if x)
+    gn2S = gamma.numerator ** 2 * sum(x * x for x in A)
+    gd2N2 = gamma.denominator ** 2 * N2
+    an2, ad2 = alpha.numerator ** 2, alpha.denominator ** 2
     best_margin = None
-    for theta in _candidates(a, theta_max, Fraction(resolution)):
-        xs = [ai * theta for ai in a]
-        ps = [_nearest_int(x) for x in xs]
-        d2 = sum((x - p) * (x - p) for x, p in zip(xs, ps))
-        cutoff2 = min(gamma2 * a2 * theta * theta, alpha2)
-        if d2 < cutoff2:
-            return LcdResult(
-                lcd=theta,
-                witness_theta=theta,
-                witness_integers=tuple(ps),
-                achieved_distance=math.sqrt(float(d2)),
-                margin=0.0,
-                theta_max=float(theta_max),
-                resolution=float(resolution),
-            )
-        slack = math.sqrt(float(d2)) - math.sqrt(float(cutoff2))
+    for m, _ in itertools.groupby(heapq.merge(*(range(s, m_max + 1, s) for s in steps))):
+        E = 0
+        for x, w in weights.items():
+            r = m * x % N
+            E += w * min(r, N - r) ** 2
+        near = gn2S * m * m
+        cut, cut_den = (near, gd2N2) if near * ad2 <= an2 * gd2N2 else (an2, ad2)
+        if E * cut_den < cut * N2:
+            ps = tuple(q if 2 * r <= N else q + 1 for q, r in (divmod(m * x, N) for x in A))
+            theta = Fraction(m, L)
+            return LcdResult(theta, theta, ps, math.sqrt(E / N2), 0.0,
+                             float(theta_max), float(resolution))
+        # int / int rounds correctly, as float() of the Fraction does
+        slack = math.sqrt(E / N2) - math.sqrt(cut / cut_den)
         if best_margin is None or slack < best_margin:
             best_margin = slack
-    return LcdResult(
-        lcd=None,
-        witness_theta=None,
-        witness_integers=None,
-        achieved_distance=float("nan"),
-        margin=best_margin if best_margin is not None else float("inf"),
-        theta_max=float(theta_max),
-        resolution=float(resolution),
-    )
+    return LcdResult(None, None, None, float("nan"),
+                     best_margin if best_margin is not None else float("inf"),
+                     float(theta_max), float(resolution))
 
 
 def _radial_scan(coeffs: list[float], alpha: float, gamma: float,
@@ -280,16 +297,15 @@ def rv_smallball_bound(
         raise ValidationError(
             "precondition failed: sign law concentrates in a unit window (b = 0)")
     lcd = lcd_1d(a, alpha, gamma)
-    if not lcd.is_infinite:
-        lcd_val = lcd.lcd
-        ok = (beta * lcd_val >= 1) if isinstance(lcd_val, Fraction) \
-            else (float(beta) * lcd_val >= 1.0)
-        if not ok:
-            raise ValidationError(
-                f"precondition failed: beta={beta} < 1/LCD={1 / float(lcd_val)}")
-    bound = C * float(beta) / (float(gamma) * math.sqrt(float(b))) \
-        + C * math.exp(-2.0 * float(b) * float(alpha) ** 2)
-    return RvBound(bound, float(beta), b, lcd, C)
+    if not lcd.is_infinite and beta * lcd.lcd < 1:
+        raise ValidationError(
+            f"precondition failed: beta={beta} < 1/LCD={1 / float(lcd.lcd)}")
+    beta_f, alpha_f = _float(beta, "beta"), _float(alpha, "alpha")
+    # an alpha whose square overflows leaves exp(-inf) = 0
+    alpha2 = alpha_f ** 2 if alpha_f < 2.0**511 else math.inf
+    bound = C * beta_f / (_float(gamma, "gamma") * math.sqrt(float(b))) \
+        + C * math.exp(-2.0 * float(b) * alpha2)
+    return RvBound(bound, beta_f, b, lcd, C)
 
 
 def check_rv_soundness(a, beta, alpha, gamma, xi=None, C: float = 2.0
@@ -348,18 +364,19 @@ def recurrence_set_measure(
     tt = t_f ** 2 if t_f < 2.0**511 else math.inf
     h = 2.0 / grid_points
     inside = boundary = 0
-    for i in range(grid_points):
-        theta = -1.0 + (i + 0.5) * h
-        d2 = 0.0
+    # the float operations of a scalar loop over theta = -1 + (i + 1/2) h
+    # and then the entries, in its order, so the sums are bit-identical
+    for i in range(0, grid_points, RECURRENCE_BLOCK):
+        theta = -1.0 + (np.arange(i, min(i + RECURRENCE_BLOCK, grid_points)) + 0.5) * h
+        d2 = np.zeros_like(theta)
         for c in scale:
             x = c * theta
-            d = x - round(x)
+            d = x - np.rint(x)
             d2 += d * d
         good = d2 <= tt
-        inside += good
-        if i and good != prev:
-            boundary += 1
-        prev = good
+        inside += int(np.count_nonzero(good))
+        boundary += int(np.count_nonzero(good[1:] != good[:-1])) + bool(i and good[0] != prev)
+        prev = good[-1]
     measure = inside * h
     boundary_fraction = (boundary * h / measure) if measure > 0 else 0.0
     bound = RECURRENCE_C * t_f * beta_f / gamma_f

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -218,9 +219,22 @@ HUGE = str(10**400)
      "--grid-points", "10"],
     ["recurrence", "--entries", "1", "--t", "1/16", "--gamma", f"1/{HUGE}", "--alpha", "1",
      "--grid-points", "10"],
+    ["rv-bound", "--entries", "1,1", "--beta", HUGE, "--alpha", "1/8", "--gamma", "1/2"],
+    ["rv-bound", "--entries", "1,1", "--beta", "2", "--alpha", HUGE, "--gamma", "1/2"],
 ])
 def test_malformed_input_exit_code(args, capsys):
     assert run_cli(args, capsys)[0] == 2
+
+
+def test_rv_bound_alpha_whose_square_overflows(capsys):
+    # float(alpha) = 1e200 is in range but its square is not: the
+    # exp(-2 b alpha^2) term is 0, not an OverflowError
+    code, out = run_cli(["rv-bound", "--entries", "1,1", "--beta", "2",
+                         "--alpha", str(10**200), "--gamma", "1/2"], capsys)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["b"] == "1/2"
+    assert res["bound"] == 2.0 * 2 / (0.5 * math.sqrt(0.5))  # C beta / (gamma sqrt(b))
 
 
 @pytest.mark.parametrize("args", [
@@ -318,22 +332,42 @@ def test_decouple_lopsided_n16_bounded_memory():
     assert json.loads(proc.stdout)["results"]["holds"] is True
 
 
+# a CLI child that reports its own peak RSS in KiB on its last stderr line
+# (VmHWM: getrusage's ru_maxrss would count this process's pages, kept
+# across the exec)
+PEAK_RSS_CHILD = (
+    "import re, sys; from pathlib import Path; from smallball.cli import main; "
+    "c = main(sys.argv[1:]); "
+    "print(re.search(r'VmHWM:\\s*(\\d+)', Path('/proc/self/status').read_text())[1], "
+    "file=sys.stderr); sys.exit(c)")
+
+
 def test_quad_gen_beyond_int64_bounded_memory():
     # past the int64 guard rho_q works on object blocks of Python ints; at
     # 2^20 values a block took this case to 205 MB peak RSS, at 2^16 about
-    # 51 MB.  The child reports its own peak RSS in KiB (VmHWM: getrusage's
-    # ru_maxrss would count this process's pages, kept across the exec).
-    code = ("import re, sys; from pathlib import Path; from smallball.cli import main; "
-            "c = main(sys.argv[1:]); "
-            "print(re.search(r'VmHWM:\\s*(\\d+)', Path('/proc/self/status').read_text())[1], "
-            "file=sys.stderr); sys.exit(c)")
+    # 51 MB
     proc = subprocess.run(
-        [sys.executable, "-c", code, "quad-gen", "--kind", "gap", "--n", "20",
+        [sys.executable, "-c", PEAK_RSS_CHILD, "quad-gen", "--kind", "gap", "--n", "20",
          "--gap-generators", str(10**19), "--gap-bounds", "1"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["n"] == 20
     assert int(proc.stderr.split()[-1]) < 120 * 1024
+
+
+def test_recurrence_at_budget_bounded_memory():
+    # the grid is evaluated in numpy blocks of lcd.RECURRENCE_BLOCK points,
+    # so a scan at the full budget peaks near the interpreter's own size
+    # (about 35 MB); one array over all 2e7 points would take 160 MB
+    from smallball.lcd import RECURRENCE_BUDGET
+
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "recurrence", "--entries=1", "--t=1/16",
+         "--gamma=1/2", "--alpha=1", f"--grid-points={RECURRENCE_BUDGET}"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["measure_estimate"] == 0.25
+    assert int(proc.stderr.split()[-1]) < 80 * 1024
 
 
 @pytest.mark.parametrize("args", [

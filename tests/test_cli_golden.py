@@ -14,6 +14,11 @@ Carlo `singularity` at n = 5 over two batches of trials (5000) at seed
 2^64 - 1, `lsv --kind gaussian_iid` at seed 2^63 + 7, `lsv --kind
 bernoulli_iid --format csv` with ten singular draws of sixteen, and
 `common-roots` at n = 11.
+The last three were captured before the 1-D LCD scan moved to the integer
+lattice and the recurrence grid to numpy blocks: an `lcd` with rational and
+zero entries and no hit (the margin path), an `rv-bound` with rational
+entries under `--xi lazy:1/2`, and a `recurrence` on 196,617 grid points,
+past three blocks of 2^16.
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`.
 """

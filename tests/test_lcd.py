@@ -1,12 +1,18 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from smallball.core import ball_probability_1d
 from smallball.lcd import (
+    DEFAULT_RESOLUTION,
+    RECURRENCE_BLOCK,
     RECURRENCE_C,
+    LcdResult,
+    RecurrenceMeasure,
+    _check_scan,
     check_rv_soundness,
     lcd_1d,
     lcd_multidim,
@@ -14,6 +20,7 @@ from smallball.lcd import (
     rv_smallball_bound,
 )
 from smallball.types import (
+    BudgetError,
     CoefficientMultiset,
     SignDistribution,
     ValidationError,
@@ -188,3 +195,155 @@ def test_recurrence_frozen_constant_suite():
                                      grid_points=40001)
         assert res.measure_estimate <= res.lemma_bound, (a, t, z, beta)
     assert RECURRENCE_C == 4.0
+
+
+def _nearest_int(x: Fraction) -> int:
+    fl = math.floor(x)
+    return fl if x - fl <= Fraction(1, 2) else fl + 1
+
+
+def _lcd_1d_reference(a, alpha, gamma, theta_max=None, resolution=DEFAULT_RESOLUTION):
+    """The rational scan that the integer-lattice lcd_1d replaced: every
+    candidate built as a Fraction and sorted, every decision a Fraction
+    comparison."""
+    a = [Fraction(x) for x in a]
+    alpha, gamma = Fraction(alpha), Fraction(gamma)
+    if not 0 < gamma < 1:
+        raise ValidationError("gamma must lie in (0, 1)")
+    if alpha <= 0:
+        raise ValidationError("alpha must be positive")
+    if theta_max is None:
+        theta_max = Fraction(math.isqrt(len(a)) + 1) / gamma
+    theta_max, resolution = Fraction(theta_max), Fraction(resolution)
+    _check_scan(theta_max, resolution, [abs(c) for c in a])
+    cands = set()
+    for step in (resolution, *(1 / abs(c) for c in a if c)):
+        k = 1
+        while k * step <= theta_max:
+            cands.add(k * step)
+            k += 1
+    a2 = sum(x * x for x in a)
+    best_margin = None
+    for theta in sorted(cands):
+        xs = [ai * theta for ai in a]
+        ps = [_nearest_int(x) for x in xs]
+        d2 = sum((x - p) * (x - p) for x, p in zip(xs, ps))
+        cutoff2 = min(gamma * gamma * a2 * theta * theta, alpha * alpha)
+        if d2 < cutoff2:
+            return LcdResult(theta, theta, tuple(ps), math.sqrt(float(d2)), 0.0,
+                             float(theta_max), float(resolution))
+        slack = math.sqrt(float(d2)) - math.sqrt(float(cutoff2))
+        if best_margin is None or slack < best_margin:
+            best_margin = slack
+    return LcdResult(None, None, None, float("nan"),
+                     best_margin if best_margin is not None else float("inf"),
+                     float(theta_max), float(resolution))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args).to_json_dict())
+    except (BudgetError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _lcd_corpus(count, seed=20261018):
+    rng = random.Random(seed)
+    gammas = [Fraction(1, 50), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)]
+    alphas = [Fraction(1, 50), Fraction(1, 12), Fraction(1, 4), Fraction(1, 2), Fraction(1),
+              Fraction(3)]
+    resolutions = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 3), Fraction(2, 7),
+                   Fraction(1, 20), Fraction(3, 2)]
+    for i in range(count):
+        n = rng.randint(0, 6)
+        if i % 25 == 0:
+            a = [Fraction(0)] * n  # all zero (and, for n = 0, empty)
+        else:
+            a = [Fraction(rng.randint(-12, 12) if rng.random() < 0.8 else 0, rng.randint(1, 40))
+                 for _ in range(n)]
+        gamma = rng.choice(gammas)
+        theta_max = rng.choice([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3),
+                                Fraction(5), None if gamma >= Fraction(1, 2) else Fraction(4)])
+        yield a, rng.choice(alphas), gamma, theta_max, rng.choice(resolutions)
+
+
+def test_lcd_1d_matches_rational_reference():
+    hits = misses = 0
+    for case in _lcd_corpus(2400):
+        got = _outcome(lcd_1d, *case)
+        assert got == _outcome(_lcd_1d_reference, *case), case
+        hits += "'lcd': 'infinite'" not in got
+        misses += "'lcd': 'infinite'" in got
+    assert hits >= 300 and misses >= 300, (hits, misses)
+
+
+@pytest.mark.parametrize("case", [
+    ([1, 2], Fraction(1, 8), 0, None, Fraction(1, 4)),
+    ([1, 2], Fraction(1, 8), 1, None, Fraction(1, 4)),
+    ([1, 2], 0, Fraction(1, 2), None, Fraction(1, 4)),
+    ([1, 2], -1, Fraction(1, 2), None, Fraction(1, 4)),
+    ([1, 2], Fraction(1, 8), Fraction(1, 2), None, 0),
+    ([1, 2], Fraction(1, 8), Fraction(1, 2), None, Fraction(-1, 4)),
+    ([1, 2], Fraction(1, 100), Fraction(1, 2), None, Fraction(1, 10**6)),
+    ([Fraction(10**6, 7)], Fraction(1, 8), Fraction(1, 2), 2, Fraction(1, 4)),
+    ([1], Fraction(1, 8), Fraction(1, 2), 10**6, Fraction(1, 4)),
+])
+def test_lcd_1d_refusals_match_rational_reference(case):
+    got = _outcome(lcd_1d, *case)
+    assert isinstance(got, tuple)
+    assert got == _outcome(_lcd_1d_reference, *case)
+
+
+def test_lcd_witness_rounds_ties_down():
+    # theta = 1 puts 1/2 and -1/2 exactly halfway between two integers
+    r = lcd_1d([1, Fraction(1, 2)], 1, GAMMA, theta_max=1, resolution=1)
+    assert (r.lcd, r.witness_integers) == (1, (1, 0))
+    r = lcd_1d([1, Fraction(-1, 2)], 1, GAMMA, theta_max=1, resolution=1)
+    assert (r.lcd, r.witness_integers) == (1, (1, -1))
+
+
+def _recurrence_reference(a, t, z, beta, gamma, alpha, grid_points):
+    """The scalar loop that the numpy blocks replaced, and its per-point
+    flags."""
+    scale = [float(Fraction(x) * Fraction(z) / Fraction(beta)) for x in a]
+    t_f = float(t)
+    tt = t_f ** 2
+    h = 2.0 / grid_points
+    goods = []
+    for i in range(grid_points):
+        theta = -1.0 + (i + 0.5) * h
+        d2 = 0.0
+        for c in scale:
+            x = c * theta
+            d = x - round(x)
+            d2 += d * d
+        goods.append(d2 <= tt)
+    inside = sum(goods)
+    boundary = sum(g != p for p, g in zip(goods, goods[1:]))
+    measure = inside * h
+    boundary_fraction = (boundary * h / measure) if measure > 0 else 0.0
+    return RecurrenceMeasure(measure, RECURRENCE_C * t_f * float(beta) / float(gamma),
+                             boundary_fraction, grid_points, boundary_fraction > 0.01), goods
+
+
+@pytest.mark.parametrize("grid_points", [RECURRENCE_BLOCK - 1, RECURRENCE_BLOCK,
+                                         RECURRENCE_BLOCK + 1, 3 * RECURRENCE_BLOCK + 7])
+def test_recurrence_blocks_match_scalar_loop(grid_points):
+    for a, t, z, beta in [([1, Fraction(7, 3), 5], Fraction(1, 10), 2, Fraction(3, 2)),
+                          ([Fraction(1, 3)], Fraction(1, 4), 1, 1)]:
+        ref, _ = _recurrence_reference(a, t, z, beta, GAMMA, 1, grid_points)
+        got = recurrence_set_measure(a, t, z, beta, GAMMA, 1, grid_points)
+        assert repr(got) == repr(ref)
+
+
+def test_recurrence_transition_on_block_boundary():
+    # for entries (1, 1/2) and theta near -1/3, d^2 = 5 theta^2 / 4 falls
+    # with i: a t between its values at points B - 1 and B makes point B
+    # the first good one, so the flip is counted only across the blocks
+    B, G = RECURRENCE_BLOCK, 3 * RECURRENCE_BLOCK + 7
+    thetas = [-1.0 + (i + 0.5) * (2.0 / G) for i in (B - 1, B)]
+    t = Fraction(math.sqrt(1.25) * (abs(thetas[0]) + abs(thetas[1])) / 2)
+    ref, goods = _recurrence_reference([1, Fraction(1, 2)], t, 1, 1, GAMMA, 1, G)
+    assert (goods[B - 1], goods[B]) == (False, True)
+    got = recurrence_set_measure([1, Fraction(1, 2)], t, 1, 1, GAMMA, 1, G)
+    assert repr(got) == repr(ref)
