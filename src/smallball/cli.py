@@ -239,8 +239,7 @@ COMMANDS: dict[str, Command] = {c.name: c for c in [
                            "alpha": RATIONAL, "grid_points": (int, 100001)},
             lambda a: lcd.recurrence_set_measure(a.entries, a.t, a.z, a.beta, a.gamma,
                                                  a.alpha, a.grid_points),
-            lambda r, a: _sound({k: v for k, v in vars(r).items() if k != "grid_points"},
-                                not r.measure_estimate > r.lemma_bound,
+            lambda r, a: _sound(vars(r), not r.measure_estimate > r.lemma_bound,
                                 f"recurrence measure {r.measure_estimate} exceeds "
                                 f"lemma bound {r.lemma_bound}")),
     Command("gap-fit", {"entries": ENTRIES, "epsilon": (parse_rational, "0"),

@@ -35,11 +35,15 @@ from .types import (
     quad_le,
 )
 
-DEFAULT_ATOM_BUDGET = 10**7
+ATOM_BUDGET = 10**7
 DEFAULT_2D_ENUM_LIMIT = 22
+# Most angles x entries one flat-direction search may project: more than ten
+# times the most that any test, golden case or benchmark workload takes
+# (360 x 6).
+FLAT_WORK_BUDGET = 10**5
 
 
-def lattice_counts(steps, budget: int = DEFAULT_ATOM_BUDGET) -> dict[int, int]:
+def lattice_counts(steps, budget: int = ATOM_BUDGET) -> dict[int, int]:
     """The one exact-law kernel: counts of s_1 + ... + s_n where step i
     offers integer shift s with integer weight w.  Each step is a sequence of
     (shift, weight) pairs; equal sums merge eagerly and keys keep the order
@@ -70,12 +74,11 @@ def lattice_counts(steps, budget: int = DEFAULT_ATOM_BUDGET) -> dict[int, int]:
 def exact_sign_sum_distribution(
     A: CoefficientMultiset,
     xi: SignDistribution,
-    atom_budget: int = DEFAULT_ATOM_BUDGET,
 ) -> ExactDistribution:
     """Exact law of sum a_i * xi_i as integer counts on the lattice (1/L)Z,
     or (1/L)Z^2 packed into Z as x + B*y, where L clears the denominators of
     the entries and of the sign values.  Raises BudgetError if the projected
-    support size exceeds the atom budget."""
+    support size exceeds ATOM_BUDGET."""
     la = common_denominator(c for e in A.entries for c in (e if A.d == 2 else (e,)))
     ls, den = common_denominator(xi.values), common_denominator(p for _, p in xi.support)
     signs = [(int(v * ls), int(p * den)) for v, p in xi.support]
@@ -86,7 +89,7 @@ def exact_sign_sum_distribution(
         top = max(abs(s) for s, _ in signs) * sum(abs(int(x * la)) for x, _ in A.entries)
         pack = 2 * top + 1
         shifts = [int(x * la) + pack * int(y * la) for x, y in A.entries]
-    counts = lattice_counts([[(a * s, w) for s, w in signs] for a in shifts], atom_budget)
+    counts = lattice_counts([[(a * s, w) for s, w in signs] for a in shifts], ATOM_BUDGET)
     return ExactDistribution(counts, la * ls, den ** A.n, A.n, pack)
 
 
@@ -249,6 +252,9 @@ def flat_direction_search(
     if angle_grid < 4:
         raise ValidationError("angle_grid must be >= 4")
     n = A.n
+    if angle_grid * n > FLAT_WORK_BUDGET:
+        raise BudgetError(f"{angle_grid} angles x {n} entries exceed the flat-direction "
+                          f"budget of {FLAT_WORK_BUDGET}")
     best = (n + 1, (1.0, 0.0), 0.0)
     for k in range(angle_grid):
         phi = math.pi * k / angle_grid

@@ -41,6 +41,7 @@ EXACT_ENUM_BUDGET_LOG2 = 26
 BATCH = 4096  # trials (or enumerated matrices) per vectorised batch
 MAX_TRIAL_DRAWS = 2**21  # draws per trial, and per batch of trials
 LSV_TRIAL_BUDGET = 10**5  # lsv keeps every sample; tests take at most 2000
+UNIVERSALITY_PATTERN_BUDGET = 10**7  # C(n, k) 2^k patterns checked per trial
 _SCREEN_PRIMES = (46337, 65521)
 
 
@@ -69,15 +70,15 @@ def _check_mc(trials: int, seed: int, least: int = 1) -> None:
     _check_seed(seed)
 
 
-def _batches(trials: int, draws: int, batch: int = BATCH):
-    """[lo, hi) ranges of at most `batch` trials of `draws` draws each, and
+def _batches(trials: int, draws: int):
+    """[lo, hi) ranges of at most BATCH trials of `draws` draws each, and
     of at most `MAX_TRIAL_DRAWS` draws: larger batches of large matrices
     only cost more memory and time.  A trial of more draws is refused
     before anything is drawn."""
     if draws > MAX_TRIAL_DRAWS:
         raise BudgetError(f"one trial needs {draws} draws, over the "
                           f"{MAX_TRIAL_DRAWS} budget")
-    step = min(batch, MAX_TRIAL_DRAWS // draws)
+    step = min(BATCH, MAX_TRIAL_DRAWS // draws)
     for lo in range(0, trials, step):
         yield lo, min(lo + step, trials)
 
@@ -190,26 +191,11 @@ def _sign_matrices(spec: EnsembleSpec, bits: np.ndarray) -> np.ndarray:
     n = spec.n
     if spec.kind not in ("bernoulli_iid", "bernoulli_symmetric"):
         raise ValidationError("sign sampling needs a Bernoulli ensemble")
-    m = bits.reshape(-1, n, n) * 2 - 1
     if spec.kind == "bernoulli_symmetric":
-        m = np.triu(m) + np.triu(m, 1).transpose(0, 2, 1)
-    return m
-
-
-def _enumerated_matrices(spec: EnsembleSpec, lo: int, hi: int) -> list:
-    """Matrices lo..hi-1 of the exact enumeration as nested lists: bit k of
-    the index is free entry k (row-major; upper triangle when symmetric),
-    set meaning +1."""
-    n = spec.n
-    idx = np.arange(lo, hi, dtype=np.int64)[:, None]
-    signs = ((idx >> np.arange(_free_entry_count(spec))) & 1) * 2 - 1
-    if spec.kind == "bernoulli_iid":
-        return signs.reshape(-1, n, n).tolist()
-    M = np.empty((hi - lo, n, n), np.int64)
-    rows, cols = np.triu_indices(n)
-    M[:, rows, cols] = signs
-    M[:, cols, rows] = signs
-    return M.tolist()
+        # entry (i, j) reads the draw at (min(i, j), max(i, j))
+        i, j = np.indices((n, n))
+        bits = bits[:, np.minimum(i, j) * n + np.maximum(i, j)]
+    return bits.reshape(-1, n, n) * 2 - 1
 
 
 @functools.cache
@@ -269,7 +255,6 @@ def singularity_probability(
     mode: str = "monte_carlo",
     trials: int = 10**5,
     seed: int = 0,
-    batch: int = BATCH,
 ) -> McReport:
     """P(random sign matrix is singular), exact by full enumeration or by
     seeded Monte Carlo with exact per-trial singularity decisions."""
@@ -280,18 +265,22 @@ def singularity_probability(
             raise BudgetError(
                 f"exact mode needs 2^{free} enumerations, over the 2^"
                 f"{EXACT_ENUM_BUDGET_LOG2} budget")
-        total = 2**free
-        count = 0
-        for lo, hi in _batches(total, free):
-            for M in _enumerated_matrices(spec, lo, hi):
-                if bareiss_determinant(M) == 0:
-                    count += 1
+        # matrix i of the enumeration: bit k of i is free entry k (row-major;
+        # the upper triangle when symmetric), set meaning +1
+        at = np.arange(n * n).reshape(n, n)
+        at = at[np.triu_indices(n)] if spec.kind == "bernoulli_symmetric" else at.ravel()
+        total, count = 2**free, 0
+        for lo, hi in _batches(total, n * n):
+            bits = np.zeros((hi - lo, n * n), np.int8)
+            bits[:, at] = np.arange(lo, hi)[:, None] >> np.arange(free) & 1
+            for M in _sign_matrices(spec, bits).tolist():
+                count += bareiss_determinant(M) == 0
         return McReport.from_counts(count, total, seed, "exact", Fraction(count, total))
     if mode != "monte_carlo":
         raise ValidationError("mode must be 'exact' or 'monte_carlo'")
     _check_mc(trials, seed)
     successes = 0
-    for lo, hi in _batches(trials, n * n, batch):
+    for lo, hi in _batches(trials, n * n):
         mats = _sign_matrices(spec, trial_bits(seed, lo, hi, n * n))
         flagged = mats[_batch_rank_deficient_modp(mats, _SCREEN_PRIMES[0])]
         if n > _ONE_PRIME_EXACT_N and len(flagged):
@@ -327,7 +316,6 @@ def k_universality_check(
     k: int,
     trials: int,
     seed: int = 0,
-    per_trial_budget: int = 10**7,
 ) -> McReport:
     """Failure frequency of k-universality for d random sign n-vectors:
     a trial fails when some k coordinates and sign pattern are realized by
@@ -337,7 +325,7 @@ def k_universality_check(
         raise ValidationError("k must be >= 0")
     if d < 1 or n < 1:
         raise ValidationError("d and n must be >= 1")
-    if k > 0 and math.comb(n, k) * 2**k > per_trial_budget:
+    if k > 0 and math.comb(n, k) * 2**k > UNIVERSALITY_PATTERN_BUDGET:
         raise BudgetError("per-trial pattern check over budget")
     _check_mc(trials, seed)
     failures = 0
@@ -360,8 +348,6 @@ def k1_universality_failure_exact(d: int, n: int) -> Fraction:
 class LsvSamples:
     values: tuple[float, ...]  # sorted sqrt(n) * sigma_min samples
     retries: int  # always 0; kept in the report's schema
-    spec: EnsembleSpec
-    master_seed: int
 
     def empirical_cdf(self, t: float) -> float:
         if not self.values:
@@ -435,7 +421,7 @@ def least_singular_value_mc(
                     sigma[t] = 0.0
         vals += (math.sqrt(n) * sigma).tolist()
     vals.sort()
-    return LsvSamples(tuple(vals), 0, spec, seed)
+    return LsvSamples(tuple(vals), 0)
 
 
 def edelman_cdf(t: float) -> float:

@@ -31,6 +31,7 @@ from .types import (
 
 ESSEEN_C1 = 1.0 / (4.0 * math.sin(0.5) ** 2)
 ESSEEN_TOL = 1e-10  # adaptive Simpson's target error
+ESSEEN_MAX_DEPTH = 22  # adaptive Simpson's deepest bisection
 FP_IMAG_TOL = 1e-9  # largest imaginary part the F_p Fourier identity tolerates
 RL_BUDGET = 10**8  # n^(2l) tuples, and lattice atoms, for R_l
 
@@ -194,7 +195,7 @@ def _charfn_abs(A: CoefficientMultiset, xi: SignDistribution):
     return f
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth=22):
+def _adaptive_simpson(f, a, b, tol):
     """Adaptive Simpson returning (estimate, error_bound_estimate)."""
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
@@ -214,16 +215,14 @@ def _adaptive_simpson(f, a, b, tol, max_depth=22):
         rv, re = rec(m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
         return lv + rv, le + re
 
-    return rec(a, b, fa, fm, fb, whole, tol, max_depth)
+    return rec(a, b, fa, fm, fb, whole, tol, ESSEEN_MAX_DEPTH)
 
 
 @dataclass(frozen=True)
 class EsseenBound:
     bound: float
-    integral: float
     quad_error: float
     constant: float
-    beta: float
 
 
 def esseen_bound(
@@ -244,7 +243,7 @@ def esseen_bound(
     lim = 1.0 / float(beta)
     est, err = _adaptive_simpson(f, -lim, lim, ESSEEN_TOL)
     bound = ESSEEN_C1 * float(beta) * (est + err)
-    return EsseenBound(bound, est, err, ESSEEN_C1, float(beta))
+    return EsseenBound(bound, err, ESSEEN_C1)
 
 
 def check_esseen_soundness(A: CoefficientMultiset, beta, xi=None

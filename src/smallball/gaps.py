@@ -26,7 +26,11 @@ from .types import (
     common_denominator,
 )
 
-DEFAULT_MATERIALIZE_BUDGET = 10**6
+MATERIALIZE_BUDGET = 10**6
+CENSUS_BUDGET = 10**7  # multisets one census may enumerate
+# Most entries `gap_forward_sample` may draw: more than ten times the most
+# that any test, golden case or benchmark workload draws (20).
+FORWARD_N_BUDGET = 10**3
 # Most bits the n + 1 powers of `geometric_progression_rho` may take, each
 # counted at one word or more: far above any test or workload (under 1e3).
 GEO_POWER_BITS_BUDGET = 2**24
@@ -74,12 +78,13 @@ class Gap:
         return Gap(self.generators, tuple(t * b for b in self.bounds), self.offset)
 
 
-def gap_lattice_points(Q: Gap, budget: int = DEFAULT_MATERIALIZE_BUDGET):
+def gap_lattice_points(Q: Gap):
     """(L, points): L is the least common denominator of the offset and the
     generators, and points is the set of integers L*x, exact Python ints,
-    over the points x of Q.  Memory is O(volume) <= O(budget) entries."""
-    if Q.volume > budget:
-        raise BudgetError(f"volume {Q.volume} exceeds budget {budget}")
+    over the points x of Q.  Memory is O(volume) <= O(MATERIALIZE_BUDGET)
+    entries."""
+    if Q.volume > MATERIALIZE_BUDGET:
+        raise BudgetError(f"volume {Q.volume} exceeds budget {MATERIALIZE_BUDGET}")
     L = common_denominator((Q.offset, *Q.generators))
     pts = {int(Q.offset * L)}
     for g, M in zip(Q.generators, Q.bounds):
@@ -88,23 +93,23 @@ def gap_lattice_points(Q: Gap, budget: int = DEFAULT_MATERIALIZE_BUDGET):
     return L, pts
 
 
-def gap_materialize(Q: Gap, budget: int = DEFAULT_MATERIALIZE_BUDGET):
+def gap_materialize(Q: Gap):
     """Exact point set of the box image; proper iff |points| = volume.
 
     The points are enumerated as integers on the lattice (1/L)Z by
-    `gap_lattice_points`, at most volume <= budget of them, and become
+    `gap_lattice_points`, at most MATERIALIZE_BUDGET of them, and become
     Fractions only here; callers that need only the count, the order or
     the integer points take them from `gap_lattice_points`.
     """
-    L, pts = gap_lattice_points(Q, budget)
+    L, pts = gap_lattice_points(Q)
     return frozenset(Fraction(v, L) for v in pts), len(pts) == Q.volume
 
 
-def gap_is_proper(Q: Gap, budget: int = DEFAULT_MATERIALIZE_BUDGET) -> bool:
-    """Properness: by counting the lattice points within budget, else by an
-    exact pairwise-relation certificate (supported for rank <= 2)."""
-    if Q.volume <= budget:
-        return len(gap_lattice_points(Q, budget)[1]) == Q.volume
+def gap_is_proper(Q: Gap) -> bool:
+    """Properness: by counting the lattice points within MATERIALIZE_BUDGET,
+    else by an exact pairwise-relation certificate (supported for rank <= 2)."""
+    if Q.volume <= MATERIALIZE_BUDGET:
+        return len(gap_lattice_points(Q)[1]) == Q.volume
     if Q.rank == 1:
         return Q.generators[0] != 0
     if Q.rank == 2:
@@ -125,6 +130,8 @@ def gap_forward_sample(Q: Gap, n: int, seed: int):
     rho * n^(r/2) * |Q| (order 1 by the forward pigeonhole construction)."""
     if n < 1 or seed < 0:
         raise ValidationError("forward sampling needs n >= 1 and seed >= 0")
+    if n > FORWARD_N_BUDGET:
+        raise BudgetError(f"n={n} exceeds the forward-sampling budget {FORWARD_N_BUDGET}")
     L, pts = gap_lattice_points(Q)
     if len(pts) != Q.volume:
         raise ValidationError("forward sampling requires a proper GAP")
@@ -248,15 +255,15 @@ def gap_fit(
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon < 1:
         raise ValidationError("epsilon must lie in [0, 1)")
-    if max_rank < 1 or max_rank > 3:
-        raise ValidationError("max_rank must be 1, 2, or 3")
+    if max_rank not in (1, 2):
+        raise ValidationError("max_rank must be 1 or 2")
     n = len(entries)
     keep = n - math.floor(epsilon * n)
     candidates = [_rank1_fit(entries, keep)]
-    if max_rank >= 2 and len(set(entries)) > 2:
+    if max_rank == 2 and len(set(entries)) > 2:
         c2 = _rank2_fit(entries, keep)
         # rank-2 certificates must stay materializable for verification
-        if c2 is not None and c2[0].volume <= DEFAULT_MATERIALIZE_BUDGET:
+        if c2 is not None and c2[0].volume <= MATERIALIZE_BUDGET:
             candidates.append(c2)
     best = min(candidates, key=lambda c: c[0].volume)
     gap = best[0]
@@ -283,17 +290,23 @@ def structured_multiset_census(
     n: int,
     M: int,
     rho_grid,
-    budget: int = 10**7,
 ):
     """For each rho0 in the grid, the exact number of sorted multisets of
     nonzero integers in [-M, M] with rho(A) >= rho0, with the counting-bound
-    shape (rho0^-1 n^-1/2)^n emitted alongside."""
+    shape (rho0^-1 n^-1/2)^n emitted alongside.  Refuses more than
+    CENSUS_BUDGET multisets before building the universe."""
     if n < 1 or M < 1:
         raise ValidationError("census needs n >= 1 and M >= 1")
+    # C(N, n) = C(N, N - n) multisets, N = 2M + n - 1, built up exactly as
+    # C(N, 1), C(N, 2), ...; C(N, i) >= (N / i)^i >= 2^i while 2i <= N, so a
+    # huge universe is refused within log2(CENSUS_BUDGET) + 1 steps
+    N, total = 2 * M + n - 1, 1
+    for i in range(min(n, N - n)):
+        total = total * (N - i) // (i + 1)
+        if total > CENSUS_BUDGET:
+            raise BudgetError(f"census universe C({N}, {n}) >= {total} exceeds budget "
+                              f"{CENSUS_BUDGET}")
     universe = [x for x in range(-M, M + 1) if x != 0]
-    total = math.comb(len(universe) + n - 1, n)
-    if total > budget:
-        raise BudgetError(f"census universe {total} exceeds budget {budget}")
     grid = sorted((Fraction(r) for r in rho_grid), reverse=True)
     rhos = [Fraction(max(bernoulli_int_counts(combo).values()), 2**n)
             for combo in itertools.combinations_with_replacement(universe, n)]

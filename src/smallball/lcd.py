@@ -48,6 +48,7 @@ RECURRENCE_C = 4.0  # frozen once against the d=1 corpus; never auto-fit
 LCD_CANDIDATE_BUDGET = 10**5
 RECURRENCE_BUDGET = 2 * 10**7
 RECURRENCE_BLOCK = 2**16
+LCD_ANGLE_GRID = 720  # directions of the 2-D scan
 
 
 @dataclass(frozen=True)
@@ -215,10 +216,9 @@ def lcd_multidim(
     gamma,
     theta_max=None,
     resolution=0.25,
-    angle_grid: int = 720,
 ) -> LcdResult:
     """Grid-plus-refinement search over theta in R^2 with ||theta|| <=
-    theta_max: for each direction on the angle grid, run a radial candidate
+    theta_max: for each of LCD_ANGLE_GRID directions, run a radial candidate
     scan; the result is the smallest qualifying ||theta|| found.
 
     Precondition (super-isotropy): the smallest eigenvalue of sum a_i a_i^T
@@ -247,8 +247,8 @@ def lcd_multidim(
     _check_scan(theta_max, resolution, [math.hypot(x, y) for x, y in fpts])
     best_r = None
     best_dir = None
-    for k in range(angle_grid):
-        phi = math.pi * k / angle_grid
+    for k in range(LCD_ANGLE_GRID):
+        phi = math.pi * k / LCD_ANGLE_GRID
         e = (math.cos(phi), math.sin(phi))
         coeffs = [e[0] * x + e[1] * y for x, y in fpts]
         r = _radial_scan(coeffs, alpha_f, gamma_f,
@@ -269,10 +269,8 @@ def lcd_multidim(
 @dataclass(frozen=True)
 class RvBound:
     bound: float
-    beta: float
     b: Fraction
     lcd: LcdResult
-    constant: float
 
 
 def rv_smallball_bound(
@@ -286,7 +284,10 @@ def rv_smallball_bound(
     """Right-hand side C beta / (gamma sqrt(b)) + C exp(-2 b alpha^2) with
     the preconditions of the Diophantine small-ball theorem checked:
     sum a_i^2 >= 1, the sign law leaves unit windows with mass <= 1 - b for
-    some b > 0, and beta >= 1 / LCD_{alpha,gamma}(a)."""
+    some b > 0, and beta >= 1 / LCD_{alpha,gamma}(a).  C must be finite and
+    positive."""
+    if not (math.isfinite(C) and C > 0):
+        raise ValidationError(f"constant C={C} must be finite and positive")
     a = [Fraction(x) for x in a]
     beta = Fraction(beta)
     xi = xi or SignDistribution.bernoulli_pm1()
@@ -305,7 +306,7 @@ def rv_smallball_bound(
     alpha2 = alpha_f ** 2 if alpha_f < 2.0**511 else math.inf
     bound = C * beta_f / (_float(gamma, "gamma") * math.sqrt(float(b))) \
         + C * math.exp(-2.0 * float(b) * alpha2)
-    return RvBound(bound, beta_f, b, lcd, C)
+    return RvBound(bound, b, lcd)
 
 
 def check_rv_soundness(a, beta, alpha, gamma, xi=None, C: float = 2.0
@@ -329,7 +330,6 @@ class RecurrenceMeasure:
     measure_estimate: float
     lemma_bound: float
     boundary_fraction: float
-    grid_points: int
     resolution_warning: bool
 
 
@@ -344,10 +344,12 @@ def recurrence_set_measure(
 ) -> RecurrenceMeasure:
     """Measure of {theta in [-1, 1] : min_p ||(z/beta) theta a - p||_2 <= t}
     by a deterministic midpoint grid, against the d=1 lemma bound
-    C t beta / gamma with the frozen constant.  Requires t < alpha/2 and
-    z >= 1."""
+    C t beta / gamma with the frozen constant.  Requires 0 <= t < alpha/2
+    and z >= 1."""
     t = Fraction(t)
     z, beta, gamma, alpha = map(Fraction, (z, beta, gamma, alpha))
+    if t < 0:
+        raise ValidationError("t must be >= 0")
     if not t < alpha / 2:
         raise ValidationError("lemma hypothesis t < alpha/2 violated")
     if z < 1:
@@ -384,6 +386,5 @@ def recurrence_set_measure(
         measure_estimate=measure,
         lemma_bound=bound,
         boundary_fraction=boundary_fraction,
-        grid_points=grid_points,
         resolution_warning=boundary_fraction > 0.01,
     )

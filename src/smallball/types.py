@@ -75,7 +75,6 @@ class SignDistribution:
     """
 
     support: tuple[tuple[Fraction, Fraction], ...]
-    kind: str = "general"
 
     def __post_init__(self):
         if not self.support:
@@ -94,12 +93,12 @@ class SignDistribution:
     @staticmethod
     def bernoulli_pm1() -> "SignDistribution":
         h = Fraction(1, 2)
-        return SignDistribution(((Fraction(-1), h), (Fraction(1), h)), "bernoulli_pm1")
+        return SignDistribution(((Fraction(-1), h), (Fraction(1), h)))
 
     @staticmethod
     def boolean_01() -> "SignDistribution":
         h = Fraction(1, 2)
-        return SignDistribution(((Fraction(0), h), (Fraction(1), h)), "boolean_01")
+        return SignDistribution(((Fraction(0), h), (Fraction(1), h)))
 
     @staticmethod
     def lazy(mu) -> "SignDistribution":
@@ -110,7 +109,7 @@ class SignDistribution:
         support = [(Fraction(-1), half), (Fraction(1), half)]
         if mu < 1:
             support.insert(1, (Fraction(0), 1 - mu))
-        return SignDistribution(tuple(support), f"lazy_mu({mu})")
+        return SignDistribution(tuple(support))
 
     @staticmethod
     def general(pairs: Iterable[tuple]) -> "SignDistribution":
@@ -118,7 +117,7 @@ class SignDistribution:
         for v, p in pairs:
             v, p = _as_fraction(v), _as_fraction(p)
             merged[v] = merged.get(v, Fraction(0)) + p
-        return SignDistribution(tuple(sorted(merged.items())), "general")
+        return SignDistribution(tuple(sorted(merged.items())))
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -157,40 +156,28 @@ class SignDistribution:
         return mass >= c3
 
 
-def _norm2(entry: Value) -> Fraction:
-    if isinstance(entry, tuple):
-        return entry[0] * entry[0] + entry[1] * entry[1]
-    return entry * entry
-
-
 @dataclass(frozen=True)
 class CoefficientMultiset:
     """Sorted multiset of exact rational coefficients in dimension 1 or 2."""
 
     entries: tuple[Value, ...]
     d: int = 1
-    unit_norm_floor: bool = False
 
     def __post_init__(self):
         if self.d not in (1, 2):
             raise ValidationError("dimension must be 1 or 2")
         if not self.entries:
             raise ValidationError("coefficient multiset must be nonempty")
-        if self.unit_norm_floor:
-            for e in self.entries:
-                if _norm2(e) < 1:
-                    raise ValidationError(
-                        f"unit_norm_floor set but entry {e} has norm < 1")
 
     @staticmethod
-    def of(values: Sequence, unit_norm_floor: bool = False) -> "CoefficientMultiset":
+    def of(values: Sequence) -> "CoefficientMultiset":
         entries = tuple(sorted(_as_fraction(v) for v in values))
-        return CoefficientMultiset(entries, 1, unit_norm_floor)
+        return CoefficientMultiset(entries, 1)
 
     @staticmethod
-    def of_pairs(pairs: Sequence[Sequence], unit_norm_floor: bool = False) -> "CoefficientMultiset":
+    def of_pairs(pairs: Sequence[Sequence]) -> "CoefficientMultiset":
         entries = tuple(sorted((_as_fraction(a), _as_fraction(b)) for a, b in pairs))
-        return CoefficientMultiset(entries, 2, unit_norm_floor)
+        return CoefficientMultiset(entries, 2)
 
     @staticmethod
     def from_text(text: str, d: int = 1) -> "CoefficientMultiset":

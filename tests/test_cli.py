@@ -221,6 +221,14 @@ HUGE = str(10**400)
      "--grid-points", "10"],
     ["rv-bound", "--entries", "1,1", "--beta", HUGE, "--alpha", "1/8", "--gamma", "1/2"],
     ["rv-bound", "--entries", "1,1", "--beta", "2", "--alpha", HUGE, "--gamma", "1/2"],
+    # a constant that is not finite and positive: nan and inf printed NaN and
+    # Infinity with exit 0, 0 and negative ones failed as unsound (exit 4)
+    *(["rv-bound", "--entries=1,1", "--beta=2", "--alpha=1/8", "--gamma=1/2", f"--constant={c}"]
+      for c in ("nan", "inf", "0", "-2")),
+    # a negative t measured the set for |t| and failed as unsound (exit 4)
+    ["recurrence", "--entries=1", "--t=-1/8", "--gamma=1/2", "--alpha=1", "--grid-points=1001"],
+    # rank 3 ran exactly the rank-2 path
+    ["gap-fit", "--entries=1,2,3", "--max-rank=3"],
 ])
 def test_malformed_input_exit_code(args, capsys):
     assert run_cli(args, capsys)[0] == 2
@@ -370,6 +378,18 @@ def test_recurrence_at_budget_bounded_memory():
     assert int(proc.stderr.split()[-1]) < 80 * 1024
 
 
+def test_census_refused_before_its_universe_is_built():
+    # the list of the 2M nonzero entries was built before the budget check:
+    # 2*10^6 Python ints took this case to about 109 MB peak RSS, and
+    # --max-entry 10^11 ran out of memory
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "census", "--n=2", "--max-entry=1000000",
+         "--rho-grid=1/2"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert int(proc.stderr.split()[-1]) < 80 * 1024
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(["rho", "--entries", ",".join(str(2**j * 10**2000) for j in range(24))],
                  id="rho-wide-keys"),
@@ -382,6 +402,12 @@ def test_recurrence_at_budget_bounded_memory():
     pytest.param(["recurrence", "--entries=1,2", "--t=1/16", "--gamma=1/2", "--alpha=1",
                   "--grid-points=100000000"], id="recurrence"),
     pytest.param(["lsv", "--n=1", "--trials=1000000"], id="lsv"),
+    pytest.param(["census", "--n=1", f"--max-entry={10**11}", "--rho-grid=1/2"], id="census"),
+    pytest.param(["gap-forward", "--generators=1", "--bounds=2", f"--n={10**10}"],
+                 id="gap-forward-n-1e10"),
+    pytest.param(["gap-forward", "--generators=1", "--bounds=2", f"--n={10**5}"],
+                 id="gap-forward-n-1e5"),
+    pytest.param(["flat", "--entries=1,0,0,1", f"--angle-grid={10**21}"], id="flat"),
 ])
 def test_input_past_a_budget_exits_3_in_bounded_memory(args):
     # without its budget each input runs out of memory or runs for minutes;

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smallball import core
 from smallball.core import (
     ball_probability_1d,
     ball_probability_2d,
@@ -63,10 +64,11 @@ def test_distribution_matches_enumeration_oracle():
         assert dict(dist.atoms) == brute_distribution(A.entries, xi)
 
 
-def test_capacity_budget():
+def test_capacity_budget(monkeypatch):
     A = CoefficientMultiset.of([2**k for k in range(12)])
+    monkeypatch.setattr(core, "ATOM_BUDGET", 100)
     with pytest.raises(BudgetError):
-        exact_sign_sum_distribution(A, PM1, atom_budget=100)
+        exact_sign_sum_distribution(A, PM1)
 
 
 def test_concentration_examples():

@@ -104,14 +104,14 @@ def test_singularity_mc_agrees_with_exact():
                               mc.trials) <= 4
 
 
-def test_mc_worker_count_independence():
+def test_mc_worker_count_independence(monkeypatch):
     # identical (seed, trials) must yield identical counts regardless of how
     # the trial range is partitioned across workers
     full = singularity_probability(EnsembleSpec("bernoulli_iid", 4),
                                    "monte_carlo", trials=3000, seed=5)
+    monkeypatch.setattr(experiments, "BATCH", 127)
     chunked = singularity_probability(EnsembleSpec("bernoulli_iid", 4),
-                                      "monte_carlo", trials=3000, seed=5,
-                                      batch=127)
+                                      "monte_carlo", trials=3000, seed=5)
     assert full.successes == chunked.successes
 
 
@@ -123,7 +123,7 @@ def test_substream_determinism():
     assert (a != c).any()
 
 
-def test_k_universality():
+def test_k_universality(monkeypatch):
     rep0 = k_universality_check(4, 6, 0, 50, seed=1)
     assert rep0.successes == 0  # k = 0 is always universal
     exact = k1_universality_failure_exact(20, 20)
@@ -137,8 +137,9 @@ def test_k_universality():
         if any(len(set(c)) == 1 for c in cols):
             fail += 1
     assert Fraction(fail, 512) == k1_universality_failure_exact(3, 3)
+    monkeypatch.setattr(experiments, "UNIVERSALITY_PATTERN_BUDGET", 10)
     with pytest.raises(BudgetError):
-        k_universality_check(10, 50, 12, 1, per_trial_budget=10)
+        k_universality_check(10, 50, 12, 1)
 
 
 def test_k_universality_wide_margin():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smallball import gaps
 from smallball.core import bernoulli_int_counts
 from smallball.gaps import (
     Gap,
@@ -118,10 +119,11 @@ def test_sumset_doubling_bound():
         assert len(sums) <= 2**Q.rank * len(pts)
 
 
-def test_properness_analytic_rank2():
+def test_properness_analytic_rank2(monkeypatch):
     # large-volume rank-2 GAPs decided without materialization
-    assert gap_is_proper(Gap.of([1, 10**7], [10**3, 10**3]), budget=10**4)
-    assert not gap_is_proper(Gap.of([1, 100], [200, 3]), budget=10**4)
+    monkeypatch.setattr(gaps, "MATERIALIZE_BUDGET", 10**4)
+    assert gap_is_proper(Gap.of([1, 10**7], [10**3, 10**3]))
+    assert not gap_is_proper(Gap.of([1, 100], [200, 3]))
 
 
 def test_forward_sample_quality():
@@ -202,9 +204,10 @@ def test_census_monotone():
     assert counts == sorted(counts)
 
 
-def test_census_budget():
+def test_census_budget(monkeypatch):
+    monkeypatch.setattr(gaps, "CENSUS_BUDGET", 100)
     with pytest.raises(BudgetError):
-        structured_multiset_census(8, 8, [Fraction(1, 2)], budget=100)
+        structured_multiset_census(8, 8, [Fraction(1, 2)])
 
 
 def test_geometric_progression_rho():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from smallball import lcd
 from smallball.core import ball_probability_1d
 from smallball.lcd import (
     DEFAULT_RESOLUTION,
@@ -112,7 +113,7 @@ def test_lcd_multidim_isotropy_violation():
         lcd_multidim([(1, 0)] * 3, Fraction(1, 2), GAMMA)
 
 
-def test_lcd_multidim_certificate():
+def test_lcd_multidim_certificate(monkeypatch):
     import numpy as np
 
     rng = np.random.default_rng(11)
@@ -122,8 +123,8 @@ def test_lcd_multidim_certificate():
         pts.append((Fraction(round(math.cos(ang) * 64), 64),
                     Fraction(round(math.sin(ang) * 64), 64)))
     pts = [(3 * x, 3 * y) for x, y in pts]  # ensure isotropy
-    r = lcd_multidim(pts, math.sqrt(20) / 10, GAMMA, theta_max=3,
-                     resolution=0.05, angle_grid=180)
+    monkeypatch.setattr(lcd, "LCD_ANGLE_GRID", 180)
+    r = lcd_multidim(pts, math.sqrt(20) / 10, GAMMA, theta_max=3, resolution=0.05)
     assert r.is_infinite or r.lcd >= 0.3
 
 
@@ -323,7 +324,7 @@ def _recurrence_reference(a, t, z, beta, gamma, alpha, grid_points):
     measure = inside * h
     boundary_fraction = (boundary * h / measure) if measure > 0 else 0.0
     return RecurrenceMeasure(measure, RECURRENCE_C * t_f * float(beta) / float(gamma),
-                             boundary_fraction, grid_points, boundary_fraction > 0.01), goods
+                             boundary_fraction, boundary_fraction > 0.01), goods
 
 
 @pytest.mark.parametrize("grid_points", [RECURRENCE_BLOCK - 1, RECURRENCE_BLOCK,

@@ -31,7 +31,7 @@ def test_sign_distribution_invariants():
         Fraction(1): Fraction(1, 8),
     }
     with pytest.raises(ValidationError):
-        SignDistribution(((Fraction(0), Fraction(1, 2)),), "general")
+        SignDistribution(((Fraction(0), Fraction(1, 2)),))
 
 
 def test_b_value_extraction():
@@ -53,8 +53,6 @@ def test_multiset_construction():
     A = CoefficientMultiset.of([3, 1, 2])
     assert A.entries == (Fraction(1), Fraction(2), Fraction(3))
     assert A.n == 3
-    with pytest.raises(ValidationError):
-        CoefficientMultiset.of([Fraction(1, 2)], unit_norm_floor=True)
     B = CoefficientMultiset.from_text("1, 2 3/2")
     assert B.entries == (Fraction(1), Fraction(3, 2), Fraction(2))
     with pytest.raises(ValidationError):
