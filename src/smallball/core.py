@@ -21,7 +21,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from .types import (
     BudgetError,
@@ -36,29 +39,80 @@ from .types import (
 )
 
 ATOM_BUDGET = 10**7
+# Most kernel work one exact law may take: the support before each step
+# times the step's size, summed over the steps.  More than ten times the most
+# that any test, golden case, acceptance criterion or benchmark query takes
+# (262,142, where a 24-entry law of 2000-digit keys trips ATOM_BUDGET;
+# 246,262 for criterion 4's Stanley scan).
+KERNEL_WORK_BUDGET = 3 * 10**6
 DEFAULT_2D_ENUM_LIMIT = 22
+# Most atoms x candidate centres one 2-D disk scan may examine (the centres
+# are the atoms and two per atom pair within 2R): more than ten times the
+# most that any test, golden case, acceptance criterion or benchmark query
+# examines (123,832, in criterion 15).
+DISK_WORK_BUDGET = 1_250_000
 # Most angles x entries one flat-direction search may project: more than ten
 # times the most that any test, golden case or benchmark workload takes
 # (360 x 6).
 FLAT_WORK_BUDGET = 10**5
+# The dict merge hands a narrow law to the histogram once the work left,
+# at least the support times the sizes of the steps left, reaches this:
+# below it the dict merge costs less than the histogram's set-up and its few
+# numpy calls per step.
+DENSE_MIN_WORK = 1024
+INT64_MAX = 2**63 - 1
 
 
 def lattice_counts(steps, budget: int = ATOM_BUDGET) -> dict[int, int]:
     """The one exact-law kernel: counts of s_1 + ... + s_n where step i
-    offers integer shift s with integer weight w.  Each step is a sequence of
-    (shift, weight) pairs; equal sums merge eagerly and keys keep the order
-    of their first appearance.  Raises BudgetError if the projected support
-    size, weighted by the signed 64-bit words of the widest key the step can
-    reach, exceeds the budget: keys that fit int64 count one each, wider
-    ones cost memory in proportion to their width."""
+    offers integer shift s with positive integer weight w.  `steps` is a
+    list of nonempty sequences of (shift, weight) pairs.
+
+    Equal sums merge eagerly in a dict.  Once the work left reaches
+    DENSE_MIN_WORK, a law whose remaining keys are narrow moves to an int64
+    histogram (see `_dense_counts`), and its keys come back in ascending
+    order; the keys of any other law keep the order of their first
+    appearance.  Both paths raise BudgetError at the same step (see
+    `_charge`)."""
+    return _merged_counts(steps, budget, DENSE_MIN_WORK)
+
+
+def _charge(support: int, size: int, left: int, reach: int, work: int, budget: int) -> int:
+    """The kernel work after a step of `size` shifts from `support` atoms,
+    given the work before it; `left` sums the sizes of this step and the
+    later ones.  Raises BudgetError if the projected support, weighted by the
+    signed 64-bit words of the widest key the step can reach (`reach` bounds
+    |key|), exceeds the budget: keys that fit int64 count one each, wider
+    ones cost memory in proportion to their width.  Raises BudgetError too as
+    soon as the law's work must pass KERNEL_WORK_BUDGET: no step shrinks the
+    support, so the steps left take at least support x left."""
+    projected = support * size * (reach.bit_length() // 64 + 1)
+    if projected > budget:
+        raise BudgetError(f"projected atom count {support * size} x key width "
+                          f"= {projected} words exceeds budget {budget}")
+    if work + support * left > KERNEL_WORK_BUDGET:
+        raise BudgetError(f"kernel work of at least {work + support * left} (support x "
+                          f"step size, summed over the steps) exceeds budget "
+                          f"{KERNEL_WORK_BUDGET}")
+    return work + support * size
+
+
+def _merged_counts(steps, budget: int, dense_from) -> dict[int, int]:
+    """`lattice_counts`, merging in a dict until the support times the sizes
+    of the steps left reaches `dense_from` (math.inf: to the end, so that
+    every key keeps the order of its first appearance)."""
     counts = {0: 1}
-    reach = 0  # a bound on |key| after the steps so far
-    for step in steps:
-        reach += max([abs(s) for s, _ in step], default=0)
-        projected = len(counts) * len(step) * (reach.bit_length() // 64 + 1)
-        if projected > budget:
-            raise BudgetError(f"projected atom count {len(counts) * len(step)} x key width "
-                              f"= {projected} words exceeds budget {budget}")
+    reach = work = 0  # reach bounds |key| after the steps so far
+    left = sum(map(len, steps))
+    for i, step in enumerate(steps):
+        if len(counts) * left >= dense_from:
+            hist = _dense_counts(counts, steps[i:], budget, reach, work, left)
+            if hist is not None:
+                return hist
+            dense_from = math.inf
+        reach += max([abs(s) for s, _ in step])
+        work = _charge(len(counts), len(step), left, reach, work, budget)
+        left -= len(step)
         nxt: dict[int, int] = {}
         for v, c in counts.items():
             for s, w in step:
@@ -71,6 +125,58 @@ def lattice_counts(steps, budget: int = ATOM_BUDGET) -> dict[int, int]:
     return counts
 
 
+def _dense_counts(counts, steps, budget, reach, work, left) -> dict[int, int] | None:
+    """The rest of `_merged_counts` from `counts`, with the budget state
+    `reach`, `work` and `left` it has reached, on an int64 histogram; None
+    if the law is not narrow.  Slot j holds the count of key lo + g*j, where
+    lo is the least key the law can reach and g the gcd of the offsets of
+    every key and every shift from the least of its kind; a step adds each
+    shift's weighted copy of the histogram at its offset.
+
+    Narrow: every count and every weight is positive; the histogram has at
+    most `budget` slots and at most four times as many as the law can have
+    atoms, so a law far wider than its support, such as one of dissociated
+    entries, never allocates its span; the total mass, which bounds every
+    count and every sum of them, and every key fit int64.  The atoms are at
+    most the support times, for each group of m equal steps of k shifts,
+    the C(m + k - 1, m) multisets of their shifts."""
+    ends = [(min(step)[0], max(step)[0]) for step in steps]
+    base, peak = min(counts), max(counts)
+    lo, hi = base + sum(e[0] for e in ends), peak + sum(e[1] for e in ends)
+    groups = Counter(tuple(sorted(step)) for step in steps)
+    atoms = len(counts) * math.prod(math.comb(m + len(k) - 1, m) for k, m in groups.items())
+    cap = min(budget, 4 * atoms)
+    g = math.gcd(*(s - least for (least, _), step in zip(ends, steps) for s, _ in step))
+    # the keys' offsets can only lower g and widen the histogram: a wide law
+    # is turned away before they are read
+    if not g or (hi - lo) // g >= cap:
+        return None
+    g = math.gcd(g, *(k - base for k in counts))
+    slots = (hi - lo) // g + 1
+    mass = sum(counts.values()) * math.prod(sum(w for _, w in step) for step in steps)
+    if (slots > cap or mass > INT64_MAX or max(-lo, hi) > INT64_MAX // 2
+            or min(counts.values()) <= 0 or any(w <= 0 for step in steps for _, w in step)):
+        return None
+    hist = np.zeros(slots, np.int64)
+    hist[[(k - base) // g for k in counts]] = list(counts.values())
+    top = (peak - base) // g + 1  # slots in use
+    for (least, most), step in zip(ends, steps):
+        reach += max(-least, most)
+        support = int(np.count_nonzero(hist[:top]))
+        work = _charge(support, len(step), left, reach, work, budget)
+        left -= len(step)
+        old = hist[:top].copy()
+        (_, w), *rest = sorted(step)  # the least shift, at offset 0, in place
+        if w != 1:
+            hist[:top] *= w
+        for s, w in rest:
+            off = (s - least) // g
+            hist[off:off + top] += old if w == 1 else w * old
+        top += (most - least) // g
+    nz = np.flatnonzero(hist)
+    return dict(zip((nz * g + lo).tolist(), hist[nz].tolist()))
+
+
 def exact_sign_sum_distribution(
     A: CoefficientMultiset,
     xi: SignDistribution,
@@ -78,7 +184,9 @@ def exact_sign_sum_distribution(
     """Exact law of sum a_i * xi_i as integer counts on the lattice (1/L)Z,
     or (1/L)Z^2 packed into Z as x + B*y, where L clears the denominators of
     the entries and of the sign values.  Raises BudgetError if the projected
-    support size exceeds ATOM_BUDGET."""
+    support size exceeds ATOM_BUDGET or the kernel work KERNEL_WORK_BUDGET.
+    A 2-D law is always merged in a dict: its keys keep the order of their
+    first appearance, which the disk scan's witness tie rule follows."""
     la = common_denominator(c for e in A.entries for c in (e if A.d == 2 else (e,)))
     ls, den = common_denominator(xi.values), common_denominator(p for _, p in xi.support)
     signs = [(int(v * ls), int(p * den)) for v, p in xi.support]
@@ -89,7 +197,8 @@ def exact_sign_sum_distribution(
         top = max(abs(s) for s, _ in signs) * sum(abs(int(x * la)) for x, _ in A.entries)
         pack = 2 * top + 1
         shifts = [int(x * la) + pack * int(y * la) for x, y in A.entries]
-    counts = lattice_counts([[(a * s, w) for s, w in signs] for a in shifts], ATOM_BUDGET)
+    steps = [[(a * s, w) for s, w in signs] for a in shifts]
+    counts = _merged_counts(steps, ATOM_BUDGET, DENSE_MIN_WORK if A.d == 1 else math.inf)
     return ExactDistribution(counts, la * ls, den ** A.n, A.n, pack)
 
 
@@ -190,7 +299,8 @@ def ball_probability_2d(
 
     Returns (p, witness_center) where witness_center is a float pair (the
     exact optimum may have quadratic-irrational coordinates; the probability
-    itself is exact).
+    itself is exact).  Raises BudgetError before scanning when the atoms
+    times the candidate centres pass DISK_WORK_BUDGET.
     """
     if A.d != 2:
         raise ValidationError("ball_probability_2d needs d=2")
@@ -202,6 +312,20 @@ def ball_probability_2d(
     dist = exact_sign_sum_distribution(A, xi)
     pts = list(dist.atoms.keys())
     rr = R * R
+    # each atom is a centre, and each pair of atoms within 2R gives two; every
+    # centre's disk test reads every atom
+    atoms = len(pts)
+    if atoms * atoms > DISK_WORK_BUDGET:
+        raise BudgetError(f"{atoms} atoms x at least {atoms} candidate centres exceed the "
+                          f"disk scan budget of {DISK_WORK_BUDGET}")
+    xy = [(int(x * dist.scale), int(y * dist.scale)) for x, y in pts]
+    limit = math.floor(4 * rr * dist.scale**2)  # (2R)^2 on the integer lattice
+    near = [(i, j) for i, (x, y) in enumerate(xy) for j in range(i + 1, atoms)
+            if (xy[j][0] - x) ** 2 + (xy[j][1] - y) ** 2 <= limit]
+    centres = atoms + 2 * len(near)
+    if atoms * centres > DISK_WORK_BUDGET:
+        raise BudgetError(f"{atoms} atoms x {centres} candidate centres exceed the disk "
+                          f"scan budget of {DISK_WORK_BUDGET}")
     best = Fraction(0)
     best_center: tuple[float, float] = (float(pts[0][0]), float(pts[0][1]))
 
@@ -211,28 +335,24 @@ def ball_probability_2d(
             best = m
             best_center = (float(p[0]), float(p[1]))
 
-    four_rr = 4 * rr
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            u, v = pts[i], pts[j]
-            d2 = hypot2(u, v)
-            if d2 == 0 or d2 > four_rr:
-                continue
-            mx, my = (u[0] + v[0]) / 2, (u[1] + v[1]) / 2
-            # centers m +- h * perp(delta)/|delta|, h = sqrt(R^2 - d2/4)
-            # = m +- sqrt(q) * perp(delta) with q = R^2/d2 - 1/4
-            q = rr / d2 - Fraction(1, 4)
-            wx, wy = -(v[1] - u[1]), v[0] - u[0]
-            root = isqrt_fraction_exact(q)
-            for b in (Fraction(1), Fraction(-1)):
-                m_val = _surd_disk_mass(dist, mx, my, b, wx, wy, q, rr)
-                if m_val > best:
-                    best = m_val
-                    s = float(root) if root is not None else math.sqrt(float(q))
-                    best_center = (
-                        float(mx) + float(b) * s * float(wx),
-                        float(my) + float(b) * s * float(wy),
-                    )
+    for i, j in near:
+        u, v = pts[i], pts[j]
+        d2 = hypot2(u, v)
+        mx, my = (u[0] + v[0]) / 2, (u[1] + v[1]) / 2
+        # centers m +- h * perp(delta)/|delta|, h = sqrt(R^2 - d2/4)
+        # = m +- sqrt(q) * perp(delta) with q = R^2/d2 - 1/4
+        q = rr / d2 - Fraction(1, 4)
+        wx, wy = -(v[1] - u[1]), v[0] - u[0]
+        root = isqrt_fraction_exact(q)
+        for b in (Fraction(1), Fraction(-1)):
+            m_val = _surd_disk_mass(dist, mx, my, b, wx, wy, q, rr)
+            if m_val > best:
+                best = m_val
+                s = float(root) if root is not None else math.sqrt(float(q))
+                best_center = (
+                    float(mx) + float(b) * s * float(wx),
+                    float(my) + float(b) * s * float(wy),
+                )
     return best, best_center
 
 

@@ -408,6 +408,9 @@ def test_census_refused_before_its_universe_is_built():
     pytest.param(["gap-forward", "--generators=1", "--bounds=2", f"--n={10**5}"],
                  id="gap-forward-n-1e5"),
     pytest.param(["flat", "--entries=1,0,0,1", f"--angle-grid={10**21}"], id="flat"),
+    pytest.param(["stanley", "--n-list=1201"], id="stanley-kernel-work"),
+    pytest.param(["ball2d", "--entries=1,0,3,0,9,0,27,0,81,0,0,1,0,3,0,9,0,27,0,81",
+                  "--radius=1"], id="ball2d-disk-work"),
 ])
 def test_input_past_a_budget_exits_3_in_bounded_memory(args):
     # without its budget each input runs out of memory or runs for minutes;

@@ -19,6 +19,10 @@ lattice and the recurrence grid to numpy blocks: an `lcd` with rational and
 zero entries and no hit (the margin path), an `rv-bound` with rational
 entries under `--xi lazy:1/2`, and a `recurrence` on 196,617 grid points,
 past three blocks of 2^16.
+The last five were captured before narrow 1-D laws moved to an int64
+histogram: `rho` on 48 small entries, `stanley` at n = 3, 13, 33 and 37,
+`rl` at l = 2 on entries in [-30, 30], a `census` of 4-entry multisets and
+a `dist` under `--xi lazy:1/3`.
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`.
 """

@@ -185,6 +185,23 @@ def test_ball_2d_enumeration_limit():
         ball_probability_2d(A, PM1, 1)
 
 
+def test_ball_2d_disk_work_budget(monkeypatch):
+    # the atoms (+-1, +-1) are four centres, and the four pairs at distance
+    # exactly 2R give two each (the diagonal pairs lie past 2R): 4 x 12; the
+    # same law scaled by 1/3 on the lattice (1/3)Z^2 examines as many
+    A = CoefficientMultiset.of_pairs([(1, 0), (0, 1)])
+    for B, R in ((A, Fraction(1)), (A.scaled(Fraction(1, 3)), Fraction(1, 3))):
+        monkeypatch.setattr(core, "DISK_WORK_BUDGET", 48)
+        assert ball_probability_2d(B, PM1, R)[0] == Fraction(1, 2)
+        monkeypatch.setattr(core, "DISK_WORK_BUDGET", 47)
+        with pytest.raises(BudgetError, match="4 atoms x 12 candidate centres"):
+            ball_probability_2d(B, PM1, R)
+    # past the budget on the atoms alone, before any pair is examined
+    monkeypatch.setattr(core, "DISK_WORK_BUDGET", 15)
+    with pytest.raises(BudgetError, match="4 atoms x at least 4 candidate centres"):
+        ball_probability_2d(A, PM1, 1)
+
+
 def test_flat_direction_search():
     collinear = CoefficientMultiset.of_pairs([(k, 0) for k in range(1, 7)])
     _, _, far = flat_direction_search(collinear, 8)

@@ -1,15 +1,22 @@
 """Oracle tests for the integer-lattice kernel and every exact law built on
 it, against brute-force sign enumeration with Fraction arithmetic."""
+import contextlib
+import io
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smallball import core
+from smallball.cli import main
 from smallball.core import (
     ball_probability_1d,
+    concentration_probability,
     exact_sign_sum_distribution,
     lattice_counts,
 )
@@ -65,6 +72,182 @@ def test_kernel_counts_weighted_steps():
     assert lattice_counts([((-1, 1), (1, 1))] * 2) == {-2: 1, 0: 2, 2: 1}
     with pytest.raises(BudgetError):
         lattice_counts([((-1, 1), (1, 1))] * 3, budget=3)
+
+
+def merged(steps, budget=core.ATOM_BUDGET):
+    """The kernel with the dict merge alone."""
+    return core._merged_counts(steps, budget, math.inf)
+
+
+def takes_dense(steps, budget=core.ATOM_BUDGET):
+    """Whether the kernel finishes the law on the histogram."""
+    done = []
+    dense = core._dense_counts
+
+    def spy(*args):
+        hist = dense(*args)
+        done.append(hist is not None)
+        return hist
+
+    with mock.patch.object(core, "_dense_counts", spy):
+        lattice_counts(steps, budget)
+    return any(done)
+
+
+def sign_steps(entries, xi):
+    """The kernel steps of `exact_sign_sum_distribution` for integer entries."""
+    ls, den = math.lcm(*(v.denominator for v in xi.values)), \
+        math.lcm(*(p.denominator for _, p in xi.support))
+    return [[(a * int(v * ls), int(p * den)) for v, p in xi.support] for a in entries]
+
+
+def report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+XI_TEXT = {"pm1": "pm1", "bool": "bool", "lazy": "lazy:2/3", "lazy13": "lazy:1/3"}
+XI_TEXT_LAWS = {**LAWS, "lazy13": SignDistribution.lazy(Fraction(1, 3))}
+narrow = st.lists(st.integers(-30, 30), min_size=12, max_size=24)
+NARROW = [3, -7, 5, 1, -2, 8, -4, 6, 0, 2, 11, -13, 9, -10, 12, 4, -5, 7, 1, 3, -9, 6, 8, -12]
+wide = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=7)
+
+
+@given(st.one_of(narrow, wide), st.sampled_from(sorted(XI_TEXT)), st.integers(0, 12))
+@settings(max_examples=80, deadline=None)
+def test_dense_histogram_matches_dict_merge(entries, law, twice_r):
+    # the laws the histogram takes and the wide ones it leaves to the dict
+    # merge: the counts as mappings, and the reports, with the histogram
+    # switched off by a work floor no law reaches
+    steps = sign_steps(entries, XI_TEXT_LAWS[law])
+    assert lattice_counts(steps) == merged(steps)
+    text = ",".join(map(str, entries))
+    argvs = [["rho", f"--entries={text}", f"--xi={XI_TEXT[law]}"],
+             ["ball", f"--entries={text}", f"--xi={XI_TEXT[law]}", f"--radius={twice_r}/2"],
+             ["dist", f"--entries={text}", f"--xi={XI_TEXT[law]}"]]
+    got = [report(argv) for argv in argvs]
+    with mock.patch.object(core, "DENSE_MIN_WORK", math.inf):
+        assert got == [report(argv) for argv in argvs]
+
+
+def test_dense_histogram_is_taken_on_narrow_laws():
+    # what the test above compares is the histogram, on every sign law
+    for xi in XI_TEXT_LAWS.values():
+        assert takes_dense(sign_steps(NARROW, xi))
+    assert not takes_dense(sign_steps([10**5 + 7**k for k in range(9)], LAWS["pm1"]))
+
+
+@pytest.mark.parametrize("n, dense", [(61, True), (62, True), (63, False)])
+def test_all_ones_at_the_int64_mass_edge(n, dense):
+    # the mass 2^n fits int64 up to n = 62; past it the dict merge takes over
+    steps = [((-1, 1), (1, 1))] * n
+    assert takes_dense(steps) == dense
+    assert lattice_counts(steps) == {2 * k - n: math.comb(n, k) for k in range(n + 1)}
+
+
+def test_histogram_slots_at_the_selection_boundary():
+    # after the first step, 64 atoms and 8 steps of 2 shifts left: work left
+    # 64 x 16 = DENSE_MIN_WORK, and at most 64 x 2^8 atoms, so the histogram
+    # takes at most 4 x 16384 = 65536 slots, and at most `budget`
+    first = [tuple((j, 1) for j in range(64))]
+    at = first + [((0, 1), (a, 1)) for a in (1, 2, 4, 8, 16, 32, 64, 65345)]
+    past = first + [((0, 1), (a, 1)) for a in (1, 2, 4, 8, 16, 32, 64, 65346)]
+    assert takes_dense(at) and not takes_dense(past)
+    assert takes_dense(at, budget=65536) and not takes_dense(at, budget=65535)
+    for steps in (at, past):
+        assert lattice_counts(steps) == merged(steps)
+    assert lattice_counts(at, budget=65535) == merged(at, budget=65535)
+    # 55 equal steps after those 64 atoms reach at most 64 x 56 atoms, not
+    # 64 x 2^55: their 550,119 slots stay unallocated
+    repeated = first + [((0, 1), (10_001, 1))] * 55
+    assert not takes_dense(repeated)
+    assert lattice_counts(repeated) == merged(repeated)
+    # a zero weight, before the hand-off or after it, keeps the law in the
+    # dict, whose zero counts the histogram would drop
+    for zero in ([((0, 0), (1, 1))] + first + [((0, 1), (1, 1))] * 16,
+                 first + [((0, 0), (1, 1))] * 16):
+        assert not takes_dense(zero) and lattice_counts(zero) == merged(zero)
+    # the work floor: one step of DENSE_MIN_WORK shifts takes the histogram
+    # from the start, one of a shift fewer stays on the dict merge
+    assert core.DENSE_MIN_WORK == 1024
+    assert takes_dense([tuple((j, 1) for j in range(1024))])
+    assert not takes_dense([tuple((j, 1) for j in range(1023))])
+
+
+steps_strategy = st.lists(
+    st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 3)), min_size=1, max_size=3),
+    min_size=10, max_size=24)
+
+
+def outcome(kernel, steps, budget):
+    try:
+        return kernel(steps, budget)
+    except BudgetError as exc:
+        return str(exc)
+
+
+@given(steps_strategy, st.integers(1, 10_000) | st.just(core.ATOM_BUDGET),
+       st.integers(1, 100_000) | st.just(core.KERNEL_WORK_BUDGET))
+@settings(max_examples=200, deadline=None)
+def test_budget_errors_where_the_dict_merge_raises_them(steps, budget, work):
+    # both paths refuse at the same step with the same message, whether the
+    # atom budget or the work budget trips
+    with mock.patch.object(core, "KERNEL_WORK_BUDGET", work):
+        assert outcome(lattice_counts, steps, budget) == outcome(merged, steps, budget)
+
+
+def test_kernel_work_counts_support_times_step_size():
+    # supports 1, 2, ..., 62 before the steps of size 2: work 62 * 63
+    steps = [((-1, 1), (1, 1))] * 62
+    assert takes_dense(steps)
+    with mock.patch.object(core, "KERNEL_WORK_BUDGET", 3906):
+        assert lattice_counts(steps) == merged(steps)
+    with mock.patch.object(core, "KERNEL_WORK_BUDGET", 3905):
+        for kernel in (lattice_counts, merged):
+            with pytest.raises(BudgetError, match="kernel work of at least 3906"):
+                kernel(steps)
+
+
+@pytest.mark.parametrize("kernel", [lattice_counts, merged])
+def test_kernel_work_refused_once_the_steps_left_must_pass_it(kernel):
+    # before step i of 62 all-ones steps the support is i + 1 and the work
+    # i (i + 1); the steps left take at least (i + 1)(124 - 2i), so the
+    # total must pass 1200 from step 10 on (at least 11 x 114 = 1254), long
+    # before the work done does (at step 35); the histogram takes over at
+    # step 9, so `lattice_counts` refuses on it
+    with mock.patch.object(core, "KERNEL_WORK_BUDGET", 1200):
+        with pytest.raises(BudgetError, match="kernel work of at least 1254 "):
+            kernel([((-1, 1), (1, 1))] * 62)
+
+
+def test_2d_law_keeps_first_appearance_order_where_a_histogram_fits():
+    # the packed keys of this law would fit the histogram, which would sort
+    # them; the disk scan's witness tie rule reads their first appearance
+    pairs = [(-2, -3), (2, -1), (-3, 1), (-3, 0), (3, 2), (1, 0), (1, -3), (1, -2), (0, 3),
+             (-1, -1), (-2, 3), (-2, 3)]
+    A = CoefficientMultiset.of_pairs(pairs)
+    pack = 2 * sum(abs(x) for x, _ in pairs) + 1
+    assert takes_dense(sign_steps([int(x) + pack * int(y) for x, y in A.entries], LAWS["pm1"]))
+    dist = exact_sign_sum_distribution(A, LAWS["pm1"])
+    assert list(dist.atoms) == fraction_convolution_order(A.entries, LAWS["pm1"])
+    assert list(dist.atoms) != sorted(dist.atoms, key=lambda v: (v[1], v[0]))
+
+
+def test_wide_dissociated_law_stays_small():
+    # eleven dissociated entries near 10^5 span 3.5 * 10^6 keys, under 2^22,
+    # but have 2^11 atoms: a histogram over the span would take some 14 MB
+    entries = [100_000 + 2 ** (k + 6) + 10_007 * k for k in range(11)]
+    A = CoefficientMultiset.of(entries)
+    tracemalloc.start()
+    try:
+        rho, _ = concentration_probability(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho == Fraction(1, 2**11)
+    assert peak < 2 * 2**20
 
 
 @given(st.lists(rationals, min_size=1, max_size=6), st.sampled_from(sorted(LAWS)))
