@@ -190,8 +190,7 @@ COMMANDS: dict[str, Command] = {c.name: c for c in [
     Command("dist", {"entries": (str, REQUIRED), "xi": XI, "d": (_choice(int, 1, 2), 1)},
             lambda a: core.exact_sign_sum_distribution(
                 CoefficientMultiset.from_text(a.entries, a.d), a.xi),
-            lambda law, a: ({"csv": law.to_csv()} if a.format == "csv"
-                            else json.loads(law.to_json()))),
+            lambda law, a: {"csv": law.to_csv()} if a.format == "csv" else law),
     Command("rho", {"entries": ENTRIES, "xi": XI},
             lambda a: core.concentration_probability(a.entries, a.xi),
             lambda r, a: {"rho": r[0], "argmax": r[1]}),

@@ -39,12 +39,17 @@ from .types import (
 )
 
 ATOM_BUDGET = 10**7
-# Most kernel work one exact law may take: the support before each step
-# times the step's size, summed over the steps.  More than ten times the most
-# that any test, golden case, acceptance criterion or benchmark query takes
-# (262,142, where a 24-entry law of 2000-digit keys trips ATOM_BUDGET;
-# 246,262 for criterion 4's Stanley scan).
+# Most work the dict merge may take for one exact law: the support before
+# each step times the step's size, summed over the steps.  More than ten
+# times the most that any test, golden case, acceptance criterion or
+# benchmark query takes (262,142, where a 24-entry law of 2000-digit keys
+# trips ATOM_BUDGET; 246,262 for criterion 4's Stanley scan).
 KERNEL_WORK_BUDGET = 3 * 10**6
+# Most work the int64 histogram may take for one exact law: the slots in
+# use before each step times the step's size, summed over the steps.  Above
+# `rho` on 60 entries in [2500, 3500] (10,641,752) and 59 times the most of
+# any other test, golden case or benchmark query (180,254).
+HISTOGRAM_WORK_BUDGET = 12 * 10**6
 DEFAULT_2D_ENUM_LIMIT = 22
 # Most atoms x candidate centres one 2-D disk scan may examine (the centres
 # are the atoms and two per atom pair within 2R): more than ten times the
@@ -55,10 +60,9 @@ DISK_WORK_BUDGET = 1_250_000
 # times the most that any test, golden case or benchmark workload takes
 # (360 x 6).
 FLAT_WORK_BUDGET = 10**5
-# The dict merge hands a narrow law to the histogram once the work left,
-# at least the support times the sizes of the steps left, reaches this:
-# below it the dict merge costs less than the histogram's set-up and its few
-# numpy calls per step.
+# Least histogram work for which a narrow law goes to the histogram: below
+# it the dict merge costs less than the histogram's set-up and its few numpy
+# calls per step.
 DENSE_MIN_WORK = 1024
 INT64_MAX = 2**63 - 1
 
@@ -68,51 +72,38 @@ def lattice_counts(steps, budget: int = ATOM_BUDGET) -> dict[int, int]:
     offers integer shift s with positive integer weight w.  `steps` is a
     list of nonempty sequences of (shift, weight) pairs.
 
-    Equal sums merge eagerly in a dict.  Once the work left reaches
-    DENSE_MIN_WORK, a law whose remaining keys are narrow moves to an int64
-    histogram (see `_dense_counts`), and its keys come back in ascending
-    order; the keys of any other law keep the order of their first
-    appearance.  Both paths raise BudgetError at the same step (see
-    `_charge`)."""
-    return _merged_counts(steps, budget, DENSE_MIN_WORK)
+    The path is chosen once, from the steps, before any step runs: a narrow
+    law is counted on an int64 histogram, keys ascending (`_histogram_counts`);
+    every other law is merged in a dict, keys in the order of their first
+    appearance (`_dict_counts`).  Each path bounds its own cost and raises
+    BudgetError past it: the dict merge against `budget` and
+    KERNEL_WORK_BUDGET, the histogram against HISTOGRAM_WORK_BUDGET."""
+    counts = _histogram_counts(steps, budget)
+    return _dict_counts(steps, budget) if counts is None else counts
 
 
-def _charge(support: int, size: int, left: int, reach: int, work: int, budget: int) -> int:
-    """The kernel work after a step of `size` shifts from `support` atoms,
-    given the work before it; `left` sums the sizes of this step and the
-    later ones.  Raises BudgetError if the projected support, weighted by the
-    signed 64-bit words of the widest key the step can reach (`reach` bounds
-    |key|), exceeds the budget: keys that fit int64 count one each, wider
-    ones cost memory in proportion to their width.  Raises BudgetError too as
-    soon as the law's work must pass KERNEL_WORK_BUDGET: no step shrinks the
-    support, so the steps left take at least support x left."""
-    projected = support * size * (reach.bit_length() // 64 + 1)
-    if projected > budget:
-        raise BudgetError(f"projected atom count {support * size} x key width "
-                          f"= {projected} words exceeds budget {budget}")
-    if work + support * left > KERNEL_WORK_BUDGET:
-        raise BudgetError(f"kernel work of at least {work + support * left} (support x "
-                          f"step size, summed over the steps) exceeds budget "
-                          f"{KERNEL_WORK_BUDGET}")
-    return work + support * size
-
-
-def _merged_counts(steps, budget: int, dense_from) -> dict[int, int]:
-    """`lattice_counts`, merging in a dict until the support times the sizes
-    of the steps left reaches `dense_from` (math.inf: to the end, so that
-    every key keeps the order of its first appearance)."""
+def _dict_counts(steps, budget: int) -> dict[int, int]:
+    """`lattice_counts` by merging equal sums in a dict.  Before each step,
+    raises BudgetError if the projected support, weighted by the signed
+    64-bit words of the widest key the step can reach, exceeds `budget`, or
+    as soon as the work must pass KERNEL_WORK_BUDGET: no step shrinks the
+    support, so the steps left take at least the support times their sizes."""
     counts = {0: 1}
     reach = work = 0  # reach bounds |key| after the steps so far
-    left = sum(map(len, steps))
-    for i, step in enumerate(steps):
-        if len(counts) * left >= dense_from:
-            hist = _dense_counts(counts, steps[i:], budget, reach, work, left)
-            if hist is not None:
-                return hist
-            dense_from = math.inf
+    left = sum(map(len, steps))  # the sizes of this step and the later ones
+    for step in steps:
+        support, size = len(counts), len(step)
         reach += max([abs(s) for s, _ in step])
-        work = _charge(len(counts), len(step), left, reach, work, budget)
-        left -= len(step)
+        projected = support * size * (reach.bit_length() // 64 + 1)
+        if projected > budget:
+            raise BudgetError(f"projected atom count {support * size} x key width "
+                              f"= {projected} words exceeds budget {budget}")
+        if work + support * left > KERNEL_WORK_BUDGET:
+            raise BudgetError(f"kernel work of at least {work + support * left} (support x "
+                              f"step size, summed over the steps) exceeds budget "
+                              f"{KERNEL_WORK_BUDGET}")
+        work += support * size
+        left -= size
         nxt: dict[int, int] = {}
         for v, c in counts.items():
             for s, w in step:
@@ -125,54 +116,65 @@ def _merged_counts(steps, budget: int, dense_from) -> dict[int, int]:
     return counts
 
 
-def _dense_counts(counts, steps, budget, reach, work, left) -> dict[int, int] | None:
-    """The rest of `_merged_counts` from `counts`, with the budget state
-    `reach`, `work` and `left` it has reached, on an int64 histogram; None
-    if the law is not narrow.  Slot j holds the count of key lo + g*j, where
-    lo is the least key the law can reach and g the gcd of the offsets of
-    every key and every shift from the least of its kind; a step adds each
-    shift's weighted copy of the histogram at its offset.
+def _histogram_counts(steps, budget: int) -> dict[int, int] | None:
+    """`lattice_counts` on an int64 histogram, keys ascending; None if the
+    law is not narrow.  Slot j holds the count of key lo + g*j, where lo
+    sums the least shift of each step and g is the gcd of the offsets of
+    every shift from the least of its step.  Starting from {0: 1}, a step
+    adds each shift's weighted copy of the slots in use at its offset or,
+    when it has more shifts than there are slots in use, each slot's copy
+    of the step's weights at the slot.
 
-    Narrow: every count and every weight is positive; the histogram has at
-    most `budget` slots and at most four times as many as the law can have
-    atoms, so a law far wider than its support, such as one of dissociated
-    entries, never allocates its span; the total mass, which bounds every
-    count and every sum of them, and every key fit int64.  The atoms are at
-    most the support times, for each group of m equal steps of k shifts,
-    the C(m + k - 1, m) multisets of their shifts."""
+    Narrow, tested cheapest first: the work, the slots in use before each
+    step times its size summed over the steps, is at least DENSE_MIN_WORK;
+    there are at most `budget` slots; every key fits int64; every weight is
+    positive; the total mass, which bounds every count, fits int64; and
+    there are at most four times as many slots as the law can have atoms
+    (for each group of m equal steps of k shifts, the C(m + k - 1, m)
+    multisets of their shifts, multiplied over the groups), so a law far
+    wider than its support never allocates its span.  A narrow law whose
+    work passes HISTOGRAM_WORK_BUDGET raises BudgetError before a slot is
+    allocated."""
+    sizes = [len(step) for step in steps]
+    # a narrow law's work is at most its slots times the sum of the sizes,
+    # and its slots at most 4 x the product of the sizes and at most 1 + the
+    # summed spans: tiny laws leave on one of the two
+    if 4 * math.prod(sizes) * sum(sizes) < DENSE_MIN_WORK:
+        return None
     ends = [(min(step)[0], max(step)[0]) for step in steps]
-    base, peak = min(counts), max(counts)
-    lo, hi = base + sum(e[0] for e in ends), peak + sum(e[1] for e in ends)
+    if (1 + sum(most - least for least, most in ends)) * sum(sizes) < DENSE_MIN_WORK:
+        return None
+    g = math.gcd(*(s - least for (least, _), step in zip(ends, steps) for s, _ in step)) or 1
+    # tops[i]: the slots in use before step i; tops[-1]: all of them
+    tops = list(itertools.accumulate(((most - least) // g for least, most in ends), initial=1))
+    work = sum(top * size for top, size in zip(tops, sizes))
+    lo, hi = sum(e[0] for e in ends), sum(e[1] for e in ends)
+    if (work < DENSE_MIN_WORK or tops[-1] > budget or max(-lo, hi) > INT64_MAX // 2
+            or any(w <= 0 for step in steps for _, w in step)
+            or math.prod(sum(w for _, w in step) for step in steps) > INT64_MAX):
+        return None
     groups = Counter(tuple(sorted(step)) for step in steps)
-    atoms = len(counts) * math.prod(math.comb(m + len(k) - 1, m) for k, m in groups.items())
-    cap = min(budget, 4 * atoms)
-    g = math.gcd(*(s - least for (least, _), step in zip(ends, steps) for s, _ in step))
-    # the keys' offsets can only lower g and widen the histogram: a wide law
-    # is turned away before they are read
-    if not g or (hi - lo) // g >= cap:
+    if tops[-1] > 4 * math.prod(math.comb(m + len(k) - 1, m) for k, m in groups.items()):
         return None
-    g = math.gcd(g, *(k - base for k in counts))
-    slots = (hi - lo) // g + 1
-    mass = sum(counts.values()) * math.prod(sum(w for _, w in step) for step in steps)
-    if (slots > cap or mass > INT64_MAX or max(-lo, hi) > INT64_MAX // 2
-            or min(counts.values()) <= 0 or any(w <= 0 for step in steps for _, w in step)):
-        return None
-    hist = np.zeros(slots, np.int64)
-    hist[[(k - base) // g for k in counts]] = list(counts.values())
-    top = (peak - base) // g + 1  # slots in use
-    for (least, most), step in zip(ends, steps):
-        reach += max(-least, most)
-        support = int(np.count_nonzero(hist[:top]))
-        work = _charge(support, len(step), left, reach, work, budget)
-        left -= len(step)
+    if work > HISTOGRAM_WORK_BUDGET:
+        raise BudgetError(f"histogram work {work} (slots in use x step size, summed over "
+                          f"the steps) exceeds budget {HISTOGRAM_WORK_BUDGET}")
+    hist = np.zeros(tops[-1], np.int64)
+    hist[0] = 1
+    for top, (least, _), step in zip(tops, ends, steps):
         old = hist[:top].copy()
+        if len(step) > top:  # fewer slots in use than shifts: a copy of the step per slot
+            offs, weights = np.array([((s - least) // g, w) for s, w in step], np.int64).T
+            hist[:top] = 0
+            for j, c in enumerate(old.tolist()):
+                np.add.at(hist, offs + j, c * weights)
+            continue
         (_, w), *rest = sorted(step)  # the least shift, at offset 0, in place
         if w != 1:
             hist[:top] *= w
         for s, w in rest:
             off = (s - least) // g
             hist[off:off + top] += old if w == 1 else w * old
-        top += (most - least) // g
     nz = np.flatnonzero(hist)
     return dict(zip((nz * g + lo).tolist(), hist[nz].tolist()))
 
@@ -184,9 +186,10 @@ def exact_sign_sum_distribution(
     """Exact law of sum a_i * xi_i as integer counts on the lattice (1/L)Z,
     or (1/L)Z^2 packed into Z as x + B*y, where L clears the denominators of
     the entries and of the sign values.  Raises BudgetError if the projected
-    support size exceeds ATOM_BUDGET or the kernel work KERNEL_WORK_BUDGET.
-    A 2-D law is always merged in a dict: its keys keep the order of their
-    first appearance, which the disk scan's witness tie rule follows."""
+    support size exceeds ATOM_BUDGET or a path's work its budget (see
+    `lattice_counts`).  A 2-D law goes straight to the dict merge: its keys
+    keep the order of their first appearance, which the disk scan's witness
+    tie rule follows."""
     la = common_denominator(c for e in A.entries for c in (e if A.d == 2 else (e,)))
     ls, den = common_denominator(xi.values), common_denominator(p for _, p in xi.support)
     signs = [(int(v * ls), int(p * den)) for v, p in xi.support]
@@ -198,7 +201,7 @@ def exact_sign_sum_distribution(
         pack = 2 * top + 1
         shifts = [int(x * la) + pack * int(y * la) for x, y in A.entries]
     steps = [[(a * s, w) for s, w in signs] for a in shifts]
-    counts = _merged_counts(steps, ATOM_BUDGET, DENSE_MIN_WORK if A.d == 1 else math.inf)
+    counts = (lattice_counts if A.d == 1 else _dict_counts)(steps, ATOM_BUDGET)
     return ExactDistribution(counts, la * ls, den ** A.n, A.n, pack)
 
 
@@ -318,7 +321,7 @@ def ball_probability_2d(
     if atoms * atoms > DISK_WORK_BUDGET:
         raise BudgetError(f"{atoms} atoms x at least {atoms} candidate centres exceed the "
                           f"disk scan budget of {DISK_WORK_BUDGET}")
-    xy = [(int(x * dist.scale), int(y * dist.scale)) for x, y in pts]
+    xy = [dist._coords(k) for k in dist.counts]  # the atoms' lattice points, in order
     limit = math.floor(4 * rr * dist.scale**2)  # (2R)^2 on the integer lattice
     near = [(i, j) for i, (x, y) in enumerate(xy) for j in range(i + 1, atoms)
             if (xy[j][0] - x) ** 2 + (xy[j][1] - y) ** 2 <= limit]

@@ -150,7 +150,7 @@ def fp_fourier_identity(ctx: FpContext, a_target: int):
         raise SoundnessError(f"imaginary part {val.imag} exceeds {FP_IMAG_TOL}")
     A = CoefficientMultiset.of(ctx.entries)
     dist = exact_sign_sum_distribution(A, SignDistribution.bernoulli_pm1())
-    exact = dist.atoms.get(Fraction(a_target), Fraction(0))
+    exact = Fraction(dist.counts.get(a_target * dist.scale, 0), dist.total)
     return val.real, exact, abs(val.real - float(exact))
 
 

@@ -81,16 +81,16 @@ class Gap:
 def gap_lattice_points(Q: Gap):
     """(L, points): L is the least common denominator of the offset and the
     generators, and points is the set of integers L*x, exact Python ints,
-    over the points x of Q.  Memory is O(volume) <= O(MATERIALIZE_BUDGET)
-    entries."""
+    over the points x of Q.  They are the keys of one `lattice_counts` law,
+    whose step for generator g offers the shifts m*g*L for |m| <= M, shifted
+    by the offset; the volume, at most MATERIALIZE_BUDGET, bounds them."""
     if Q.volume > MATERIALIZE_BUDGET:
         raise BudgetError(f"volume {Q.volume} exceeds budget {MATERIALIZE_BUDGET}")
     L = common_denominator((Q.offset, *Q.generators))
-    pts = {int(Q.offset * L)}
-    for g, M in zip(Q.generators, Q.bounds):
-        shifts = [m * int(g * L) for m in range(-M, M + 1)]
-        pts = {v + s for v in pts for s in shifts}
-    return L, pts
+    steps = [[(m * s, 1) for m in range(-M, M + 1)]
+             for s, M in zip((int(g * L) for g in Q.generators), Q.bounds)]
+    offset = int(Q.offset * L)
+    return L, {offset + v for v in lattice_counts(steps, MATERIALIZE_BUDGET)}
 
 
 def gap_materialize(Q: Gap):
@@ -222,12 +222,9 @@ def _rank2_candidates(entries: list[int]):
 def _rank2_fit(entries: list[int], keep: int):
     best = None
     for G in _rank2_candidates(entries):
-        resid = []
-        quot = []
-        for v in entries:
-            m2 = round(Fraction(v, G))  # nearest multiple, exact
-            resid.append(v - m2 * G)
-            quot.append(m2)
+        # v / G to the nearest integer, ties to the even one as round() does
+        quot = [q - (r == 0 and q % 2) for q, r in (divmod(2 * v + G, 2 * G) for v in entries)]
+        resid = [v - q * G for v, q in zip(entries, quot)]
         order = sorted(range(len(entries)), key=lambda i: (abs(resid[i]), abs(quot[i])))
         kept = order[:keep] if keep < len(entries) else order
         g1 = math.gcd(*(resid[i] for i in kept))
@@ -308,11 +305,13 @@ def structured_multiset_census(
                               f"{CENSUS_BUDGET}")
     universe = [x for x in range(-M, M + 1) if x != 0]
     grid = sorted((Fraction(r) for r in rho_grid), reverse=True)
-    rhos = [Fraction(max(bernoulli_int_counts(combo).values()), 2**n)
-            for combo in itertools.combinations_with_replacement(universe, n)]
+    # rho(A) >= rho0 iff the largest count reaches ceil(rho0 * 2^n)
+    peaks = [max(bernoulli_int_counts(combo).values())
+             for combo in itertools.combinations_with_replacement(universe, n)]
     rows = []
     for rho0 in grid:
-        cnt = sum(1 for r in rhos if r >= rho0)
+        need = -(-rho0.numerator * 2**n // rho0.denominator)
+        cnt = sum(1 for c in peaks if c >= need)
         shape = float(rho0) ** (-n) * n ** (-n / 2) if rho0 > 0 else float("inf")
         rows.append((rho0, cnt, shape))
     return rows

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -294,10 +293,9 @@ class ExactDistribution:
             w.writerow([f"({v[0]},{v[1]})" if self.pack else v, num, den])
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        items = [{"value": v, "prob": f"{num}/{den}"}
-                 for v, num, den in self._rows()]
-        return json.dumps({"n_source": self.n_source, "atoms": items})
+    def to_json_dict(self):
+        return {"n_source": self.n_source,
+                "atoms": [{"value": v, "prob": f"{num}/{den}"} for v, num, den in self._rows()]}
 
 
 class _Atoms(Mapping):

@@ -23,8 +23,15 @@ The last five were captured before narrow 1-D laws moved to an int64
 histogram: `rho` on 48 small entries, `stanley` at n = 3, 13, 33 and 37,
 `rl` at l = 2 on entries in [-30, 30], a `census` of 4-entry multisets and
 a `dist` under `--xi lazy:1/3`.
+The last seven were captured before the kernel chose its path once from
+the steps and before GAP point sets became kernel laws: `rho` on all-ones
+at n = 61, 62 and 63 (either side of the int64 mass edge), `rho --xi
+lazy:1/3` on 30 small integers, a rank-2 `gap-forward`, a rank-2 `gap-fit`
+at epsilon = 1/8 whose candidate generators round entries at exact halves,
+and `quad-gen --kind gap` on the generator 10^19, whose points pass int64.
 A change that alters some reports on purpose re-captures only those cases
-with `python tests/golden/recapture.py ARGV_PREFIX...`.
+with `python tests/golden/recapture.py ARGV_PREFIX...`; new guards are
+captured from the current tree with `recapture.py --append ARGV...`.
 """
 import json
 from collections import Counter

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -66,6 +67,11 @@ def _assert_lattice_matches_fractions(Q):
     ([Fraction(1, 3), Fraction(5, 7), Fraction(2, 11)], [1, 2, 1], Fraction(1, 2)),
     ([3, -3], [2, 2], -1),
     ([], [], Fraction(4, 5)),
+    # kernel laws narrow enough for the histogram: a step with more shifts
+    # than slots in use, and a zero generator's repeated shift, either first
+    ([1, 0], [600, 3], 0),
+    ([0, Fraction(1, 2)], [3, 600], 2),
+    ([1, 37], [300, 20], 0),
 ])
 def test_lattice_points_match_fraction_builder(gens, bounds, offset):
     _assert_lattice_matches_fractions(Gap.of(gens, bounds, offset))
@@ -202,6 +208,30 @@ def test_census_monotone():
     rows = structured_multiset_census(3, 3, grid)
     counts = [c for _, c, _ in sorted(rows, key=lambda r: r[0], reverse=True)]
     assert counts == sorted(counts)
+
+
+def test_census_thresholds_match_fraction_comparison():
+    # the integer threshold ceil(rho0 2^n) against rho(A) >= rho0 in
+    # Fractions: grid points at each possible rho, just either side of it,
+    # 0, below 0 and above 1
+    n, M = 4, 3
+    grid = [Fraction(k, 16) + d for k in range(-1, 18)
+            for d in (Fraction(-1, 99), 0, Fraction(1, 99))]
+    universe = [x for x in range(-M, M + 1) if x != 0]
+    rhos = [Fraction(max(bernoulli_int_counts(combo).values()), 2**n)
+            for combo in itertools.combinations_with_replacement(universe, n)]
+    rows = structured_multiset_census(n, M, grid)
+    assert [(r, c) for r, c, _ in rows] == \
+        [(r0, sum(1 for r in rhos if r >= r0)) for r0 in sorted(grid, reverse=True)]
+
+
+def test_rank2_fit_rounds_ties_to_even():
+    # 9 / 6 and 3 / 6 lie at exact halves: to the even integers 2 and 0, as
+    # round() takes them, entry 3 is a multiple 0 of 6 and the cover {3, -3}
+    # has volume 3; rounding halves up would give it the multiple 1, volume 9
+    assert gaps._rank2_fit([9, 9, 9, 3], 1) == (Gap.of([3, 6], [1, 0]), 1)
+    # the tie at -3 / 2 and 5 / 2 decides which of two volume-9 covers wins
+    assert gaps._rank2_fit([0, -5, 2, -3, 0, 0], 5) == (Gap.of([1, 3], [1, 1]), 5)
 
 
 def test_census_budget(monkeypatch):

@@ -4,11 +4,14 @@ import contextlib
 import io
 import itertools
 import math
+import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,22 +79,12 @@ def test_kernel_counts_weighted_steps():
 
 def merged(steps, budget=core.ATOM_BUDGET):
     """The kernel with the dict merge alone."""
-    return core._merged_counts(steps, budget, math.inf)
+    return core._dict_counts(steps, budget)
 
 
 def takes_dense(steps, budget=core.ATOM_BUDGET):
-    """Whether the kernel finishes the law on the histogram."""
-    done = []
-    dense = core._dense_counts
-
-    def spy(*args):
-        hist = dense(*args)
-        done.append(hist is not None)
-        return hist
-
-    with mock.patch.object(core, "_dense_counts", spy):
-        lattice_counts(steps, budget)
-    return any(done)
+    """Whether the kernel counts the law on the histogram."""
+    return core._histogram_counts(steps, budget) is not None
 
 
 def sign_steps(entries, xi):
@@ -141,16 +134,15 @@ def test_dense_histogram_is_taken_on_narrow_laws():
 
 @pytest.mark.parametrize("n, dense", [(61, True), (62, True), (63, False)])
 def test_all_ones_at_the_int64_mass_edge(n, dense):
-    # the mass 2^n fits int64 up to n = 62; past it the dict merge takes over
+    # the mass 2^n fits int64 up to n = 62; past it the dict merge takes the law
     steps = [((-1, 1), (1, 1))] * n
     assert takes_dense(steps) == dense
     assert lattice_counts(steps) == {2 * k - n: math.comb(n, k) for k in range(n + 1)}
 
 
 def test_histogram_slots_at_the_selection_boundary():
-    # after the first step, 64 atoms and 8 steps of 2 shifts left: work left
-    # 64 x 16 = DENSE_MIN_WORK, and at most 64 x 2^8 atoms, so the histogram
-    # takes at most 4 x 16384 = 65536 slots, and at most `budget`
+    # one step of 64 shifts and 8 of 2: at most 64 x 2^8 atoms, so the
+    # histogram takes at most 4 x 16384 = 65536 slots, and at most `budget`
     first = [tuple((j, 1) for j in range(64))]
     at = first + [((0, 1), (a, 1)) for a in (1, 2, 4, 8, 16, 32, 64, 65345)]
     past = first + [((0, 1), (a, 1)) for a in (1, 2, 4, 8, 16, 32, 64, 65346)]
@@ -164,13 +156,13 @@ def test_histogram_slots_at_the_selection_boundary():
     repeated = first + [((0, 1), (10_001, 1))] * 55
     assert not takes_dense(repeated)
     assert lattice_counts(repeated) == merged(repeated)
-    # a zero weight, before the hand-off or after it, keeps the law in the
-    # dict, whose zero counts the histogram would drop
+    # a zero weight in any step keeps the law in the dict, whose zero counts
+    # the histogram would drop
     for zero in ([((0, 0), (1, 1))] + first + [((0, 1), (1, 1))] * 16,
                  first + [((0, 0), (1, 1))] * 16):
         assert not takes_dense(zero) and lattice_counts(zero) == merged(zero)
-    # the work floor: one step of DENSE_MIN_WORK shifts takes the histogram
-    # from the start, one of a shift fewer stays on the dict merge
+    # the work floor: one step of DENSE_MIN_WORK shifts takes the histogram,
+    # one of a shift fewer stays on the dict merge
     assert core.DENSE_MIN_WORK == 1024
     assert takes_dense([tuple((j, 1) for j in range(1024))])
     assert not takes_dense([tuple((j, 1) for j in range(1023))])
@@ -189,37 +181,112 @@ def outcome(kernel, steps, budget):
 
 
 @given(steps_strategy, st.integers(1, 10_000) | st.just(core.ATOM_BUDGET),
-       st.integers(1, 100_000) | st.just(core.KERNEL_WORK_BUDGET))
+       st.integers(1, 100_000), st.integers(1, 20_000))
 @settings(max_examples=200, deadline=None)
-def test_budget_errors_where_the_dict_merge_raises_them(steps, budget, work):
-    # both paths refuse at the same step with the same message, whether the
-    # atom budget or the work budget trips
-    with mock.patch.object(core, "KERNEL_WORK_BUDGET", work):
-        assert outcome(lattice_counts, steps, budget) == outcome(merged, steps, budget)
+def test_each_path_refuses_on_its_own_counters(steps, budget, work, hist_work):
+    # the path is chosen before any step: a law off the histogram is
+    # answered or refused as by the dict merge alone, whatever the
+    # histogram's budget, and a law on it is answered, or refused by the
+    # histogram's own work counter, whatever the dict merge's budget
+    dense = takes_dense(steps, budget)
+    with mock.patch.object(core, "KERNEL_WORK_BUDGET", work), \
+            mock.patch.object(core, "HISTOGRAM_WORK_BUDGET", hist_work):
+        got = outcome(lattice_counts, steps, budget)
+        if not dense:
+            assert got == outcome(merged, steps, budget)
+            return
+    if isinstance(got, str):
+        assert got.startswith("histogram work ") and int(got.split()[2]) > hist_work
+    else:
+        assert got == merged(steps)
 
 
 def test_kernel_work_counts_support_times_step_size():
-    # supports 1, 2, ..., 62 before the steps of size 2: work 62 * 63
+    # the dict merge's counter: supports 1, 2, ..., 62 before the steps of
+    # size 2, work 62 * 63
     steps = [((-1, 1), (1, 1))] * 62
-    assert takes_dense(steps)
+    want = {2 * k - 62: math.comb(62, k) for k in range(63)}
     with mock.patch.object(core, "KERNEL_WORK_BUDGET", 3906):
-        assert lattice_counts(steps) == merged(steps)
+        assert merged(steps) == want
     with mock.patch.object(core, "KERNEL_WORK_BUDGET", 3905):
-        for kernel in (lattice_counts, merged):
-            with pytest.raises(BudgetError, match="kernel work of at least 3906"):
-                kernel(steps)
+        with pytest.raises(BudgetError, match="^kernel work of at least 3906 "):
+            merged(steps)
+        # the histogram takes this law and does not read the dict merge's budget
+        assert takes_dense(steps) and lattice_counts(steps) == want
+
+
+def test_histogram_work_counts_slots_times_step_size():
+    # the histogram's counter: 1, 2, ..., 62 slots in use before the steps
+    # of size 2 (the same as the dict merge's support here), work 62 * 63;
+    # past its budget the law is refused before a slot is allocated, and the
+    # dict merge's work budget plays no part
+    steps = [((-1, 1), (1, 1))] * 62
+    want = {2 * k - 62: math.comb(62, k) for k in range(63)}
+    with mock.patch.object(core, "KERNEL_WORK_BUDGET", 1):
+        with mock.patch.object(core, "HISTOGRAM_WORK_BUDGET", 3906):
+            assert lattice_counts(steps) == want
+        with mock.patch.object(core, "HISTOGRAM_WORK_BUDGET", 3905), \
+                mock.patch.object(core.np, "zeros", side_effect=AssertionError("allocated")):
+            with pytest.raises(BudgetError, match=r"^histogram work 3906 \(slots in use x "
+                                                  r"step size, summed over the steps\) "
+                                                  r"exceeds budget 3905$"):
+                lattice_counts(steps)
+    # slots, not atoms: after the step 0/3 the atoms are 0 and 3 but the
+    # slots in use 0..3, so two steps 0/1 make the work 1 x 2 + 4 x 2 +
+    # 5 x 2 = 20, where the dict merge's is 1 x 2 + 2 x 2 + 4 x 2 = 14
+    steps = [((0, 1), (3, 1)), ((0, 1), (1, 1)), ((0, 1), (1, 1))]
+    with mock.patch.object(core, "DENSE_MIN_WORK", 1), \
+            mock.patch.object(core, "HISTOGRAM_WORK_BUDGET", 19):
+        with pytest.raises(BudgetError, match="^histogram work 20 "):
+            lattice_counts(steps)
+        with mock.patch.object(core, "KERNEL_WORK_BUDGET", 14):
+            assert merged(steps) == {0: 1, 1: 2, 2: 1, 3: 1, 4: 2, 5: 1}
 
 
 @pytest.mark.parametrize("kernel", [lattice_counts, merged])
 def test_kernel_work_refused_once_the_steps_left_must_pass_it(kernel):
-    # before step i of 62 all-ones steps the support is i + 1 and the work
-    # i (i + 1); the steps left take at least (i + 1)(124 - 2i), so the
-    # total must pass 1200 from step 10 on (at least 11 x 114 = 1254), long
-    # before the work done does (at step 35); the histogram takes over at
-    # step 9, so `lattice_counts` refuses on it
+    # before step i of 63 all-ones steps the support is i + 1 and the work
+    # i (i + 1); the steps left take at least (i + 1)(126 - 2i), so the
+    # total must pass 1200 from step 10 on (at least 11 x 106 = 1166 plus
+    # the 110 done: 1276), long before the work done does (at step 35); the
+    # mass 2^63 keeps the law off the histogram, so both refuse on the dict
     with mock.patch.object(core, "KERNEL_WORK_BUDGET", 1200):
-        with pytest.raises(BudgetError, match="kernel work of at least 1254 "):
-            kernel([((-1, 1), (1, 1))] * 62)
+        with pytest.raises(BudgetError, match="kernel work of at least 1276 "):
+            kernel([((-1, 1), (1, 1))] * 63)
+
+
+def test_histogram_answers_a_narrow_law_past_the_dict_budget(capsys):
+    # 60 entries in [2500, 3500]: the mass 2^60 fits int64 and the law
+    # spans 178,691 slots, some 10.6 million histogram work, far past the
+    # dict merge's budget; an independent reference counts it by Kronecker
+    # substitution: prod (1 + X^(2a)) at X = 2^64, each coefficient < 2^60
+    rng = random.Random(14)
+    entries = [rng.randint(2500, 3500) for _ in range(60)]
+    started = time.perf_counter()
+    code = main(["rho", "--entries=" + ",".join(map(str, entries))])
+    assert code == 0 and time.perf_counter() - started < 0.5
+    assert '"rho": "1415371161421/36028797018963968"' in capsys.readouterr().out
+    dist = exact_sign_sum_distribution(CoefficientMultiset.of(entries), LAWS["pm1"])
+    poly = 1
+    for a in entries:
+        poly += poly << (128 * a)
+    coeffs = np.frombuffer(poly.to_bytes(8 * (2 * sum(entries) + 1), "little"), "<u8")
+    nz = np.flatnonzero(coeffs)
+    assert dist.counts == dict(zip((nz - sum(entries)).tolist(), coeffs[nz].tolist()))
+
+
+def test_histogram_refuses_a_narrow_law_past_its_own_budget(capsys):
+    # 62 further entries in [100000, 160000]: the mass 2^62 fits int64 and
+    # 8 million slots fit ATOM_BUDGET, but the histogram work of some 456
+    # million does not fit its budget; refused at once, before any slot
+    rng = random.Random(14)
+    for _ in range(60):  # the entries of the test above
+        rng.randint(2500, 3500)
+    entries = [rng.randint(100000, 160000) for _ in range(62)]
+    started = time.perf_counter()
+    code = main(["rho", "--entries=" + ",".join(map(str, entries))])
+    assert code == 3 and time.perf_counter() - started < 0.5
+    assert "budget error: histogram work " in capsys.readouterr().err
 
 
 def test_2d_law_keeps_first_appearance_order_where_a_histogram_fits():
