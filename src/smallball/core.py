@@ -47,8 +47,8 @@ ATOM_BUDGET = 10**7
 KERNEL_WORK_BUDGET = 3 * 10**6
 # Most work the int64 histogram may take for one exact law: the slots in
 # use before each step times the step's size, summed over the steps.  Above
-# `rho` on 60 entries in [2500, 3500] (10,641,752) and 59 times the most of
-# any other test, golden case or benchmark query (180,254).
+# `rho` on 60 entries in [2500, 3500] (9,972,650) and 166 times the most of
+# any other test, golden case or benchmark query (72,100).
 HISTOGRAM_WORK_BUDGET = 12 * 10**6
 DEFAULT_2D_ENUM_LIMIT = 22
 # Most atoms x candidate centres one 2-D disk scan may examine (the centres
@@ -120,10 +120,10 @@ def _histogram_counts(steps, budget: int) -> dict[int, int] | None:
     """`lattice_counts` on an int64 histogram, keys ascending; None if the
     law is not narrow.  Slot j holds the count of key lo + g*j, where lo
     sums the least shift of each step and g is the gcd of the offsets of
-    every shift from the least of its step.  Starting from {0: 1}, a step
-    adds each shift's weighted copy of the slots in use at its offset or,
-    when it has more shifts than there are slots in use, each slot's copy
-    of the step's weights at the slot.
+    every shift from the least of its step.  Starting from {0: 1}, the
+    steps run narrowest first, as the counts do not depend on their order,
+    and a step adds each shift's weighted copy of the slots in use at its
+    offset.
 
     Narrow, tested cheapest first: the work, the slots in use before each
     step times its size summed over the steps, is at least DENSE_MIN_WORK;
@@ -144,10 +144,13 @@ def _histogram_counts(steps, budget: int) -> dict[int, int] | None:
     ends = [(min(step)[0], max(step)[0]) for step in steps]
     if (1 + sum(most - least for least, most in ends)) * sum(sizes) < DENSE_MIN_WORK:
         return None
+    # the narrowest first: for steps of one size, as the library's laws
+    # have, that order takes the least work
+    ends, steps = zip(*sorted(zip(ends, steps), key=lambda e: e[0][1] - e[0][0]))
     g = math.gcd(*(s - least for (least, _), step in zip(ends, steps) for s, _ in step)) or 1
     # tops[i]: the slots in use before step i; tops[-1]: all of them
     tops = list(itertools.accumulate(((most - least) // g for least, most in ends), initial=1))
-    work = sum(top * size for top, size in zip(tops, sizes))
+    work = sum(top * len(step) for top, step in zip(tops, steps))
     lo, hi = sum(e[0] for e in ends), sum(e[1] for e in ends)
     if (work < DENSE_MIN_WORK or tops[-1] > budget or max(-lo, hi) > INT64_MAX // 2
             or any(w <= 0 for step in steps for _, w in step)
@@ -163,12 +166,6 @@ def _histogram_counts(steps, budget: int) -> dict[int, int] | None:
     hist[0] = 1
     for top, (least, _), step in zip(tops, ends, steps):
         old = hist[:top].copy()
-        if len(step) > top:  # fewer slots in use than shifts: a copy of the step per slot
-            offs, weights = np.array([((s - least) // g, w) for s, w in step], np.int64).T
-            hist[:top] = 0
-            for j, c in enumerate(old.tolist()):
-                np.add.at(hist, offs + j, c * weights)
-            continue
         (_, w), *rest = sorted(step)  # the least shift, at offset 0, in place
         if w != 1:
             hist[:top] *= w

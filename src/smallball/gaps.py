@@ -81,16 +81,17 @@ class Gap:
 def gap_lattice_points(Q: Gap):
     """(L, points): L is the least common denominator of the offset and the
     generators, and points is the set of integers L*x, exact Python ints,
-    over the points x of Q.  They are the keys of one `lattice_counts` law,
-    whose step for generator g offers the shifts m*g*L for |m| <= M, shifted
-    by the offset; the volume, at most MATERIALIZE_BUDGET, bounds them."""
+    over the points x of Q.  Memory is O(volume) <= O(MATERIALIZE_BUDGET)
+    entries."""
     if Q.volume > MATERIALIZE_BUDGET:
         raise BudgetError(f"volume {Q.volume} exceeds budget {MATERIALIZE_BUDGET}")
     L = common_denominator((Q.offset, *Q.generators))
-    steps = [[(m * s, 1) for m in range(-M, M + 1)]
-             for s, M in zip((int(g * L) for g in Q.generators), Q.bounds)]
-    offset = int(Q.offset * L)
-    return L, {offset + v for v in lattice_counts(steps, MATERIALIZE_BUDGET)}
+    pts = {int(Q.offset * L)}
+    for g, M in zip(Q.generators, Q.bounds):
+        step = int(g * L)
+        shifts = [m * step for m in range(-M, M + 1)]
+        pts = {v + s for v in pts for s in shifts}
+    return L, pts
 
 
 def gap_materialize(Q: Gap):

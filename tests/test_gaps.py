@@ -67,11 +67,13 @@ def _assert_lattice_matches_fractions(Q):
     ([Fraction(1, 3), Fraction(5, 7), Fraction(2, 11)], [1, 2, 1], Fraction(1, 2)),
     ([3, -3], [2, 2], -1),
     ([], [], Fraction(4, 5)),
-    # kernel laws narrow enough for the histogram: a step with more shifts
-    # than slots in use, and a zero generator's repeated shift, either first
+    # a generator of many multiples, and a zero generator's repeated
+    # shift, either first
     ([1, 0], [600, 3], 0),
     ([0, Fraction(1, 2)], [3, 600], 2),
     ([1, 37], [300, 20], 0),
+    ([1000, 1], [200, 200], 0),  # the widest generator first
+    ([3, 1, 1, 1], [2000, 0, 0, 0], 0),  # zero bounds after a wide generator
 ])
 def test_lattice_points_match_fraction_builder(gens, bounds, offset):
     _assert_lattice_matches_fractions(Gap.of(gens, bounds, offset))

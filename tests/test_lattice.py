@@ -231,16 +231,18 @@ def test_histogram_work_counts_slots_times_step_size():
                                                   r"step size, summed over the steps\) "
                                                   r"exceeds budget 3905$"):
                 lattice_counts(steps)
-    # slots, not atoms: after the step 0/3 the atoms are 0 and 3 but the
-    # slots in use 0..3, so two steps 0/1 make the work 1 x 2 + 4 x 2 +
-    # 5 x 2 = 20, where the dict merge's is 1 x 2 + 2 x 2 + 4 x 2 = 14
-    steps = [((0, 1), (3, 1)), ((0, 1), (1, 1)), ((0, 1), (1, 1))]
+    # slots, not atoms, in any order of the steps: the narrowest run first,
+    # and after the steps 0/1 and 0/3 the atoms are 0, 1, 3, 4 but the slots
+    # in use 0..4, so the step 0/4 makes the work 1 x 2 + 2 x 2 + 5 x 2 = 16,
+    # where the dict merge's is 1 x 2 + 2 x 2 + 4 x 2 = 14
+    steps = [((0, 1), (3, 1)), ((0, 1), (4, 1)), ((0, 1), (1, 1))]
     with mock.patch.object(core, "DENSE_MIN_WORK", 1), \
-            mock.patch.object(core, "HISTOGRAM_WORK_BUDGET", 19):
-        with pytest.raises(BudgetError, match="^histogram work 20 "):
-            lattice_counts(steps)
+            mock.patch.object(core, "HISTOGRAM_WORK_BUDGET", 15):
+        for order in itertools.permutations(steps):
+            with pytest.raises(BudgetError, match="^histogram work 16 "):
+                lattice_counts(list(order))
         with mock.patch.object(core, "KERNEL_WORK_BUDGET", 14):
-            assert merged(steps) == {0: 1, 1: 2, 2: 1, 3: 1, 4: 2, 5: 1}
+            assert merged(steps) == {0: 1, 1: 1, 3: 1, 4: 2, 5: 1, 7: 1, 8: 1}
 
 
 @pytest.mark.parametrize("kernel", [lattice_counts, merged])
@@ -257,7 +259,7 @@ def test_kernel_work_refused_once_the_steps_left_must_pass_it(kernel):
 
 def test_histogram_answers_a_narrow_law_past_the_dict_budget(capsys):
     # 60 entries in [2500, 3500]: the mass 2^60 fits int64 and the law
-    # spans 178,691 slots, some 10.6 million histogram work, far past the
+    # spans 178,691 slots, some 10 million histogram work, far past the
     # dict merge's budget; an independent reference counts it by Kronecker
     # substitution: prod (1 + X^(2a)) at X = 2^64, each coefficient < 2^60
     rng = random.Random(14)
@@ -287,6 +289,21 @@ def test_histogram_refuses_a_narrow_law_past_its_own_budget(capsys):
     code = main(["rho", "--entries=" + ",".join(map(str, entries))])
     assert code == 3 and time.perf_counter() - started < 0.5
     assert "budget error: histogram work " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wide", [-110000, 110000])
+def test_histogram_work_does_not_depend_on_the_order_of_the_entries(wide, capsys):
+    # the entries come sorted, so the wide one's step is the first or the
+    # last; the histogram runs it last either way, after 1,771 slots in use,
+    # not first, before 59 steps over some 110,000 slots each
+    entries = [wide, *range(1, 60)]
+    steps = sign_steps(sorted(entries), LAWS["pm1"])
+    with mock.patch.object(core, "HISTOGRAM_WORK_BUDGET", 0):
+        with pytest.raises(BudgetError, match="^histogram work 72100 "):
+            lattice_counts(steps)
+    assert lattice_counts(steps) == merged(steps)
+    assert main(["rho", "--entries=" + ",".join(map(str, entries))]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_2d_law_keeps_first_appearance_order_where_a_histogram_fits():
