@@ -216,7 +216,7 @@ COMMANDS: dict[str, Command] = {c.name: c for c in [
     Command("levels", {"entries": ENTRIES, "p": (int, 0), "m_max": (int, 4)},
             lambda a: fourier.FpContext.from_multiset(a.entries, p=a.p or None),
             lambda ctx, a: {"p": ctx.p, "strict": ctx.strict, "levels": [
-                r.to_json_dict() for r in fourier.level_and_dual_sets(ctx, a.m_max)]}),
+                vars(r) for r in fourier.level_and_dual_sets(ctx, a.m_max)]}),
     Command("rl", {"entries": ENTRIES, "l": (int, 1)},
             lambda a: fourier.rl_count(a.entries, a.l),
             lambda r, a: {"r_l": r}),

@@ -32,6 +32,7 @@ from .types import (
     ExactDistribution,
     SignDistribution,
     ValidationError,
+    checked_float,
     common_denominator,
     hypot2,
     isqrt_fraction_exact,
@@ -50,7 +51,6 @@ KERNEL_WORK_BUDGET = 3 * 10**6
 # `rho` on 60 entries in [2500, 3500] (9,972,650) and 166 times the most of
 # any other test, golden case or benchmark query (72,100).
 HISTOGRAM_WORK_BUDGET = 12 * 10**6
-DEFAULT_2D_ENUM_LIMIT = 22
 # Most atoms x candidate centres one 2-D disk scan may examine (the centres
 # are the atoms and two per atom pair within 2R): more than ten times the
 # most that any test, golden case, acceptance criterion or benchmark query
@@ -304,8 +304,6 @@ def ball_probability_2d(
     """
     if A.d != 2:
         raise ValidationError("ball_probability_2d needs d=2")
-    if A.n > DEFAULT_2D_ENUM_LIMIT:
-        raise BudgetError(f"n={A.n} exceeds 2-D enumeration limit {DEFAULT_2D_ENUM_LIMIT}")
     R = Fraction(R)
     if R < 0:
         raise ValidationError("radius must be >= 0")
@@ -326,14 +324,12 @@ def ball_probability_2d(
     if atoms * centres > DISK_WORK_BUDGET:
         raise BudgetError(f"{atoms} atoms x {centres} candidate centres exceed the disk "
                           f"scan budget of {DISK_WORK_BUDGET}")
-    best = Fraction(0)
-    best_center: tuple[float, float] = (float(pts[0][0]), float(pts[0][1]))
-
+    # the best centre so far, m + b sqrt(q) w; an atom has b = 0
+    best, at = Fraction(0), None
     for p in pts:
         m = disk_mass(dist, p, R)
         if m > best:
-            best = m
-            best_center = (float(p[0]), float(p[1]))
+            best, at = m, (p, 0, (0, 0), Fraction(0))
 
     for i, j in near:
         u, v = pts[i], pts[j]
@@ -343,17 +339,15 @@ def ball_probability_2d(
         # = m +- sqrt(q) * perp(delta) with q = R^2/d2 - 1/4
         q = rr / d2 - Fraction(1, 4)
         wx, wy = -(v[1] - u[1]), v[0] - u[0]
-        root = isqrt_fraction_exact(q)
-        for b in (Fraction(1), Fraction(-1)):
+        for b in (1, -1):
             m_val = _surd_disk_mass(dist, mx, my, b, wx, wy, q, rr)
             if m_val > best:
-                best = m_val
-                s = float(root) if root is not None else math.sqrt(float(q))
-                best_center = (
-                    float(mx) + float(b) * s * float(wx),
-                    float(my) + float(b) * s * float(wy),
-                )
-    return best, best_center
+                best, at = m_val, ((mx, my), b, (wx, wy), q)
+    (mx, my), b, (wx, wy), q = at
+    root = isqrt_fraction_exact(q)
+    s = float(root) if root is not None else math.sqrt(float(q))
+    x, y, wx, wy = (checked_float(c, "a disk centre coordinate") for c in (mx, my, wx, wy))
+    return best, (x + b * s * wx, y + b * s * wy)
 
 
 def flat_direction_search(
@@ -375,11 +369,12 @@ def flat_direction_search(
     if angle_grid * n > FLAT_WORK_BUDGET:
         raise BudgetError(f"{angle_grid} angles x {n} entries exceed the flat-direction "
                           f"budget of {FLAT_WORK_BUDGET}")
+    pts = [(checked_float(x, "an entry"), checked_float(y, "an entry")) for x, y in A.entries]
     best = (n + 1, (1.0, 0.0), 0.0)
     for k in range(angle_grid):
         phi = math.pi * k / angle_grid
         e = (math.cos(phi), math.sin(phi))
-        proj = [float(x) * e[0] + float(y) * e[1] for x, y in A.entries]
+        proj = [x * e[0] + y * e[1] for x, y in pts]
         events = []
         for t in proj:
             events.append((t - 1, 1))
@@ -414,6 +409,10 @@ def stanley_constant_scan(n_list: list[int]) -> list[tuple[int, Fraction, float]
     rho * n^(3/2); the scaled values approach sqrt(24/pi)."""
     out = []
     for n in n_list:
+        # a nonzero entry's step adds an atom, so either kernel path works at
+        # least n(n - 1): past both budgets, refuse before building anything
+        if n > 2 and n % 2 and n * (n - 1) > max(KERNEL_WORK_BUDGET, HISTOGRAM_WORK_BUDGET):
+            raise BudgetError(f"n={n}: kernel work of at least n(n - 1) exceeds its budgets")
         A0 = centered_progression(n)
         counts = bernoulli_int_counts(A0.int_entries())
         rho = Fraction(max(counts.values()), 2**n)

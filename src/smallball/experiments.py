@@ -10,19 +10,17 @@ Gaussian draws come from one generator per batch, re-pointed to counter
 block i before trial i.  Seeds must lie in [0, 2^64).
 
 Singularity decisions are exact integer arithmetic end to end.  In Monte
-Carlo mode a batched modular elimination screens out matrices whose
-determinant is provably nonzero (det != 0 mod p); its pivot inverses come
-from a table of x^(p-2) mod p built once per prime.  While Hadamard's bound
-|det| <= n^(n/2) stays below the modulus (n <= 9 for one prime, n <= 15
-for both), a flagged matrix is singular; at larger n fraction-free integer
-elimination confirms each one, as it does every enumerated matrix in exact
-mode.  Common roots likewise: a batched gcd over F_p certifies most pairs
-coprime, and the exact integer gcd confirms the rest.
+Carlo mode one rule decides every sign matrix: modular elimination over the
+screen primes in turn, until their product passes Hadamard's bound |det| <=
+n^(n/2); a matrix flagged (det == 0 mod p) by all of them is singular (see
+`_singular`).  Exact mode takes each enumerated matrix's determinant by
+fraction-free integer elimination.  Common roots: a batched gcd over F_p
+certifies most pairs coprime, and the exact integer gcd confirms the rest.
 
 Least singular values come from one batched LAPACK SVD per batch of trials,
 each trial drawn from its own stream.  A sign draw whose float sigma lies
-within the SVD's backward error of zero is decided by an exact determinant,
-so a singular sign matrix reports exactly 0.
+within the SVD's backward error of zero is decided by the same screen, so a
+singular sign matrix reports exactly 0.
 """
 from __future__ import annotations
 
@@ -42,21 +40,19 @@ BATCH = 4096  # trials (or enumerated matrices) per vectorised batch
 MAX_TRIAL_DRAWS = 2**21  # draws per trial, and per batch of trials
 LSV_TRIAL_BUDGET = 10**5  # lsv keeps every sample; tests take at most 2000
 UNIVERSALITY_PATTERN_BUDGET = 10**7  # C(n, k) 2^k patterns checked per trial
-_SCREEN_PRIMES = (46337, 65521)
 
 
-def _hadamard_exact_n(modulus: int) -> int:
-    """Largest n with n^n < modulus^2.  A +-1 matrix of order n has
-    |det| <= n^(n/2) (Hadamard), so up to that n, det == 0 mod `modulus`
-    means det == 0."""
-    n = 1
-    while (n + 1) ** (n + 1) < modulus**2:
-        n += 1
-    return n
+def _primes_below(m: int) -> list[int]:
+    """The primes in [2, m), ascending, by the sieve of Eratosthenes."""
+    sieve = np.ones(m, dtype=bool)
+    for d in range(2, math.isqrt(m) + 1):
+        sieve[d * d::d] = False  # d's multiples from d^2 on, d prime or not
+    return np.flatnonzero(sieve)[2:].tolist()
 
 
-_ONE_PRIME_EXACT_N = _hadamard_exact_n(_SCREEN_PRIMES[0])  # 9
-_TWO_PRIMES_EXACT_N = _hadamard_exact_n(_SCREEN_PRIMES[0] * _SCREEN_PRIMES[1])  # 15
+# 46337 (the gcd screen's int32 path), then the primes below 2^16 from the
+# top: their product passes Hadamard's bound at every order a trial can draw
+_SCREEN_PRIMES = (46337, *(p for p in reversed(_primes_below(2**16)) if p > 46337))
 
 
 def _check_seed(seed: int) -> None:
@@ -142,18 +138,7 @@ class McReport:
     exact_value: Fraction | None = None
 
     def to_json_dict(self):
-        d = {
-            "estimate": self.estimate,
-            "trials": self.trials,
-            "successes": self.successes,
-            "std_error": self.std_error,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-        }
-        if self.exact_value is not None:
-            d["exact_value"] = (f"{self.exact_value.numerator}/"
-                                f"{self.exact_value.denominator}")
-        return d
+        return {k: v for k, v in vars(self).items() if v is not None}  # exact_value if set
 
     @staticmethod
     def from_counts(successes: int, trials: int, seed: int,
@@ -227,8 +212,8 @@ def _batch_rank_deficient_modp(mats: np.ndarray, p: int) -> np.ndarray:
     elimination over F_p.  A matrix leaves the batch at the first column
     with no pivot.  Only the pivot column and row are reduced mod p; the
     trailing block takes one product below p^2 per step unreduced, so its
-    entries stay below n*p^2 + 1 < 2^63 for p < 2^31 and any n that fits
-    in memory."""
+    entries stay below n*p^2 + 1, which is below 2^63 for the screen primes
+    (p < 2^16) at any n < 2^31."""
     T, n, _ = mats.shape
     A = mats.astype(np.int64)
     singular = np.zeros(T, dtype=bool)
@@ -247,6 +232,25 @@ def _batch_rank_deficient_modp(mats: np.ndarray, p: int) -> np.ndarray:
         col = A[:, k:, k] % p
         factors = col[:, 1:] * _inv_modp(col[:, 0], p)[:, None] % p
         A[:, k + 1:, k + 1:] -= factors[:, :, None] * (A[:, k, None, k + 1:] % p)
+    return singular
+
+
+def _singular(mats: np.ndarray) -> np.ndarray:
+    """Mask of the singular matrices in a (T, n, n) batch of sign matrices.
+    The screen primes run in order, the first on the batch itself and each
+    later one on the matrices still flagged, until their product passes
+    Hadamard's bound |det| <= n^(n/2) (1, 2, 3, 3 and 7 primes at n = 9, 15,
+    16, 20 and 40).  Each prime reached builds its 4p-byte inverse table
+    once per process: 0.26 MB near 2^16, 1.8 MB for seven at n = 40."""
+    hadamard_sq = mats.shape[1] ** mats.shape[1]  # (n^(n/2))^2
+    singular = _batch_rank_deficient_modp(mats, _SCREEN_PRIMES[0])
+    modulus = _SCREEN_PRIMES[0]
+    for p in _SCREEN_PRIMES[1:]:
+        flagged = np.flatnonzero(singular)
+        if modulus**2 > hadamard_sq or not flagged.size:
+            break
+        singular[flagged] = _batch_rank_deficient_modp(mats[flagged], p)
+        modulus *= p
     return singular
 
 
@@ -282,13 +286,7 @@ def singularity_probability(
     successes = 0
     for lo, hi in _batches(trials, n * n):
         mats = _sign_matrices(spec, trial_bits(seed, lo, hi, n * n))
-        flagged = mats[_batch_rank_deficient_modp(mats, _SCREEN_PRIMES[0])]
-        if n > _ONE_PRIME_EXACT_N and len(flagged):
-            flagged = flagged[_batch_rank_deficient_modp(flagged, _SCREEN_PRIMES[1])]
-        if n <= _TWO_PRIMES_EXACT_N:
-            successes += len(flagged)
-        else:
-            successes += sum(bareiss_determinant(M.tolist()) == 0 for M in flagged)
+        successes += int(np.count_nonzero(_singular(mats)))
     return McReport.from_counts(successes, trials, seed)
 
 
@@ -404,8 +402,8 @@ def least_singular_value_mc(
     # u = 2^-53, so by Weyl's inequality each moves by at most ||E||_2.  A
     # sign matrix has ||M||_2 <= ||M||_F = n, so a singular one reports
     # sigma <= p(n) n u instead of 0.  Draws below n^3 2^-44 = n^3 2^9 u
-    # (p(n) up to 2^9 n^2) are decided by an exact determinant; others keep
-    # their float sigma, so the bound only sets the Bareiss calls.
+    # (p(n) up to 2^9 n^2) are decided by the exact screen; others keep
+    # their float sigma, so the bound only sets the matrices screened.
     exact_below = n**3 * 2.0**-44
     vals = []
     for lo, hi in _batches(trials, n * n):
@@ -415,10 +413,9 @@ def least_singular_value_mc(
             S = _sign_matrices(spec, trial_bits(seed, lo, hi, n * n))
             M = S.astype(np.float64)
         sigma = np.linalg.svd(M, compute_uv=False)[:, -1]
-        if S is not None:
-            for t in np.nonzero(sigma < exact_below)[0]:
-                if bareiss_determinant(S[t].tolist()) == 0:
-                    sigma[t] = 0.0
+        near = np.flatnonzero(sigma < exact_below)
+        if S is not None and near.size:
+            sigma[near[_singular(S[near])]] = 0.0
         vals += (math.sqrt(n) * sigma).tolist()
     vals.sort()
     return LsvSamples(tuple(vals), 0)

@@ -19,13 +19,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ball_probability_1d, exact_sign_sum_distribution, lattice_counts
+from .core import (HISTOGRAM_WORK_BUDGET, KERNEL_WORK_BUDGET, ball_probability_1d,
+                   exact_sign_sum_distribution, lattice_counts)
 from .types import (
     BudgetError,
     CoefficientMultiset,
     SignDistribution,
     SoundnessError,
     ValidationError,
+    checked_float,
     common_denominator,
 )
 
@@ -105,13 +107,17 @@ class FpContext:
     def from_multiset(A: CoefficientMultiset, p: int | None = None) -> "FpContext":
         entries = A.int_entries()
         n = len(entries)
-        floor = 2**n * (sum(abs(a) for a in entries) + 1)
+        size = sum(abs(a) for a in entries)
+        floor = 2**n * (size + 1)
         if p is None:
+            if floor > P_BUDGET:  # every scan of a strict context refuses p > P_BUDGET
+                raise BudgetError(f"a strict prime above 2^{n} x ({size} + 1) exceeds the "
+                                  f"F_p scan budget {P_BUDGET}")
             p = next_prime(floor)
         strict = p > floor
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
-        if not strict and p <= 2 * sum(abs(a) for a in entries):
+        if not strict and p <= 2 * size:
             # below even the wraparound threshold the scans are meaningless
             raise ValidationError(
                 f"p={p} is too small even for an illustrative context")
@@ -124,9 +130,7 @@ class FpContext:
 
 def _full_scan(ctx: FpContext, name: str, dtype) -> np.ndarray:
     """All of F_p as an array, for a full scan by `name` over a strict
-    context with n <= 24 and p <= P_BUDGET."""
-    if ctx.n > 24:
-        raise BudgetError(f"{name} limited to n <= 24")
+    context with p <= P_BUDGET (so 2^n < P_BUDGET)."""
     if not ctx.strict:
         raise ValidationError(f"{name} requires a strict embedding context")
     if ctx.p > P_BUDGET:
@@ -169,7 +173,7 @@ def _charfn_abs(A: CoefficientMultiset, xi: SignDistribution):
     """|E exp(iu S)| = prod_i |E exp(iu a_i xi)| as a float function.  It
     raises BudgetError at the call that would take its factor evaluations
     past ESSEEN_EVAL_BUDGET."""
-    entries = [float(e) for e in A.entries]
+    entries = [checked_float(e, "an entry") for e in A.entries]
     vals = [(float(v), float(p)) for v, p in xi.support]
     per_call = len(entries) * len(vals)
     max_calls = ESSEEN_EVAL_BUDGET // per_call
@@ -239,10 +243,13 @@ def esseen_bound(
     if beta <= 0:
         raise ValidationError("beta must be positive")
     xi = xi or SignDistribution.bernoulli_pm1()
+    beta_f = checked_float(beta, "beta")
+    lim = 1.0 / beta_f
+    if lim == math.inf:  # a subnormal beta
+        raise ValidationError("1 / beta lies outside the float range")
     f = _charfn_abs(A, xi)
-    lim = 1.0 / float(beta)
     est, err = _adaptive_simpson(f, -lim, lim, ESSEEN_TOL)
-    bound = ESSEEN_C1 * float(beta) * (est + err)
+    bound = ESSEEN_C1 * beta_f * (est + err)
     return EsseenBound(bound, err, ESSEEN_C1)
 
 
@@ -270,8 +277,12 @@ def rl_count(A: CoefficientMultiset, l: int) -> int:
         raise ValidationError("rl_count needs d=1")
     if l < 1:
         raise ValidationError("l must be >= 1")
-    if A.n ** (2 * l) > RL_BUDGET:
-        raise BudgetError(f"n^(2l) = {A.n ** (2 * l)} exceeds budget {RL_BUDGET}")
+    # n^(2l) >= 2^(2l) for n >= 2, so a large l is refused before the power
+    # is taken; each of the l kernel steps costs at least 1 on either path
+    if A.n > 1 and 2 * l > RL_BUDGET.bit_length() or A.n ** (2 * l) > RL_BUDGET:
+        raise BudgetError(f"n^(2l) = {A.n}^{2 * l} tuples exceed budget {RL_BUDGET}")
+    if l > max(KERNEL_WORK_BUDGET, HISTOGRAM_WORK_BUDGET):
+        raise BudgetError(f"l = {l} kernel steps exceed the kernel's work budgets")
     L = common_denominator(A.entries)
     step = list(Counter(int(a * L) for a in A.entries).items())
     counts = lattice_counts([step] * l, RL_BUDGET)
@@ -293,15 +304,6 @@ class LevelSetReport:
     level_size: int
     dual_size: int
     rho_reference: Fraction | None
-
-    def to_json_dict(self):
-        return {
-            "m": self.m,
-            "level_size": self.level_size,
-            "dual_size": self.dual_size,
-            "rho_reference": None if self.rho_reference is None
-            else f"{self.rho_reference.numerator}/{self.rho_reference.denominator}",
-        }
 
 
 def _add_dual_sums(acc: np.ndarray, a_vals: np.ndarray, ts: np.ndarray, p: int) -> None:

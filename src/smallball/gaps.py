@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ FORWARD_N_BUDGET = 10**3
 # Most bits the n + 1 powers of `geometric_progression_rho` may take, each
 # counted at one word or more: far above any test or workload (under 1e3).
 GEO_POWER_BITS_BUDGET = 2**24
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # derived values past it read inf
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,8 @@ def gap_lattice_points(Q: Gap):
     over the points x of Q.  Memory is O(volume) <= O(MATERIALIZE_BUDGET)
     entries."""
     if Q.volume > MATERIALIZE_BUDGET:
-        raise BudgetError(f"volume {Q.volume} exceeds budget {MATERIALIZE_BUDGET}")
+        raise BudgetError(f"a GAP of rank {Q.rank} with volume over {MATERIALIZE_BUDGET} "
+                          "exceeds the budget")
     L = common_denominator((Q.offset, *Q.generators))
     pts = {int(Q.offset * L)}
     for g, M in zip(Q.generators, Q.bounds):
@@ -280,7 +283,12 @@ def gap_fit(
                       and abs(v) // g <= M)
     rho = Fraction(max(bernoulli_int_counts(entries).values()), 2**n)
     eps_achieved = Fraction(n - covered, n)
-    quality = float(rho) * gap.volume * n ** (gap.rank / 2)
+    try:
+        quality = float(rho) * gap.volume * n ** (gap.rank / 2)
+    except OverflowError:  # the volume leaves the float range, the quality may not
+        log = (math.log(rho.numerator) - math.log(rho.denominator) + math.log(gap.volume)
+               + gap.rank / 2 * math.log(n))
+        quality = math.exp(log) if log < _LOG_FLOAT_MAX else math.inf
     return GapFitCertificate(gap, covered, eps_achieved, rho, quality)
 
 
@@ -313,7 +321,11 @@ def structured_multiset_census(
     for rho0 in grid:
         need = -(-rho0.numerator * 2**n // rho0.denominator)
         cnt = sum(1 for c in peaks if c >= need)
-        shape = float(rho0) ** (-n) * n ** (-n / 2) if rho0 > 0 else float("inf")
+        try:
+            shape = float(rho0) ** (-n) * n ** (-n / 2) if rho0 > 0 else math.inf
+        except (OverflowError, ZeroDivisionError):  # rho0 or rho0^-n leaves the float range
+            log = n * (math.log(rho0.denominator) - math.log(rho0.numerator) - math.log(n) / 2)
+            shape = math.exp(log) if log < _LOG_FLOAT_MAX else math.inf
         rows.append((rho0, cnt, shape))
     return rows
 

@@ -38,6 +38,7 @@ from .types import (
     SignDistribution,
     SoundnessError,
     ValidationError,
+    checked_float,
 )
 
 DEFAULT_RESOLUTION = Fraction(1, 4)
@@ -74,32 +75,8 @@ class LcdResult:
         return self.lcd is None
 
     def to_json_dict(self):
-        def enc(x):
-            if isinstance(x, Fraction):
-                return f"{x.numerator}/{x.denominator}"
-            return x
-
-        return {
-            "lcd": enc(self.lcd) if self.lcd is not None else "infinite",
-            "witness_theta": enc(self.witness_theta) if self.witness_theta is not None else None,
-            "witness_integers": list(self.witness_integers) if self.witness_integers else None,
-            "achieved_distance": self.achieved_distance,
-            "margin": self.margin,
-            "theta_max": self.theta_max,
-            "resolution": self.resolution,
-        }
-
-
-def _float(x, name: str) -> float:
-    """float(x), refusing a rational beyond the float range or a nonzero one
-    that rounds to 0."""
-    try:
-        f = float(x)
-    except OverflowError:
-        f = 0.0
-    if f == 0.0 and x != 0:
-        raise ValidationError(f"{name} lies outside the float range")
-    return f
+        return {**vars(self), "lcd": "infinite" if self.lcd is None else self.lcd,
+                "witness_integers": self.witness_integers or None}
 
 
 def _check_scan(theta_max, resolution, sizes) -> None:
@@ -118,8 +95,8 @@ def _check_scan(theta_max, resolution, sizes) -> None:
 
 def _candidates(coeffs: list, theta_max, resolution) -> list:
     """Sorted float candidates up to theta_max: the grid k * resolution and
-    the lattice points k / |c| for each nonzero coefficient c, k >= 1."""
-    _check_scan(theta_max, resolution, [abs(c) for c in coeffs])
+    the lattice points k / |c| for each nonzero coefficient c, k >= 1.  The
+    caller has checked the scan against LCD_CANDIDATE_BUDGET."""
     cands = set()
     for step in (resolution, *(1 / abs(c) for c in coeffs if c)):
         k = 1
@@ -225,7 +202,7 @@ def lcd_multidim(
     is >= 1, checked exactly.
     """
     pts = [(Fraction(x), Fraction(y)) for x, y in pairs]
-    alpha_f, gamma_f = _float(alpha, "alpha"), _float(gamma, "gamma")
+    alpha_f, gamma_f = checked_float(alpha, "alpha"), checked_float(gamma, "gamma")
     if not 0 < gamma_f < 1:
         raise ValidationError("gamma must lie in (0, 1)")
     sxx = sum(x * x for x, _ in pts)
@@ -238,12 +215,13 @@ def lcd_multidim(
         raise ValidationError(
             "super-isotropy violated: smallest eigenvalue of sum a a^T < 1")
     n = len(pts)
-    fpts = [(_float(x, "an entry"), _float(y, "an entry")) for x, y in pts]
+    fpts = [(checked_float(x, "an entry"), checked_float(y, "an entry")) for x, y in pts]
     if theta_max is None:
         theta_max = (math.isqrt(n) + 1) / gamma_f
-    theta_max = _float(theta_max, "theta_max")
-    resolution = _float(resolution, "resolution")
-    # |<a_i, e>| <= ||a_i|| bounds every direction's scan
+    theta_max = checked_float(theta_max, "theta_max")
+    resolution = checked_float(resolution, "resolution")
+    # |<a_i, e>| <= ||a_i|| and the scans' theta_max only shrinks, so this
+    # one check bounds every direction's scan
     _check_scan(theta_max, resolution, [math.hypot(x, y) for x, y in fpts])
     best_r = None
     best_dir = None
@@ -301,10 +279,10 @@ def rv_smallball_bound(
     if not lcd.is_infinite and beta * lcd.lcd < 1:
         raise ValidationError(
             f"precondition failed: beta={beta} < 1/LCD={1 / float(lcd.lcd)}")
-    beta_f, alpha_f = _float(beta, "beta"), _float(alpha, "alpha")
+    beta_f, alpha_f = checked_float(beta, "beta"), checked_float(alpha, "alpha")
     # an alpha whose square overflows leaves exp(-inf) = 0
     alpha2 = alpha_f ** 2 if alpha_f < 2.0**511 else math.inf
-    bound = C * beta_f / (_float(gamma, "gamma") * math.sqrt(float(b))) \
+    bound = C * beta_f / (checked_float(gamma, "gamma") * math.sqrt(float(b))) \
         + C * math.exp(-2.0 * float(b) * alpha2)
     return RvBound(bound, b, lcd)
 
@@ -359,8 +337,9 @@ def recurrence_set_measure(
     if grid_points * max(1, len(a)) > RECURRENCE_BUDGET:
         raise BudgetError(f"{grid_points} grid points x {len(a)} entries exceed the "
                           f"recurrence budget of {RECURRENCE_BUDGET}")
-    scale = [_float(Fraction(x) * z / beta, "an entry times z / beta") for x in a]
-    t_f, beta_f, gamma_f = _float(t, "t"), _float(beta, "beta"), _float(gamma, "gamma")
+    scale = [checked_float(Fraction(x) * z / beta, "an entry times z / beta") for x in a]
+    t_f, beta_f = checked_float(t, "t"), checked_float(beta, "beta")
+    gamma_f = checked_float(gamma, "gamma")
     # every squared distance below is finite, so a t whose square overflows
     # admits every theta
     tt = t_f ** 2 if t_f < 2.0**511 else math.inf

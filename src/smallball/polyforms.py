@@ -210,8 +210,8 @@ def structured_quadratic_generator(kind: str, params: dict, seed: int):
     floor_low = None
     if kind in ("lowrank", "mixed"):
         b = [int(v) for v in rng.integers(-5, 6, size=n)]
-        kv = np.array(k_coeffs, dtype=np.int64)
-        bv = np.array(b, dtype=np.int64)
+        # exact ints, as the GAP part: the k_i may lie beyond int64
+        kv, bv = np.array(k_coeffs, dtype=object), np.array(b, dtype=object)
         low_part = np.outer(kv, bv) + np.outer(bv, kv)
         floor_low = Fraction(bernoulli_int_counts(k_coeffs).get(0, 0), 2**n)
     entries = gap_part + low_part

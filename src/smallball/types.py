@@ -51,6 +51,18 @@ def parse_rational(text: str) -> Fraction:
         raise ValidationError(f"bad rational literal {text!r}: {exc}") from exc
 
 
+def checked_float(x, name: str) -> float:
+    """float(x) for a rational x, refusing (ValidationError, naming `name`)
+    one beyond the float range or a nonzero one that rounds to 0."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = 0.0
+    if f == 0.0 and x != 0:
+        raise ValidationError(f"{name} lies outside the float range")
+    return f
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -273,10 +285,6 @@ class ExactDistribution:
         best = max(self.counts.values())
         ties = (k for k, c in self.counts.items() if c == best)
         return Fraction(best, self.total), self._value(min(ties, key=self._order))
-
-    def sorted_items(self) -> list[tuple[Value, Fraction]]:
-        return [(self._value(k), Fraction(self.counts[k], self.total))
-                for k in self._sorted_keys()]
 
     def _rows(self):
         """(value text, numerator, denominator) per atom, in value order."""

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -229,9 +230,51 @@ HUGE = str(10**400)
     ["recurrence", "--entries=1", "--t=-1/8", "--gamma=1/2", "--alpha=1", "--grid-points=1001"],
     # rank 3 ran exactly the rank-2 path
     ["gap-fit", "--entries=1,2,3", "--max-rank=3"],
+    # user rationals that reached float() unchecked: ZeroDivisionError or
+    # OverflowError
+    ["esseen", "--entries=1", f"--beta=1/{HUGE}"],
+    ["esseen", "--entries=1", f"--beta={HUGE}"],
+    ["esseen", f"--entries={HUGE}", "--beta=1"],
+    # a subnormal beta: 1 / beta overflowed to inf, and cos(inf) raised
+    ["esseen", "--entries=1", f"--beta=1/{10**309}"],
+    ["flat", f"--entries={HUGE},1,2,3"],
+    ["ball2d", f"--entries={HUGE},0,0,1", "--radius=1"],
 ])
 def test_malformed_input_exit_code(args, capsys):
     assert run_cli(args, capsys)[0] == 2
+
+
+def test_derived_values_past_the_float_range(capsys):
+    # the census shape and the gap-fit quality raised ZeroDivisionError or
+    # OverflowError; past the float range they read inf, and a shape whose
+    # rho0^-n alone overflows keeps its finite value
+    rows = [r.split(",") for r in run_cli(
+        ["census", "--n=40", "--max-entry=1", "--rho-grid=1/10000000000,1/100",
+         "--format=csv"], capsys)[1].split()]
+    assert rows[1:] == [["9.094947017729275e+47", "41", "1/100"],
+                        ["inf", "41", "1/10000000000"]]
+    code, out = run_cli(["census", "--n=1", "--max-entry=1", f"--rho-grid=1/{HUGE}"], capsys)
+    assert code == 0 and json.loads(out)["results"][0]["bound_shape"] == math.inf
+    code, out = run_cli(["census", "--n=100", "--max-entry=1", "--rho-grid=1/10000"], capsys)
+    shape = json.loads(out)["results"][0]["bound_shape"]
+    assert abs(shape / 1e300 - 1) < 1e-9  # (10^4 / 100^(1/2))^100
+    code, out = run_cli(["gap-fit", f"--entries={HUGE},1"], capsys)
+    res = json.loads(out)["results"]
+    assert code == 0 and res["quality"] == math.inf and res["volume"] == 2 * 10**400 + 1
+    # a volume past the float range with a quality inside it
+    entries = [3**j for j in range(13)] + [10**309]
+    res = json.loads(run_cli(["gap-fit", "--entries=" + ",".join(map(str, entries))],
+                             capsys)[1])["results"]
+    want = Fraction(res["rho"]) * res["volume"] * math.sqrt(14)
+    assert res["volume"] > 10**309 and abs(res["quality"] / float(want) - 1) < 1e-12
+
+
+def test_quad_gen_low_rank_part_beyond_int64(capsys):
+    # k = 10^400 raised OverflowError when the entries went into int64; the
+    # low-rank part is exact, as the GAP part is
+    code, out = run_cli(["quad-gen", "--kind=lowrank", "--n=3", f"--k={HUGE},1,1"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"] == {"n": 3, "rho_q": "1/4", "predicted_floor": "0/1"}
 
 
 def test_rv_bound_alpha_whose_square_overflows(capsys):
@@ -411,18 +454,62 @@ def test_census_refused_before_its_universe_is_built():
     pytest.param(["stanley", "--n-list=1201"], id="stanley-kernel-work"),
     pytest.param(["ball2d", "--entries=1,0,3,0,9,0,27,0,81,0,0,1,0,3,0,9,0,27,0,81",
                   "--radius=1"], id="ball2d-disk-work"),
+    # the message printed n^(2l), 60,206 digits, which str() refuses
+    pytest.param(["rl", "--entries=1,2", "--l=100000"], id="rl-l-1e5"),
+    # the process was killed while it took n^(2l)
+    pytest.param(["rl", "--entries=1,2", f"--l={HUGE}"], id="rl-l-huge"),
+    # one entry: n^(2l) = 1, but l steps went into a list
+    pytest.param(["rl", "--entries=1", f"--l={HUGE}"], id="rl-one-entry-l-huge"),
+    pytest.param(["rl", "--entries=1", "--l=100000000"], id="rl-one-entry-l-1e8"),
+    # the multiset was built before the kernel refused it
+    pytest.param(["stanley", "--n-list=5000001"], id="stanley-n-5e6"),
+    # the search for a prime above 2^15000 x 15001 ran for minutes
+    pytest.param(["fp-bound", "--entries=" + ",".join(["1"] * 15000)], id="fp-bound-prime"),
+    pytest.param(["levels", "--entries=" + ",".join(["1"] * 15000)], id="levels-prime"),
+    # the message printed a volume of 4,800 digits, which str() refuses
+    pytest.param(["gap-forward", "--generators=" + ",".join(["1"] * 12),
+                  "--bounds=" + ",".join([HUGE] * 12), "--n=3"], id="gap-forward-volume"),
+    pytest.param(["quad-gen", "--kind=gap", "--gap-generators=" + ",".join(["1"] * 12),
+                  "--gap-bounds=" + ",".join([HUGE] * 12), "--n=3"], id="quad-gen-volume"),
 ])
 def test_input_past_a_budget_exits_3_in_bounded_memory(args):
     # without its budget each input runs out of memory or runs for minutes;
-    # in a child capped at 1 GiB of address space it must be refused at once
+    # in a child capped at 1 GiB of address space it must be refused at
+    # once, with a message of bounded length
+    proc = _capped_cli(args)
+    assert proc.returncode == 3, proc.stderr[-400:]
+    assert len(proc.stderr) < 1000
+
+
+@pytest.mark.parametrize("args,code", [
+    pytest.param(["esseen", "--entries=1", f"--beta=1/{HUGE}"], 2, id="esseen-beta-tiny"),
+    pytest.param(["esseen", "--entries=1", f"--beta={HUGE}"], 2, id="esseen-beta-huge"),
+    pytest.param(["esseen", f"--entries={HUGE}", "--beta=1"], 2, id="esseen-entry-huge"),
+    pytest.param(["flat", f"--entries={HUGE},1,2,3"], 2, id="flat"),
+    pytest.param(["ball2d", f"--entries={HUGE},0,0,1", "--radius=1"], 2, id="ball2d"),
+    pytest.param(["gap-fit", f"--entries={HUGE},1"], 0, id="gap-fit"),
+    pytest.param(["census", "--n=1", "--max-entry=1", f"--rho-grid=1/{HUGE}"], 0,
+                 id="census-rho-tiny"),
+    pytest.param(["census", "--n=40", "--max-entry=1", "--rho-grid=1/10000000000"], 0,
+                 id="census-shape-huge"),
+    pytest.param(["quad-gen", "--kind=lowrank", "--n=3", f"--k={HUGE},1,1"], 0, id="quad-gen"),
+])
+def test_float_range_input_ends_cleanly_in_bounded_memory(args, code):
+    # each ended in a traceback at a float conversion or an int64 array
+    proc = _capped_cli(args)
+    assert proc.returncode == code, proc.stderr[-400:]
+
+
+def _capped_cli(args):
+    """The CLI on `args` in a child capped at 1 GiB of address space and
+    20 s, so that an unbudgeted allocation fails there, not here."""
     import resource
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    proc = subprocess.run([sys.executable, "-m", "smallball.cli", *args],
+    return subprocess.run([sys.executable, "-m", "smallball.cli", *args],
                           capture_output=True, text=True, preexec_fn=cap, timeout=20)
-    assert proc.returncode == 3, proc.stderr[-400:]
 
 
 @pytest.mark.parametrize("args", [

@@ -29,6 +29,12 @@ at n = 61, 62 and 63 (either side of the int64 mass edge), `rho --xi
 lazy:1/3` on 30 small integers, a rank-2 `gap-forward`, a rank-2 `gap-fit`
 at epsilon = 1/8 whose candidate generators round entries at exact halves,
 and `quad-gen --kind gap` on the generator 10^19, whose points pass int64.
+The last three were captured before Monte Carlo singularity moved to one
+Hadamard rule over the screen primes and `levels` rows to the report's
+generic Fraction text: `levels --format csv` on a strict context, a `sweep
+--sub levels` over a strict and an illustrative p, and a symmetric
+`singularity` at n = 20 with six singular matrices, which Bareiss confirmed
+before.
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`; new guards are
 captured from the current tree with `recapture.py --append ARGV...`.

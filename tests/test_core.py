@@ -179,10 +179,17 @@ def test_ball_2d_rotation_invariance():
     assert p == p_rot
 
 
-def test_ball_2d_enumeration_limit():
-    A = CoefficientMultiset.of_pairs([(1, 0)] * 23)
-    with pytest.raises(BudgetError):
-        ball_probability_2d(A, PM1, 1)
+def test_ball_2d_size_bounded_by_the_budgets_alone():
+    # no cap on n: 23 copies of (1, 0) have 24 atoms and give the 1-D ball's
+    # p, while 23 distinct small vectors spread over 1363 atoms, past the
+    # disk budget before any pair is examined
+    ones = CoefficientMultiset.of_pairs([(1, 0)] * 23)
+    want, _ = ball_probability_1d(CoefficientMultiset.of([1] * 23), PM1, 1)
+    assert ball_probability_2d(ones, PM1, 1) == (want, (0.0, 0.0))
+    assert want == Fraction(676039, 2097152)
+    distinct = CoefficientMultiset.of_pairs([(i % 5, i // 5) for i in range(1, 24)])
+    with pytest.raises(BudgetError, match="^1363 atoms x at least 1363 candidate centres"):
+        ball_probability_2d(distinct, PM1, 1)
 
 
 def test_ball_2d_disk_work_budget(monkeypatch):

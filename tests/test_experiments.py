@@ -13,9 +13,7 @@ from smallball.arith import (
     poly_gcd_int,
 )
 from smallball.experiments import (
-    _ONE_PRIME_EXACT_N,
     _SCREEN_PRIMES,
-    _TWO_PRIMES_EXACT_N,
     MAX_TRIAL_DRAWS,
     EnsembleSpec,
     McReport,
@@ -23,6 +21,7 @@ from smallball.experiments import (
     _batches,
     _inv_modp,
     _sign_matrices,
+    _singular,
     common_root_probability,
     edelman_cdf,
     exact_common_value_at_one,
@@ -290,7 +289,7 @@ def test_trial_bits_partition_independent():
         assert (whole == parts).all()
 
 
-@pytest.mark.parametrize("p", _SCREEN_PRIMES)
+@pytest.mark.parametrize("p", _SCREEN_PRIMES[:2])
 def test_pivot_inverse_every_residue(p):
     x = np.arange(1, p, dtype=np.int64)
     want = np.array([pow(int(v), p - 2, p) for v in x])
@@ -310,7 +309,7 @@ def test_rank_screen_matches_bareiss(kind, n):
         mats[::3, 1] = mats[::3, 0]
         mats[::3, :, 1] = mats[::3, :, 0]
     dets = [bareiss_determinant(M.tolist()) for M in mats]
-    for p in _SCREEN_PRIMES:
+    for p in _SCREEN_PRIMES[:3]:  # the primes in use up to n = 20
         want = [d % p == 0 for d in dets]
         assert _batch_rank_deficient_modp(mats, p).tolist() == want
     assert any(d == 0 for d in dets) == (n > 1)
@@ -323,11 +322,14 @@ def test_inverse_table_built_once_per_prime():
         singularity_probability(EnsembleSpec("bernoulli_symmetric", 12), trials=300, seed=seed)
     info = experiments._inverse_table.cache_info()
     assert (info.misses, info.currsize) == (2, 2) and info.hits > 12
-    for p in _SCREEN_PRIMES:
+    # the two tables in use; reading the others would build them
+    used = _SCREEN_PRIMES[:2]
+    for p in used:
         table = experiments._inverse_table(p)
         assert table.dtype == np.int32 and table.shape == (p,)
         assert not table.flags.writeable
-    assert sum(experiments._inverse_table(p).nbytes for p in _SCREEN_PRIMES) < 2**19
+    assert sum(experiments._inverse_table(p).nbytes for p in used) < 2**19
+    assert experiments._inverse_table.cache_info().currsize == 2
 
 
 def _scalar_screen(F, G, p):
@@ -339,7 +341,7 @@ def test_batched_gcd_screen_matches_scalar(n):
     rng = np.random.default_rng(n)
     F = rng.integers(0, 2, size=(300, n + 1)) * 2 - 1
     G = rng.integers(0, 2, size=(300, n + 1)) * 2 - 1
-    for p in _SCREEN_PRIMES:
+    for p in _SCREEN_PRIMES[:2]:
         assert poly_gcd_degree_modp_batch(F, G, p).tolist() == _scalar_screen(F, G, p)
 
 
@@ -434,34 +436,76 @@ def test_k_universality_against_pattern_sets(d, n, k, trials):
     assert 0 < got < trials
 
 
-def test_hadamard_thresholds():
-    # |det| <= n^(n/2) for a +-1 matrix, so det == 0 mod m decides det == 0
-    # while n^n < m^2: one screen prime up to n = 9, both up to n = 15
-    p1, p2 = _SCREEN_PRIMES
-    assert (_ONE_PRIME_EXACT_N, _TWO_PRIMES_EXACT_N) == (9, 15)
-    assert 9**9 < p1**2 <= 10**10
-    assert 15**15 < (p1 * p2) ** 2 <= 16**16
+def _hadamard_primes(n: int) -> list[int]:
+    """The least run of screen primes whose product m has n^n < m^2: a +-1
+    matrix of order n has |det| <= n^(n/2) < m (Hadamard), so det == 0 mod
+    each of them decides det == 0."""
+    primes, m = [], 1
+    for p in _SCREEN_PRIMES:
+        if n**n < m * m:
+            break
+        primes.append(p)
+        m *= p
+    return primes
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (9, 1), (10, 2), (15, 2), (16, 3), (20, 3),
+                                     (40, 7)])
+def test_screen_prime_counts(n, count, monkeypatch):
+    # the product of the first `count` primes passes n^(n/2), and that of
+    # one fewer does not
+    primes = _SCREEN_PRIMES[:count]
+    assert math.prod(primes) ** 2 > n**n >= math.prod(primes[:-1]) ** 2
+    assert _hadamard_primes(n) == list(primes)
+    # the screen of a singular matrix (all ones, rank 1) takes exactly those
+    seen = []
+    real = experiments._batch_rank_deficient_modp
+    monkeypatch.setattr(experiments, "_batch_rank_deficient_modp",
+                        lambda mats, p: seen.append(p) or real(mats, p))
+    mats = np.ones((2, n, n), np.int8)
+    mats[1, 0, 0] = -1  # singular for n >= 3 only
+    assert _singular(mats).tolist() == [n > 1, n > 2]
+    assert seen == list(primes)
+
+
+def test_screen_primes_cover_every_order_a_trial_can_draw():
+    # 46337 keeps the gcd screen's int32 path; the rest are the primes below
+    # 2^16 from the top, and together they pass n^(n/2) at the largest order
+    # whose matrix fits in one trial
+    assert _SCREEN_PRIMES[0] == 46337 and (_SCREEN_PRIMES[0] - 1) ** 2 < 2**31
+    rest = list(_SCREEN_PRIMES[1:])
+    assert rest == sorted(rest, reverse=True) and rest[0] == 65521 and rest[-1] > 46337
+    assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in _SCREEN_PRIMES)
+    assert len(rest) == sum(all(q % d for d in range(2, math.isqrt(q) + 1))
+                            for q in range(46338, 2**16))
+    n = math.isqrt(MAX_TRIAL_DRAWS)
+    assert math.prod(_SCREEN_PRIMES) ** 2 > n**n
 
 
 @pytest.mark.parametrize("kind,n,seed", [("bernoulli_iid", 3, 31), ("bernoulli_iid", 4, 41),
-                                         ("bernoulli_symmetric", 10, 60)])
+                                         ("bernoulli_symmetric", 10, 60),
+                                         ("bernoulli_symmetric", 16, 32),
+                                         ("bernoulli_symmetric", 20, 40)])
 def test_hadamard_shortcut_agrees_with_bareiss(kind, n, seed):
-    # the Monte Carlo runs of acceptance criterion 11 at n <= 15: every
-    # matrix the screens flag is singular, so counting them is exact
-    spec, trials = EnsembleSpec(kind, n), 10**5
+    # the Monte Carlo runs of acceptance criterion 11 at n <= 15, and runs at
+    # n = 16 and 20 that flag some matrices: every matrix that all the primes
+    # of the Hadamard rule flag is singular, so counting them is exact
+    spec = EnsembleSpec(kind, n)
+    trials = 10**5 if n < 16 else 2000
     flagged = 0
     for lo, hi in _batches(trials, n * n):
-        mats = _sign_matrices(spec, trial_bits(seed, lo, hi, n * n))
-        first = mats[_batch_rank_deficient_modp(mats, _SCREEN_PRIMES[0])]
-        both = first[_batch_rank_deficient_modp(first, _SCREEN_PRIMES[1])]
-        decided = first if n <= _ONE_PRIME_EXACT_N else both
+        decided = _sign_matrices(spec, trial_bits(seed, lo, hi, n * n))
+        for p in _hadamard_primes(n):
+            decided = decided[_batch_rank_deficient_modp(decided, p)]
         assert all(bareiss_determinant(M.tolist()) == 0 for M in decided)
         flagged += len(decided)
     assert flagged > 0
     assert singularity_probability(spec, trials=trials, seed=seed).successes == flagged
 
 
-def test_bareiss_confirms_only_above_hadamard(monkeypatch):
+def test_monte_carlo_makes_no_bareiss_call(monkeypatch):
+    # Monte Carlo singularity and Bernoulli lsv decide by the screen alone,
+    # singular draws included; exact mode keeps one determinant per matrix
     calls = []
 
     def counting(M):
@@ -469,12 +513,16 @@ def test_bareiss_confirms_only_above_hadamard(monkeypatch):
         return bareiss_determinant(M)
 
     monkeypatch.setattr(experiments, "bareiss_determinant", counting)
-    for n, seed in ((15, 31), (16, 32)):
-        calls.clear()
-        rep = singularity_probability(EnsembleSpec("bernoulli_symmetric", n), trials=1500,
-                                      seed=seed)
-        assert rep.successes > 0
-        assert (len(calls) > 0) == (n > _TWO_PRIMES_EXACT_N)
+    for n, seed in ((15, 31), (16, 32), (20, 40)):
+        for kind in ("bernoulli_symmetric", "bernoulli_iid"):
+            rep = singularity_probability(EnsembleSpec(kind, n), trials=1500, seed=seed)
+            assert rep.successes > 0
+        # lsv draws the same iid matrices and reports the singular ones as 0
+        lsv = least_singular_value_mc(EnsembleSpec("bernoulli_iid", n), 1500, seed=seed)
+        assert lsv.values.count(0.0) == rep.successes
+    assert calls == []
+    singularity_probability(EnsembleSpec("bernoulli_iid", 3), "exact")
+    assert len(calls) == 512
 
 
 def test_edelman_rejects_non_finite_t():

@@ -328,8 +328,13 @@ def test_fp_scans_refuse_p_above_budget(monkeypatch):
         return real_arange(stop, *args, **kwargs)
 
     monkeypatch.setattr(np, "arange", guarded)
-    ctx = FpContext.from_multiset(CoefficientMultiset.of([50] * 20))
-    assert ctx.p > 10**9
+    fifties = CoefficientMultiset.of([50] * 20)
+    # searched for, that prime is refused before the search; given, it
+    # makes a strict context that every scan refuses
+    with pytest.raises(BudgetError, match=r"above 2\^20 x \(1000 \+ 1\) exceeds"):
+        FpContext.from_multiset(fifties)
+    ctx = FpContext.from_multiset(fifties, p=next_prime(2**20 * 1001))
+    assert ctx.strict and ctx.p > 10**9
     with pytest.raises(BudgetError):
         fp_exponential_bound(ctx)
     with pytest.raises(BudgetError):

@@ -344,7 +344,6 @@ def test_distribution_matches_sign_enumeration(entries, law):
     assert len(dist.atoms) == len(oracle)
     best = max(oracle.values())
     assert dist.max_atom() == (best, min(v for v, p in oracle.items() if p == best))
-    assert [v for v, _ in dist.sorted_items()] == sorted(oracle)
 
 
 def fraction_convolution_order(pairs, xi):
