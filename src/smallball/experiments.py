@@ -38,6 +38,7 @@ from .types import BudgetError, ValidationError
 EXACT_ENUM_BUDGET_LOG2 = 26
 BATCH = 4096  # trials (or enumerated matrices) per vectorised batch
 MAX_TRIAL_DRAWS = 2**21  # draws per trial, and per batch of trials
+MC_DRAW_BUDGET = 2 * 10**9  # trials x draws per run: over 10x the largest run tested, 1.6e8
 LSV_TRIAL_BUDGET = 10**5  # lsv keeps every sample; tests take at most 2000
 UNIVERSALITY_PATTERN_BUDGET = 10**7  # C(n, k) 2^k patterns checked per trial
 
@@ -69,11 +70,14 @@ def _check_mc(trials: int, seed: int, least: int = 1) -> None:
 def _batches(trials: int, draws: int):
     """[lo, hi) ranges of at most BATCH trials of `draws` draws each, and
     of at most `MAX_TRIAL_DRAWS` draws: larger batches of large matrices
-    only cost more memory and time.  A trial of more draws is refused
-    before anything is drawn."""
+    only cost more memory and time.  A trial of more draws, or a run of
+    more than MC_DRAW_BUDGET draws, is refused before anything is drawn."""
     if draws > MAX_TRIAL_DRAWS:
         raise BudgetError(f"one trial needs {draws} draws, over the "
                           f"{MAX_TRIAL_DRAWS} budget")
+    if trials * draws > MC_DRAW_BUDGET:
+        raise BudgetError(f"{trials} trials of {draws} draws need {trials * draws} "
+                          f"draws, over the {MC_DRAW_BUDGET} budget")
     step = min(BATCH, MAX_TRIAL_DRAWS // draws)
     for lo in range(0, trials, step):
         yield lo, min(lo + step, trials)

@@ -2,10 +2,11 @@
 inverse fitting with certificates, the structured-multiset census, and
 geometric-progression concentration in quadratic integer rings.
 
-The inverse fit is a certificate-producing heuristic: the inverse theorems
-guarantee existence of a small proper symmetric GAP non-constructively, so
-the promise here is only "find a certificate at least as good as the
-planted one on planted instances", verified independently by membership
+The inverse theorems guarantee a small proper symmetric GAP holding most
+entries, non-constructively.  The inverse fit certifies one: its rank-1 GAP
+is the exact minimum-volume cover of all but epsilon*n entries, and its
+rank-2 GAP is a heuristic's, taken only when it is proper and strictly
+smaller than that optimum.  Coverage is verified by independent membership
 recounts.
 """
 from __future__ import annotations
@@ -171,24 +172,26 @@ class GapFitCertificate:
         }
 
 
-def _rank1_fit(entries: list[int], keep: int):
-    """Best symmetric rank-1 GAP covering >= keep entries (greedy drop of the
-    largest |m| outliers)."""
-    best = None
-    work = sorted(entries, key=abs)
-    for drop in range(0, len(entries) - keep + 1):
-        kept = work[:len(entries) - drop]
-        g = math.gcd(*kept)
-        if g == 0:
-            cand = Gap.of([1], [0])
-        else:
-            M = max(abs(v) // g for v in kept)
-            cand = Gap.of([g], [M])
-        if best is None or cand.volume < best[0].volume:
-            best = (cand, len(kept))
-        if len(kept) == keep:
-            break
-    return best
+def _rank1_optimum(entries: list[int], keep: int) -> tuple[int, int]:
+    """(g, M) of the least-volume GAP g*[-M, M] holding `keep` entries.  A
+    kept set's best generator is its gcd, so g runs over the subset gcds
+    (and 1, which gives kept zeros {0}), built in one pass S <- S + {|v|} +
+    {gcd(|v|, s) : s in S}; M is the keep-th smallest |v|/g over the
+    multiples of g.  Refused once n |S| steps pass MATERIALIZE_BUDGET."""
+    need = keep - entries.count(0)  # multiples of g that must join the zeros
+    if need <= 0:
+        return 1, 0
+    mags = sorted(abs(v) for v in entries if v)
+    gcds = {1}
+    for a in sorted(set(mags)):
+        gcds |= {a} | {math.gcd(a, s) for s in gcds}
+        if len(mags) * len(gcds) > MATERIALIZE_BUDGET:
+            raise BudgetError(f"the subset gcds of {len(mags)} nonzero entries pass "
+                              f"{len(gcds)}, over the budget of {MATERIALIZE_BUDGET} steps")
+    # every multiple of 1 counts, so g = 1 qualifies; the smallest g wins a tie
+    M, g = min((q[need - 1], g) for g in gcds
+               if len(q := [a // g for a in mags if a % g == 0]) >= need)
+    return g, M
 
 
 def _rank2_candidates(entries: list[int]):
@@ -230,14 +233,10 @@ def _rank2_fit(entries: list[int], keep: int):
         quot = [q - (r == 0 and q % 2) for q, r in (divmod(2 * v + G, 2 * G) for v in entries)]
         resid = [v - q * G for v, q in zip(entries, quot)]
         order = sorted(range(len(entries)), key=lambda i: (abs(resid[i]), abs(quot[i])))
-        kept = order[:keep] if keep < len(entries) else order
-        g1 = math.gcd(*(resid[i] for i in kept))
-        M2 = max(abs(quot[i]) for i in kept)
-        if g1 == 0:
-            cand = Gap.of([1, G], [0, M2])
-        else:
-            M1 = max(abs(resid[i]) // g1 for i in kept)
-            cand = Gap.of([g1, G], [M1, M2])
+        kept = order[:keep]
+        g1 = math.gcd(*(resid[i] for i in kept)) or 1  # residues all 0: bound 0
+        M1 = max(abs(resid[i]) // g1 for i in kept)
+        cand = Gap.of([g1, G], [M1, max(abs(quot[i]) for i in kept)])
         if best is None or cand.volume < best[0].volume:
             best = (cand, len(kept))
     return best
@@ -248,10 +247,11 @@ def gap_fit(
     epsilon,
     max_rank: int = 2,
 ) -> GapFitCertificate:
-    """Search for a small proper symmetric GAP containing all but epsilon*n
-    entries; always returns a certificate (fallback: rank-1 with generator
-    gcd(entries)).  Coverage and volume in the certificate are re-verified by
-    independent membership tests."""
+    """A small proper symmetric GAP holding all but epsilon*n entries: the
+    exact rank-1 optimum, or with max_rank 2 the rank-2 heuristic's GAP when
+    proper and strictly smaller (so never one with a zero bound).  Coverage
+    is recounted: by divisibility at rank 1, against the points at rank 2.
+    A volume with more digits than Python converts to text is refused."""
     entries = A.int_entries()
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon < 1:
@@ -260,27 +260,21 @@ def gap_fit(
         raise ValidationError("max_rank must be 1 or 2")
     n = len(entries)
     keep = n - math.floor(epsilon * n)
-    candidates = [_rank1_fit(entries, keep)]
+    g, M = _rank1_optimum(entries, keep)
+    gap = Gap.of([g], [M])
+    covered = sum(1 for v in entries if v % g == 0 and abs(v) // g <= M)
     if max_rank == 2 and len(set(entries)) > 2:
-        c2 = _rank2_fit(entries, keep)
-        # rank-2 certificates must stay materializable for verification
-        if c2 is not None and c2[0].volume <= MATERIALIZE_BUDGET:
-            candidates.append(c2)
-    best = min(candidates, key=lambda c: c[0].volume)
-    gap = best[0]
-    if not gap_is_proper(gap):
-        # fall back to the always-proper rank-1 gcd cover
-        gap = _rank1_fit(entries, n)[0]
-    # independent verification by membership recount
-    try:
-        L, pts = gap_lattice_points(gap)
-        covered = sum(1 for v in entries if v * L in pts)
-    except BudgetError:
-        # volume too large to materialize: rank-1 membership is divisibility
-        g = int(gap.generators[0])
-        M = gap.bounds[0]
-        covered = sum(1 for v in entries if g != 0 and v % g == 0
-                      and abs(v) // g <= M)
+        cand = _rank2_fit(entries, keep)[0]
+        if cand.volume < min(gap.volume, MATERIALIZE_BUDGET + 1):
+            _, pts = gap_lattice_points(cand)  # integer generators: L = 1
+            if len(pts) == cand.volume:
+                gap, covered = cand, sum(1 for v in entries if v in pts)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and gap.volume >= 10**limit:
+        digits = int(gap.volume.bit_length() * math.log10(2))  # or one more
+        digits += gap.volume >= 10**digits
+        raise BudgetError(f"the certificate's volume has {digits} decimal digits, past "
+                          f"the {limit}-digit limit of Python's int-to-str conversion")
     rho = Fraction(max(bernoulli_int_counts(entries).values()), 2**n)
     eps_achieved = Fraction(n - covered, n)
     try:

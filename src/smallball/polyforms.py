@@ -287,21 +287,23 @@ class MultilinearPolynomial:
 
 def _eval_all_boolean(P: MultilinearPolynomial) -> tuple[np.ndarray, int]:
     """(den * P over all 2^n boolean assignments, exact in int64; den), with
-    den the coefficients' common denominator."""
+    den the coefficients' common denominator: each scaled coefficient goes to
+    its index mask, and n subset-sum passes spread it over the supersets, so
+    the work is O(terms + n 2^n) however many terms there are."""
     den = common_denominator(c for _, c in P.terms)
     n = P.n
     if n > 22:
         raise BudgetError("multilinear enumeration limited to n <= 22")
     if sum(abs(int(c * den)) for _, c in P.terms) >= 2**62:
         raise BudgetError("coefficients too large for exact int64 evaluation")
-    m = np.arange(2**n, dtype=np.int64)
     vals = np.zeros(2**n, dtype=np.int64)
     for S, c in P.terms:
-        mask = 0
-        for i in S:
-            mask |= 1 << i
-        hit = (m & mask) == mask
-        vals[hit] += int(c * den)
+        vals[sum(1 << i for i in S)] += int(c * den)
+    # subset-sum (zeta) transform: pass i adds each mask without bit i to the
+    # mask with it, so vals[m] ends as the sum over the terms S inside m
+    for i in range(n):
+        v = vals.reshape(-1, 2, 2**i)
+        v[:, 1] += v[:, 0]
     return vals, den
 
 
@@ -341,12 +343,9 @@ def parity_correlation(P: MultilinearPolynomial) -> Fraction:
     exact; outputs outside {0,1} count as disagreement."""
     n = P.n
     vals, den = _eval_all_boolean(P)
-    m = np.arange(2**n, dtype=np.uint64)
-    par = np.zeros(2**n, dtype=np.int64)
-    bits = m.copy()
-    while bits.any():
-        par ^= (bits & 1).astype(np.int64)
-        bits >>= 1
+    par = np.zeros(1, dtype=np.int64)
+    for _ in range(n):  # the masks with the next bit set flip the parity
+        par = np.concatenate([par, par ^ 1])
     agree = int(np.count_nonzero(vals == par * den))
     return Fraction(agree, 2**n) - Fraction(1, 2)
 

@@ -33,7 +33,6 @@ from smallball.gaps import (
     Gap,
     gap_fit,
     gap_forward_sample,
-    gap_materialize,
     geometric_progression_rho,
     structured_multiset_census,
 )
@@ -55,7 +54,6 @@ from smallball.experiments import (
     least_singular_value_mc,
     mc_agreement_sigma,
     singularity_probability,
-    substream,
 )
 from smallball.types import CoefficientMultiset, SignDistribution
 

@@ -466,6 +466,13 @@ def test_census_refused_before_its_universe_is_built():
     # the search for a prime above 2^15000 x 15001 ran for minutes
     pytest.param(["fp-bound", "--entries=" + ",".join(["1"] * 15000)], id="fp-bound-prime"),
     pytest.param(["levels", "--entries=" + ",".join(["1"] * 15000)], id="levels-prime"),
+    # 10^12 trials ran until a timer stopped them
+    pytest.param(["singularity", "--n=3", f"--trials={10**12}"], id="singularity-trials"),
+    pytest.param(["common-roots", "--n=3", f"--trials={10**12}"], id="common-roots-trials"),
+    pytest.param(["universal", "--d=10", "--n=5", "--k=1", f"--trials={10**12}"],
+                 id="universal-trials"),
+    # json.dumps raised ValueError on the volume's 4,301 digits
+    pytest.param(["gap-fit", "--entries=" + "9" * 4300 + ",1"], id="gap-fit-volume-digits"),
     # the message printed a volume of 4,800 digits, which str() refuses
     pytest.param(["gap-forward", "--generators=" + ",".join(["1"] * 12),
                   "--bounds=" + ",".join([HUGE] * 12), "--n=3"], id="gap-forward-volume"),

@@ -35,6 +35,11 @@ generic Fraction text: `levels --format csv` on a strict context, a `sweep
 --sub levels` over a strict and an illustrative p, and a symmetric
 `singularity` at n = 20 with six singular matrices, which Bareiss confirmed
 before.
+The last four were captured before `gap-fit` took the exact rank-1 optimum
+and multilinear forms moved to the subset-sum transform: a planted rank-2
+`gap-fit` at epsilon = 1/8, a `--max-rank 1` fit whose greedy cover was
+already optimal, and a `multi-rho` at n = 12 and a `parity-cor` at n = 10
+with many terms.
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`; new guards are
 captured from the current tree with `recapture.py --append ARGV...`.

@@ -555,3 +555,26 @@ def test_draws_per_trial_are_capped(monkeypatch):
     # at the cap a trial runs; with k = 0 nothing is drawn
     assert k_universality_check(MAX_TRIAL_DRAWS // 1024, 1024, 1, 2).trials == 2
     assert k_universality_check(100000, 100000, 0, 1).successes == 0
+
+
+def test_draws_per_run_are_capped(monkeypatch):
+    # a run of trials x draws per trial past MC_DRAW_BUDGET is refused
+    # before anything is drawn, in every Monte Carlo run that draws signs;
+    # every enumeration that exact mode's own budget admits stays below it
+    for kind in ("bernoulli_iid", "bernoulli_symmetric"):
+        n = max(n for n in range(1, 9) if experiments._free_entry_count(
+            EnsembleSpec(kind, n)) <= experiments.EXACT_ENUM_BUDGET_LOG2)
+        free = experiments._free_entry_count(EnsembleSpec(kind, n))
+        assert 2**free * n * n <= experiments.MC_DRAW_BUDGET
+    _draw_guard(monkeypatch)
+    monkeypatch.setattr(experiments, "MC_DRAW_BUDGET", 9 * 100)
+    spec = EnsembleSpec("bernoulli_iid", 3)
+    assert singularity_probability(spec, trials=100).trials == 100
+    with pytest.raises(BudgetError, match="909 draws"):
+        singularity_probability(spec, trials=101)
+    with pytest.raises(BudgetError):
+        common_root_probability(3, 113)  # 8 draws each
+    with pytest.raises(BudgetError):
+        k_universality_check(10, 5, 1, 19)  # 50 draws each
+    with pytest.raises(BudgetError):
+        least_singular_value_mc(spec, 101)

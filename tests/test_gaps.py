@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +196,90 @@ def test_gap_fit_validation():
         gap_fit(CoefficientMultiset.of([Fraction(1, 2)]), 0)
     with pytest.raises(ValidationError):
         gap_fit(CoefficientMultiset.of([1]), 1)
+
+
+def _least_rank1_volume(entries, keep):
+    """2M + 1 minimised over every generator g in [1, max |v|] (a larger g
+    has only the zeros as multiples), M the keep-th smallest |v|/g over the
+    multiples v of g."""
+    vols = []
+    for g in range(1, max([abs(v) for v in entries] + [1]) + 1):
+        q = sorted(abs(v) // g for v in entries if v % g == 0)
+        if len(q) >= keep:
+            vols.append(2 * q[keep - 1] + 1)
+    return min(vols)
+
+
+def test_rank1_optimum_matches_brute_force():
+    # every multiset of up to 4 entries in [-12, 12], and seeded ones of 5
+    # and 6, at every keep: the least volume, and a GAP that holds keep
+    rng = np.random.default_rng(16)
+    cases = [list(e) for n in range(1, 5)
+             for e in itertools.combinations_with_replacement(range(-12, 13), n)]
+    cases += [rng.integers(-12, 13, size=n).tolist() for n in (5, 6) for _ in range(1500)]
+    for e in cases:
+        for keep in range(1, len(e) + 1):
+            g, M = gaps._rank1_optimum(e, keep)
+            assert 2 * M + 1 == _least_rank1_volume(e, keep), (e, keep)
+            assert sum(1 for v in e if v % g == 0 and abs(v) // g <= M) >= keep
+
+
+@pytest.mark.parametrize("max_rank", [1, 2])
+@pytest.mark.parametrize("entries,epsilon,generator,volume", [
+    ([3, 2, 4, 6, 8], Fraction(1, 5), 2, 9),
+    ([5, 10, 15, 20, 25, 7, 14], Fraction(2, 7), 5, 11),
+    ([6, 9, 12, 15, 18, 21, 2], Fraction(1, 7), 3, 15),
+])
+def test_gap_fit_drops_a_small_entry(entries, epsilon, generator, volume, max_rank):
+    # a greedy drop of the largest entries gave volumes 13, 31 and 37, and
+    # at max_rank 2 the smaller cover came back as rank 2 with a zero bound
+    cert = gap_fit(CoefficientMultiset.of(entries), epsilon, max_rank)
+    assert cert.gap == Gap.of([generator], [volume // 2])
+    assert cert.covered == len(entries) - epsilon * len(entries)
+
+
+def test_gap_fit_takes_rank2_only_below_the_rank1_optimum():
+    rng = np.random.default_rng(17)
+    ranks = set()
+    for _ in range(300):
+        n = int(rng.integers(3, 12))
+        entries = (rng.integers(-3, 4, size=n) + 25 * rng.integers(-2, 3, size=n)).tolist()
+        epsilon = Fraction(int(rng.integers(0, 3)), 8)
+        cert = gap_fit(CoefficientMultiset.of(entries), epsilon)
+        keep = n - math.floor(epsilon * n)
+        ranks.add(cert.gap.rank)
+        if cert.gap.rank == 2:
+            assert cert.gap.volume < 2 * gaps._rank1_optimum(entries, keep)[1] + 1
+            assert min(cert.gap.bounds) > 0 and gap_is_proper(cert.gap)
+        assert cert.covered >= keep
+        assert cert.covered == sum(1 for v in entries if v in gap_materialize(cert.gap)[0])
+    assert ranks == {1, 2}
+
+
+def test_gap_fit_kept_zeros_give_the_zero_gap():
+    cert = gap_fit(CoefficientMultiset.of([0, 0, 0, 5, 7]), Fraction(2, 5))
+    assert cert.gap == Gap.of([1], [0]) and cert.covered == 3
+    assert gap_fit(CoefficientMultiset.of([0, 0]), 0).gap == Gap.of([1], [0])
+
+
+def test_rank1_gcds_are_budgeted(monkeypatch):
+    # 2, 3, 5, 7 have the subset gcds 1, 2, 3, 5, 7: 4 x 5 steps
+    monkeypatch.setattr(gaps, "MATERIALIZE_BUDGET", 19)
+    with pytest.raises(BudgetError):
+        gap_fit(CoefficientMultiset.of([2, 3, 5, 7]), 0)
+    monkeypatch.setattr(gaps, "MATERIALIZE_BUDGET", 20)
+    assert gap_fit(CoefficientMultiset.of([2, 3, 5, 7]), 0, max_rank=1).gap == Gap.of([1], [7])
+
+
+def test_gap_fit_refuses_a_volume_past_the_int_to_str_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts ints of any length to text")
+    with pytest.raises(BudgetError, match=f"{limit + 1} decimal digits"):
+        gap_fit(CoefficientMultiset.of([10**limit - 1, 1]), 0)
+    # one digit fewer: volume 2 * 10^(limit - 1) - 1 has limit digits
+    assert gap_fit(CoefficientMultiset.of([10 ** (limit - 1) - 1, 1]), 0).gap.volume \
+        == 2 * 10 ** (limit - 1) - 1
 
 
 def test_census_small_exact():
