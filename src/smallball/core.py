@@ -18,19 +18,21 @@ equidistant centers is exhaustive.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from .types import (
+    INT64_MAX,
     BudgetError,
     CoefficientMultiset,
     ExactDistribution,
     SignDistribution,
+    SortedCounts,
     ValidationError,
     checked_float,
     common_denominator,
@@ -60,11 +62,10 @@ DISK_WORK_BUDGET = 1_250_000
 # times the most that any test, golden case or benchmark workload takes
 # (360 x 6).
 FLAT_WORK_BUDGET = 10**5
-# Least histogram work for which a narrow law goes to the histogram: below
-# it the dict merge costs less than the histogram's set-up and its few numpy
-# calls per step.
+# Least work for which a narrow law goes to the histogram, or a wide one to
+# the sorted merge: below it the dict merge costs less than their set-up and
+# their few numpy calls per step.
 DENSE_MIN_WORK = 1024
-INT64_MAX = 2**63 - 1
 
 
 def lattice_counts(steps, budget: int = ATOM_BUDGET) -> dict[int, int]:
@@ -72,38 +73,45 @@ def lattice_counts(steps, budget: int = ATOM_BUDGET) -> dict[int, int]:
     offers integer shift s with positive integer weight w.  `steps` is a
     list of nonempty sequences of (shift, weight) pairs.
 
-    The path is chosen once, from the steps, before any step runs: a narrow
-    law is counted on an int64 histogram, keys ascending (`_histogram_counts`);
-    every other law is merged in a dict, keys in the order of their first
-    appearance (`_dict_counts`).  Each path bounds its own cost and raises
-    BudgetError past it: the dict merge against `budget` and
-    KERNEL_WORK_BUDGET, the histogram against HISTOGRAM_WORK_BUDGET."""
-    counts = _histogram_counts(steps, budget)
-    return _dict_counts(steps, budget) if counts is None else counts
+    The path is chosen once, from the steps, before any step runs
+    (`_array_counts`): a narrow law is counted on an int64 histogram and a
+    wide one by a sorted merge of int64 arrays, keys ascending; a tiny law,
+    or one past int64, is merged in a dict, keys in the order of their first
+    appearance (`_dict_counts`).  Each path raises BudgetError past its own
+    budgets: both merges `budget` and KERNEL_WORK_BUDGET, the histogram
+    HISTOGRAM_WORK_BUDGET."""
+    law = _array_counts(steps, budget)
+    return _dict_counts(steps, budget) if law is None else dict(zip(*(a.tolist() for a in law)))
 
 
-def _dict_counts(steps, budget: int) -> dict[int, int]:
-    """`lattice_counts` by merging equal sums in a dict.  Before each step,
-    raises BudgetError if the projected support, weighted by the signed
-    64-bit words of the widest key the step can reach, exceeds `budget`, or
-    as soon as the work must pass KERNEL_WORK_BUDGET: no step shrinks the
-    support, so the steps left take at least the support times their sizes."""
-    counts = {0: 1}
+def _budgeted(steps, budget: int, support):
+    """The steps, each after the merges' checks on `support()`: BudgetError
+    if the projected support, weighted by the signed 64-bit words of the
+    widest key the step can reach, exceeds `budget`, or once the work must
+    pass KERNEL_WORK_BUDGET: no step shrinks the support, so the steps left
+    take at least the support times their sizes."""
     reach = work = 0  # reach bounds |key| after the steps so far
     left = sum(map(len, steps))  # the sizes of this step and the later ones
     for step in steps:
-        support, size = len(counts), len(step)
+        atoms, size = support(), len(step)
         reach += max([abs(s) for s, _ in step])
-        projected = support * size * (reach.bit_length() // 64 + 1)
+        projected = atoms * size * (reach.bit_length() // 64 + 1)
         if projected > budget:
-            raise BudgetError(f"projected atom count {support * size} x key width "
+            raise BudgetError(f"projected atom count {atoms * size} x key width "
                               f"= {projected} words exceeds budget {budget}")
-        if work + support * left > KERNEL_WORK_BUDGET:
-            raise BudgetError(f"kernel work of at least {work + support * left} (support x "
+        if work + atoms * left > KERNEL_WORK_BUDGET:
+            raise BudgetError(f"kernel work of at least {work + atoms * left} (support x "
                               f"step size, summed over the steps) exceeds budget "
                               f"{KERNEL_WORK_BUDGET}")
-        work += support * size
+        work += atoms * size
         left -= size
+        yield step
+
+
+def _dict_counts(steps, budget: int) -> dict[int, int]:
+    """`lattice_counts` by merging equal sums in a dict."""
+    counts = {0: 1}
+    for step in _budgeted(steps, budget, lambda: len(counts)):
         nxt: dict[int, int] = {}
         for v, c in counts.items():
             for s, w in step:
@@ -116,29 +124,43 @@ def _dict_counts(steps, budget: int) -> dict[int, int]:
     return counts
 
 
-def _histogram_counts(steps, budget: int) -> dict[int, int] | None:
-    """`lattice_counts` on an int64 histogram, keys ascending; None if the
-    law is not narrow.  Slot j holds the count of key lo + g*j, where lo
-    sums the least shift of each step and g is the gcd of the offsets of
-    every shift from the least of its step.  Starting from {0: 1}, the
-    steps run narrowest first, as the counts do not depend on their order,
-    and a step adds each shift's weighted copy of the slots in use at its
-    offset.
+def _merge_counts(steps, budget: int):
+    """`lattice_counts` as sorted int64 arrays: per step, one ascending copy
+    of the keys per shift, merged by a stable argsort, equal keys summed."""
+    keys, counts = np.zeros(1, np.int64), np.ones(1, np.int64)
+    for step in _budgeted(steps, budget, lambda: len(keys)):
+        shifts, weights = np.array(step, np.int64).T
+        order = np.argsort(k := np.add.outer(shifts, keys).ravel(), kind="stable")
+        keys, counts = k[order], np.multiply.outer(weights, counts).ravel()[order]
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        if not first.all():
+            starts = np.flatnonzero(first)
+            keys, counts = keys[starts], np.add.reduceat(counts, starts)
+    return keys, counts
 
-    Narrow, tested cheapest first: the work, the slots in use before each
-    step times its size summed over the steps, is at least DENSE_MIN_WORK;
-    there are at most `budget` slots; every key fits int64; every weight is
-    positive; the total mass, which bounds every count, fits int64; and
-    there are at most four times as many slots as the law can have atoms
-    (for each group of m equal steps of k shifts, the C(m + k - 1, m)
-    multisets of their shifts, multiplied over the groups), so a law far
-    wider than its support never allocates its span.  A narrow law whose
-    work passes HISTOGRAM_WORK_BUDGET raises BudgetError before a slot is
-    allocated."""
+
+def _array_counts(steps, budget: int):
+    """`lattice_counts` as sorted int64 arrays (keys, counts); None for a law
+    that is tiny or does not fit int64.  The histogram's slot j holds the
+    count of key lo + g*j: lo sums the least shift of each step, and g is the
+    gcd of the offsets of every shift from the least of its step.  The steps
+    run narrowest first, and each adds a weighted copy of the slots in use
+    at each shift's offset.
+
+    Tested cheapest first.  Tiny: the work (the slots in use before each
+    step times its size, summed) is below DENSE_MIN_WORK.  Fits int64: every
+    key fits in half of it, every weight is positive, and the total mass,
+    which bounds every count, fits.  Narrow, else wide: at most `budget`
+    slots, and at most four times as many as the law can have atoms (per
+    group of m equal steps of k shifts, the C(m + k - 1, m) multisets of
+    their shifts).  A narrow law whose work passes HISTOGRAM_WORK_BUDGET is
+    refused before a slot is allocated.  A wide law is tiny too if the dict
+    merge's work, were no two sums to meet, is below DENSE_MIN_WORK."""
     sizes = [len(step) for step in steps]
-    # a narrow law's work is at most its slots times the sum of the sizes,
-    # and its slots at most 4 x the product of the sizes and at most 1 + the
-    # summed spans: tiny laws leave on one of the two
+    # the work is at most the slots times the summed sizes, and the slots at
+    # most 4 x the product of the sizes (or the law is wide; that product
+    # times the summed sizes bounds the merges' work too) and at most 1 + the
+    # summed spans: tiny laws leave on either bound
     if 4 * math.prod(sizes) * sum(sizes) < DENSE_MIN_WORK:
         return None
     ends = [(min(step)[0], max(step)[0]) for step in steps]
@@ -146,25 +168,27 @@ def _histogram_counts(steps, budget: int) -> dict[int, int] | None:
         return None
     # the narrowest first: for steps of one size, as the library's laws
     # have, that order takes the least work
-    ends, steps = zip(*sorted(zip(ends, steps), key=lambda e: e[0][1] - e[0][0]))
-    g = math.gcd(*(s - least for (least, _), step in zip(ends, steps) for s, _ in step)) or 1
+    ends, ordered = zip(*sorted(zip(ends, steps), key=lambda e: e[0][1] - e[0][0]))
+    g = math.gcd(*(s - least for (least, _), step in zip(ends, ordered) for s, _ in step)) or 1
     # tops[i]: the slots in use before step i; tops[-1]: all of them
     tops = list(itertools.accumulate(((most - least) // g for least, most in ends), initial=1))
-    work = sum(top * len(step) for top, step in zip(tops, steps))
+    work = sum(top * len(step) for top, step in zip(tops, ordered))
     lo, hi = sum(e[0] for e in ends), sum(e[1] for e in ends)
-    if (work < DENSE_MIN_WORK or tops[-1] > budget or max(-lo, hi) > INT64_MAX // 2
+    if (work < DENSE_MIN_WORK or max(-lo, hi) > INT64_MAX // 2
             or any(w <= 0 for step in steps for _, w in step)
             or math.prod(sum(w for _, w in step) for step in steps) > INT64_MAX):
         return None
     groups = Counter(tuple(sorted(step)) for step in steps)
-    if tops[-1] > 4 * math.prod(math.comb(m + len(k) - 1, m) for k, m in groups.items()):
-        return None
+    if tops[-1] > min(budget, 4 * math.prod(math.comb(m + len(k) - 1, m)
+                                            for k, m in groups.items())):
+        no_meets = sum(itertools.accumulate(sizes, operator.mul))  # the dict merge's work
+        return None if no_meets < DENSE_MIN_WORK else _merge_counts(steps, budget)
     if work > HISTOGRAM_WORK_BUDGET:
         raise BudgetError(f"histogram work {work} (slots in use x step size, summed over "
                           f"the steps) exceeds budget {HISTOGRAM_WORK_BUDGET}")
     hist = np.zeros(tops[-1], np.int64)
     hist[0] = 1
-    for top, (least, _), step in zip(tops, ends, steps):
+    for top, (least, _), step in zip(tops, ends, ordered):
         old = hist[:top].copy()
         (_, w), *rest = sorted(step)  # the least shift, at offset 0, in place
         if w != 1:
@@ -172,8 +196,12 @@ def _histogram_counts(steps, budget: int) -> dict[int, int] | None:
         for s, w in rest:
             off = (s - least) // g
             hist[off:off + top] += old if w == 1 else w * old
-    nz = np.flatnonzero(hist)
-    return dict(zip((nz * g + lo).tolist(), hist[nz].tolist()))
+    used = hist != 0
+    hist = hist[used]  # the full histogram goes before the keys are built
+    keys = np.flatnonzero(used)
+    keys *= g  # in place: a law of 2^22 atoms then peaks near 0.1 GB
+    keys += lo
+    return keys, hist
 
 
 def exact_sign_sum_distribution(
@@ -184,9 +212,9 @@ def exact_sign_sum_distribution(
     or (1/L)Z^2 packed into Z as x + B*y, where L clears the denominators of
     the entries and of the sign values.  Raises BudgetError if the projected
     support size exceeds ATOM_BUDGET or a path's work its budget (see
-    `lattice_counts`).  A 2-D law goes straight to the dict merge: its keys
-    keep the order of their first appearance, which the disk scan's witness
-    tie rule follows."""
+    `lattice_counts`); a 1-D law off the dict merge keeps its arrays.  A 2-D
+    law goes straight to the dict merge: its keys keep the order of their
+    first appearance, which the disk scan's witness tie rule follows."""
     la = common_denominator(c for e in A.entries for c in (e if A.d == 2 else (e,)))
     ls, den = common_denominator(xi.values), common_denominator(p for _, p in xi.support)
     signs = [(int(v * ls), int(p * den)) for v, p in xi.support]
@@ -198,7 +226,8 @@ def exact_sign_sum_distribution(
         pack = 2 * top + 1
         shifts = [int(x * la) + pack * int(y * la) for x, y in A.entries]
     steps = [[(a * s, w) for s, w in signs] for a in shifts]
-    counts = (lattice_counts if A.d == 1 else _dict_counts)(steps, ATOM_BUDGET)
+    law = _array_counts(steps, ATOM_BUDGET) if A.d == 1 else None
+    counts = _dict_counts(steps, ATOM_BUDGET) if law is None else SortedCounts(*law)
     return ExactDistribution(counts, la * ls, den ** A.n, A.n, pack)
 
 
@@ -240,10 +269,10 @@ def ball_probability_1d(
     """Max over centers x of P(S_A in [x-R, x+R]), with a maximizing center.
 
     The optimum is attained by a window whose left edge sits on a support
-    point; each such window's mass is a difference of prefix sums of the
-    integer counts, its right end found by bisection over the sorted lattice
-    keys.  The returned center is the midpoint of the extreme atoms covered
-    by the best window (ties broken by the smallest center).
+    point; each such window's mass is a difference of the cumulative sums of
+    the counts in value order, its right end found by `np.searchsorted`.
+    The returned center is the midpoint of the extreme atoms covered by the
+    best window (ties broken by the smallest center).
     """
     if A.d != 1:
         raise ValidationError("ball_probability_1d needs d=1")
@@ -251,17 +280,17 @@ def ball_probability_1d(
     if R < 0:
         raise ValidationError("radius must be >= 0")
     dist = exact_sign_sum_distribution(A, xi)
-    keys = sorted(dist.counts)
-    mass = list(itertools.accumulate((dist.counts[k] for k in keys), initial=0))
-    # integer keys k <= k' fit one window iff k' - k <= 2R*L, i.e. <= floor(2R*L)
-    width = math.floor(2 * R * dist.scale)
-    best, lo, hi = 0, 0, 1
-    for i, k in enumerate(keys):
-        j = bisect.bisect_right(keys, k + width, i)
-        # the centre grows with i, so the first maximum has the smallest one
-        if mass[j] - mass[i] > best:
-            best, lo, hi = mass[j] - mass[i], i, j
-    return Fraction(best, dist.total), Fraction(keys[lo] + keys[hi - 1], 2 * dist.scale)
+    keys, counts = dist.arrays
+    mass = np.concatenate(([0], np.cumsum(counts)))
+    # keys k <= k' fit one window iff k' - k <= floor(2R*L); with the width clamped to
+    # the span, min(k, last - width) + width ends where k + width would, and cannot wrap
+    width = min(math.floor(2 * R * dist.scale), int(keys[-1]) - int(keys[0]))
+    ends = np.searchsorted(keys, np.minimum(keys, keys[-1] - width) + width, side="right")
+    windows = mass[ends] - mass[:-1]
+    # the centre grows with the left edge, so the first maximum has the smallest one
+    i = int(np.argmax(windows))
+    return (Fraction(int(windows[i]), dist.total),
+            Fraction(int(keys[i]) + int(keys[ends[i] - 1]), 2 * dist.scale))
 
 
 def disk_mass(dist: ExactDistribution, center: tuple, R) -> Fraction:

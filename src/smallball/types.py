@@ -13,10 +13,14 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 Pair = tuple[Fraction, Fraction]
 Value = Union[Fraction, Pair]
+INT64_MAX = 2**63 - 1
 
 
 class ValidationError(ValueError):
@@ -240,6 +244,27 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+class SortedCounts(Mapping):
+    """A 1-D law's counts as int64 arrays, keys ascending; a dict is built
+    only at the first lookup by key."""
+
+    def __init__(self, keys, counts):
+        self.arrays = keys, counts
+
+    def __len__(self):
+        return len(self.arrays[0])
+
+    def __iter__(self):
+        return iter(self.arrays[0].tolist())
+
+    @cached_property
+    def _dict(self) -> dict[int, int]:
+        return dict(zip(*(a.tolist() for a in self.arrays)))
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+
 @dataclass(frozen=True)
 class ExactDistribution:
     """Exact law on a lattice: key k has probability counts[k] / total and
@@ -253,7 +278,11 @@ class ExactDistribution:
     pack: int = 0
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.total:
+        # the kernel's int64 counts sum exactly: they are positive and their
+        # total fits int64
+        counts = self.counts
+        if (counts.arrays[1].sum() if isinstance(counts, SortedCounts)
+                else sum(counts.values())) != self.total:
             raise ValidationError(f"atom counts do not sum to {self.total}")
 
     def _coords(self, key: int) -> tuple[int, ...]:
@@ -267,13 +296,18 @@ class ExactDistribution:
         v = tuple(Fraction(c, self.scale) for c in self._coords(key))
         return v if self.pack else v[0]
 
-    @property
-    def _order(self):
-        """Sort key under which keys sort as their values do."""
-        return self._coords if self.pack else None
-
-    def _sorted_keys(self) -> list[int]:
-        return sorted(self.counts, key=self._order)
+    @cached_property
+    def arrays(self):
+        """(keys, counts) as arrays in value order: the kernel's int64 arrays,
+        or a dict's, in int64 if its keys fit half of int64 and its total fits
+        int64 (then no key difference or sum of counts wraps), else as object
+        arrays of Python ints."""
+        if isinstance(self.counts, SortedCounts):
+            return self.counts.arrays
+        keys = sorted(self.counts, key=self._coords if self.pack else None)
+        fits = self.total <= INT64_MAX and max(map(abs, keys)) <= INT64_MAX // 2
+        dtype = np.int64 if fits else object
+        return np.array(keys, dtype), np.array([self.counts[k] for k in keys], dtype)
 
     @property
     def atoms(self) -> Mapping[Value, Fraction]:
@@ -281,17 +315,17 @@ class ExactDistribution:
         return self.__dict__.get("_atoms") or _Atoms(self)
 
     def max_atom(self) -> tuple[Fraction, Value]:
-        """(probability, smallest value attaining it)."""
-        best = max(self.counts.values())
-        ties = (k for k, c in self.counts.items() if c == best)
-        return Fraction(best, self.total), self._value(min(ties, key=self._order))
+        """(probability, smallest value attaining it): the first maximum."""
+        keys, counts = self.arrays
+        i = int(np.argmax(counts))
+        return Fraction(int(counts[i]), self.total), self._value(int(keys[i]))
 
     def _rows(self):
         """(value text, numerator, denominator) per atom, in value order."""
-        for k in self._sorted_keys():
-            text = [_ratio_text(c, self.scale) for c in self._coords(k)]
-            g = math.gcd(self.counts[k], self.total)
-            yield (text if self.pack else text[0]), self.counts[k] // g, self.total // g
+        for k, c in zip(*(a.tolist() for a in self.arrays)):
+            text = [_ratio_text(x, self.scale) for x in self._coords(k)]
+            g = math.gcd(c, self.total)
+            yield (text if self.pack else text[0]), c // g, self.total // g
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -406,6 +406,17 @@ def test_quad_gen_beyond_int64_bounded_memory():
     assert int(proc.stderr.split()[-1]) < 120 * 1024
 
 
+def test_rho_of_a_law_of_4_million_atoms_bounded_memory():
+    # rho on 1, 2, 4, ..., 2^21: 2^22 atoms, which as a dict of Python ints
+    # took this case to 0.55 GB peak RSS; the law now stays int64 arrays
+    entries = ",".join(str(2**j) for j in range(22))
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, "rho", f"--entries={entries}"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["rho"] == f"1/{2**22}"
+    assert int(proc.stderr.split()[-1]) * 1024 < 0.15 * 10**9
+
+
 def test_recurrence_at_budget_bounded_memory():
     # the grid is evaluated in numpy blocks of lcd.RECURRENCE_BLOCK points,
     # so a scan at the full budget peaks near the interpreter's own size

@@ -40,6 +40,13 @@ and multilinear forms moved to the subset-sum transform: a planted rank-2
 `gap-fit` at epsilon = 1/8, a `--max-rank 1` fit whose greedy cover was
 already optimal, and a `multi-rho` at n = 12 and a `parity-cor` at n = 10
 with many terms.
+The last twelve were captured before wide 1-D laws moved to a sorted merge of
+int64 arrays and `rho`, `ball` and `dist` came to read the arrays: a `rho`
+and a `ball` on dissociated rational entries under each of `pm1`, `bool`
+and `lazy:1/3`, `dist --format=csv` and `dist --format=json` on wide laws, a
+`ball` whose best windows all tie (atoms in pairs 2 apart, radius 1), a
+`ball` whose radius passes the span, and a `rho` and a `ball` on entries
+near 10^19, whose keys pass int64 and stay on the dict merge.
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`; new guards are
 captured from the current tree with `recapture.py --append ARGV...`.

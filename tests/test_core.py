@@ -1,5 +1,7 @@
+import bisect
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from smallball.types import (
     BudgetError,
     CoefficientMultiset,
     SignDistribution,
+    SortedCounts,
     ValidationError,
 )
 
@@ -249,3 +252,98 @@ def test_bernoulli_int_counts_matches_general_path():
 def test_centered_progression():
     assert centered_progression(5).entries == tuple(
         Fraction(k) for k in (-2, -1, 0, 1, 2))
+
+
+def reference_max_atom(law):
+    """The scan `max_atom` replaced: the largest count, then the least value
+    among the keys that hold it."""
+    best = max(law.counts.values())
+    ties = [k for k, c in law.counts.items() if c == best]
+    return Fraction(best, law.total), law._value(min(ties, key=law._coords if law.pack else None))
+
+
+def reference_ball(law, R):
+    """The bisection `ball_probability_1d` replaced, on a 1-D law: the first
+    window of greatest mass, anchored at an atom, in value order."""
+    keys = sorted(law.counts)
+    mass = list(itertools.accumulate((law.counts[k] for k in keys), initial=0))
+    width = math.floor(2 * Fraction(R) * law.scale)
+    best, lo, hi = 0, 0, 1
+    for i, k in enumerate(keys):
+        j = bisect.bisect_right(keys, k + width, i)
+        if mass[j] - mass[i] > best:
+            best, lo, hi = mass[j] - mass[i], i, j
+    return Fraction(best, law.total), Fraction(keys[lo] + keys[hi - 1], 2 * law.scale)
+
+
+def reader_cases():
+    """(entries, sign law, the kernel's counts type) on every path: the sorted
+    merge (dissociated entries, whose atoms all tie, one with pairs of atoms
+    2 apart), the histogram, the dict merge of a tiny law, keys past int64, a
+    mass past int64, and keys at the edge of the merge's int64 guard."""
+    rng = random.Random(18)
+    lazy = SignDistribution.lazy(Fraction(1, 3))
+    wide = [[Fraction(rng.choice([-1, 1]) * rng.randint(10**4, 10**6), rng.choice([1, 3, 40]))
+             for _ in range(n)] for n in (10, 11, 12)]
+    edge = [3**k for k in range(9)]
+    return [(wide[0], PM1, SortedCounts), (wide[1], BOOL, SortedCounts),
+            (wide[2][:7], lazy, SortedCounts),
+            ([1] + [100_003 * 2**k + 7 * k for k in range(11)], PM1, SortedCounts),
+            ([rng.randint(-9, 9) for _ in range(30)], PM1, SortedCounts),
+            ([rng.randint(-9, 9) for _ in range(20)], lazy, SortedCounts),
+            (wide[0][:5], BOOL, dict),
+            ([10**19 + 3**k for k in range(11)], PM1, dict),
+            ([1] * 63, PM1, dict),  # a total mass of 2^63, past int64
+            (edge + [core.INT64_MAX // 2 - sum(edge)], PM1, SortedCounts)]
+
+
+@pytest.mark.parametrize("entries, xi, kind", reader_cases())
+def test_array_readers_match_the_python_reference(entries, xi, kind):
+    A = CoefficientMultiset.of(entries)
+    law = exact_sign_sum_distribution(A, xi)
+    assert type(law.counts) is kind and len(law.atoms) == len(law.counts)
+    assert law.max_atom() == reference_max_atom(law)
+    keys = sorted(law.counts)
+    span = Fraction(keys[-1] - keys[0], law.scale)
+    radii = [Fraction(0), Fraction(1), abs(A.entries[0]) * Fraction(5, 7), span / 2,
+             span / 2 + Fraction(1, 3), span * 10**12]
+    for R in radii:
+        assert ball_probability_1d(A, xi, R) == reference_ball(law, R), R
+    # a radius past half the span covers every atom, centred between the ends
+    assert ball_probability_1d(A, xi, span * 10**12) == (1, (keys[0] + keys[-1]) / 2 / law.scale)
+
+
+def test_reader_cases_hold_ties():
+    # the cases above test the tie rules: several atoms hold the greatest
+    # count, and several best windows hold the greatest mass
+    cases = reader_cases()
+    for entries, xi, _ in (cases[0], cases[1], cases[3], cases[7]):
+        law = exact_sign_sum_distribution(CoefficientMultiset.of(entries), xi)
+        counts = list(law.counts.values())
+        assert counts.count(max(counts)) > 1
+    law = exact_sign_sum_distribution(CoefficientMultiset.of(cases[3][0]), PM1)
+    keys = sorted(law.counts)
+    pairs = [k for k, nxt in zip(keys, keys[1:]) if nxt - k == 2 * law.scale]
+    assert len(pairs) == len(keys) // 2  # every window of radius 1 holds one pair
+
+
+def test_max_atom_of_a_2d_law_matches_the_reference():
+    A = CoefficientMultiset.of_pairs([(1, 0), (0, 1), (1, 1), (2, -1), (1, 2)])
+    for xi in (PM1, BOOL, SignDistribution.lazy(Fraction(1, 2))):
+        law = exact_sign_sum_distribution(A, xi)
+        assert law.max_atom() == reference_max_atom(law)
+
+
+def test_window_near_the_int64_edge_does_not_wrap():
+    # keys in two clusters at +-(2^62 - 1), the upper one twice as likely;
+    # a window wider than 2^62 from any upper key passes int64, and one from
+    # a lower key never reaches the upper cluster: the best window is the
+    # upper cluster, found only if the window ends are clamped inside the keys
+    small = [3**k for k in range(9)]
+    A = CoefficientMultiset.of(small + [core.INT64_MAX // 2 - sum(small)])
+    xi = SignDistribution.general([(-1, Fraction(1, 3)), (1, Fraction(2, 3))])
+    law = exact_sign_sum_distribution(A, xi)
+    assert type(law.counts) is SortedCounts and max(law.counts) == core.INT64_MAX // 2
+    R = Fraction(2**62 + 2 * sum(small) + 10, 2)
+    assert ball_probability_1d(A, xi, R) == reference_ball(law, R)
+    assert ball_probability_1d(A, xi, R)[0] == Fraction(2, 3)

@@ -30,6 +30,7 @@ from smallball.types import (
     CoefficientMultiset,
     ExactDistribution,
     SignDistribution,
+    SortedCounts,
     ValidationError,
 )
 
@@ -82,9 +83,16 @@ def merged(steps, budget=core.ATOM_BUDGET):
     return core._dict_counts(steps, budget)
 
 
+def path(steps, budget=core.ATOM_BUDGET):
+    """The kernel's path for the law: "histogram", "merge" or "dict"."""
+    with mock.patch.object(core, "_merge_counts", return_value="merge"):
+        law = core._array_counts(steps, budget)
+    return "dict" if law is None else law if law == "merge" else "histogram"
+
+
 def takes_dense(steps, budget=core.ATOM_BUDGET):
     """Whether the kernel counts the law on the histogram."""
-    return core._histogram_counts(steps, budget) is not None
+    return path(steps, budget) == "histogram"
 
 
 def sign_steps(entries, xi):
@@ -427,3 +435,100 @@ def test_exact_distribution_rejects_counts_not_summing_to_total():
     assert ExactDistribution({-1: 1, 1: 1}, 1, 2, 1).max_atom() == (Fraction(1, 2), -1)
     with pytest.raises(ValidationError):
         ExactDistribution({-1: 1, 1: 2}, 1, 4, 1)
+
+
+def dissociated(rng, n, denominators=(1,)):
+    """n large entries with mixed signs and denominators: 2^n distinct sums."""
+    return [Fraction(rng.choice([-1, 1]) * rng.randint(10**4, 10**6), rng.choice(denominators))
+            for _ in range(n)]
+
+
+def laws_on_both_merges(A, xi):
+    """The law of A under xi as the kernel builds it, and with the dict merge
+    alone (every array path declined)."""
+    law = exact_sign_sum_distribution(A, xi)
+    with mock.patch.object(core, "_array_counts", return_value=None):
+        return law, exact_sign_sum_distribution(A, xi)
+
+
+@pytest.mark.parametrize("law", sorted(XI_TEXT_LAWS))
+@pytest.mark.parametrize("denominators", [(1,), (1, 1, 2, 3, 7, 40)], ids=["int", "rational"])
+def test_sorted_merge_matches_dict_merge(law, denominators):
+    # seeded wide laws: the sorted merge gives the dict merge's counts, keys
+    # ascending, and every report reads the same from either
+    rng = random.Random(f"{law}{len(denominators)}")
+    xi = XI_TEXT_LAWS[law]
+    for n in ((6, 8) if len(xi.support) == 3 else (10, 11, 12)):
+        A = CoefficientMultiset.of(dissociated(rng, n, denominators))
+        steps = sign_steps(A.scaled(math.lcm(*(e.denominator for e in A.entries))).int_entries(),
+                           xi)
+        assert path(steps) == "merge"
+        keys, counts = core._merge_counts(steps, core.ATOM_BUDGET)
+        assert keys.dtype == counts.dtype == np.int64 and (np.diff(keys) > 0).all()
+        assert dict(zip(keys.tolist(), counts.tolist())) == merged(steps)
+        law_, by_dict = laws_on_both_merges(A, xi)
+        assert isinstance(law_.counts, SortedCounts) and type(by_dict.counts) is dict
+        assert law_.counts == by_dict.counts and len(law_.atoms) == len(by_dict.counts)
+        R = abs(A.entries[0]) * Fraction(rng.randint(1, 8), 3)
+        for reader in (lambda d: d.max_atom(), lambda d: d.to_csv(), lambda d: d.to_json_dict(),
+                       lambda d: core.ball_probability_1d(A, xi, R)):
+            with mock.patch.object(core, "exact_sign_sum_distribution", return_value=law_):
+                got = reader(law_)
+            with mock.patch.object(core, "exact_sign_sum_distribution", return_value=by_dict):
+                assert got == reader(by_dict)
+
+
+def at_int64_edge(total):
+    """Ten dissociated pm1 steps whose keys reach +-total exactly."""
+    entries = [3**k for k in range(9)]
+    return [((-a, 1), (a, 1)) for a in entries + [total - sum(entries)]]
+
+
+def test_law_past_the_int64_guard_falls_back_to_the_dict_merge():
+    # keys up to half of int64 take the merge; one more and the law stays
+    # on the dict merge, with the same counts
+    at, past = at_int64_edge(core.INT64_MAX // 2), at_int64_edge(core.INT64_MAX // 2 + 1)
+    assert path(at) == "merge" and path(past) == "dict"
+    for steps in (at, past):
+        assert lattice_counts(steps) == merged(steps)
+    # a total mass past int64 keeps a wide law on the dict merge too: the
+    # weights of lazy:1/2^62 sum to 2^63 in each step
+    lazy = SignDistribution.lazy(Fraction(1, 2**62))
+    heavy = sign_steps([10**4 * 3**k + k for k in range(7)], lazy)
+    assert path(heavy) == "dict" and lattice_counts(heavy) == merged(heavy)
+    assert path(sign_steps([10**4 * 3**k + k for k in range(7)], LAWS["lazy"])) == "merge"
+
+
+@pytest.mark.parametrize("budget, work", [(core.ATOM_BUDGET, 3000), (1000, 10**6),
+                                          (3000, 5000), (core.ATOM_BUDGET, 10**6)])
+def test_merge_refuses_where_the_dict_merge_does(budget, work):
+    # the sorted merge runs the dict merge's checks on the same supports, so
+    # it answers or refuses, with the same message, exactly as the dict does
+    rng = random.Random(18)
+    for n in (10, 11, 12, 13):
+        steps = sign_steps([int(e) for e in dissociated(rng, n)], LAWS["pm1"])
+        assert path(steps) == "merge"
+        with mock.patch.object(core, "KERNEL_WORK_BUDGET", work):
+            got = outcome(lattice_counts, steps, budget)
+            assert got == outcome(merged, steps, budget)
+
+
+def test_wide_law_past_the_kernel_work_budget_exits_3_as_before(capsys):
+    # 21 dissociated entries: the merge refuses at the step the dict merge
+    # did, with its message
+    entries = ",".join(str(10**6 + 3**k) for k in range(21))
+    assert main(["rho", f"--entries={entries}"]) == 3
+    err = capsys.readouterr().err
+    assert "kernel work of at least 3145726 (support x step size" in err
+    with mock.patch.object(core, "_array_counts", return_value=None):
+        assert main(["rho", f"--entries={entries}"]) == 3
+    assert capsys.readouterr().err == err
+
+
+def test_tiny_wide_law_stays_on_the_dict_merge():
+    # the dict merge's work on n pm1 steps whose sums never meet is
+    # 2^(n+1) - 2: under DENSE_MIN_WORK up to n = 9
+    rng = random.Random(9)
+    for n, want in ((8, "dict"), (9, "dict"), (10, "merge")):
+        steps = sign_steps([int(e) for e in dissociated(rng, n)], LAWS["pm1"])
+        assert path(steps) == want

@@ -1,11 +1,15 @@
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from smallball.types import (
     CoefficientMultiset,
+    ExactDistribution,
     SignDistribution,
+    SortedCounts,
     ValidationError,
     parse_rational,
     quad_le,
@@ -77,3 +81,58 @@ def test_quad_le_against_float(a, b, q, c):
     # only trust the float comparison away from ties
     if abs(lhs - float(c)) > 1e-6 * (1 + abs(lhs) + abs(float(c))):
         assert got == expected
+
+
+def test_trace_probe_sees_one_law_built_through_the_module(capsys):
+    # a tracer wraps library functions where a module binds them and
+    # ExactDistribution.__post_init__ on the class; its fixed probe, `esseen
+    # --entries=1,2,3 --beta=1`, must reach ball_probability_1d, which builds
+    # its law through the module attribute with one construction check
+    from smallball import core, fourier
+    from smallball.cli import main
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    post_init = ExactDistribution.__dict__["__post_init__"]
+    with mock.patch.object(core, "exact_sign_sum_distribution",
+                           counted("law", core.exact_sign_sum_distribution)), \
+            mock.patch.object(fourier, "ball_probability_1d",
+                              counted("ball", fourier.ball_probability_1d)), \
+            mock.patch.object(ExactDistribution, "__post_init__", counted("check", post_init)):
+        assert main(["esseen", "--entries=1,2,3", "--beta=1"]) == 0
+    assert calls == {"ball": 1, "law": 1, "check": 1}
+    assert '"exact": "3/8"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entries, d, kind", [
+    ([3, 5, 9], 1, dict),  # tiny: the dict merge
+    ([1] * 40, 1, SortedCounts),  # narrow: the histogram
+    ([10**5 + 3**k for k in range(10)], 1, SortedCounts),  # wide: the sorted merge
+    ([10**19 + 3**k for k in range(10)], 1, dict),  # keys past int64
+    ([1, 0, 0, 1, 1, 1], 2, dict),
+])
+def test_construction_check_and_support_size_on_every_path(entries, d, kind):
+    from smallball import core
+    from smallball.core import exact_sign_sum_distribution
+
+    A = CoefficientMultiset.of(entries) if d == 1 else \
+        CoefficientMultiset.of_pairs(list(zip(entries[::2], entries[1::2])))
+    law = exact_sign_sum_distribution(A, SignDistribution.bernoulli_pm1())
+    assert type(law.counts) is kind
+    with mock.patch.object(core, "_array_counts", return_value=None):
+        size = len(exact_sign_sum_distribution(A, SignDistribution.bernoulli_pm1()).counts)
+    # the support size, read without building the Fraction atoms or, from
+    # the arrays, a dict of counts
+    assert len(law.atoms) == len(law.counts) == size
+    assert "_atoms" not in law.__dict__ and "_dict" not in getattr(law.counts, "__dict__", {})
+    assert len(dict(law.atoms)) == size
+    # __post_init__, defined on the class, refuses counts off the total
+    assert "__post_init__" in ExactDistribution.__dict__
+    with pytest.raises(ValidationError, match="do not sum to"):
+        ExactDistribution(law.counts, law.scale, law.total + 1, law.n_source, law.pack)
