@@ -68,20 +68,21 @@ FLAT_WORK_BUDGET = 10**5
 DENSE_MIN_WORK = 1024
 
 
-def lattice_counts(steps, budget: int = ATOM_BUDGET) -> dict[int, int]:
+def lattice_counts(steps) -> SortedCounts | dict[int, int]:
     """The one exact-law kernel: counts of s_1 + ... + s_n where step i
     offers integer shift s with positive integer weight w.  `steps` is a
     list of nonempty sequences of (shift, weight) pairs.
 
     The path is chosen once, from the steps, before any step runs
-    (`_array_counts`): a narrow law is counted on an int64 histogram and a
-    wide one by a sorted merge of int64 arrays, keys ascending; a tiny law,
-    or one past int64, is merged in a dict, keys in the order of their first
+    (`_array_counts`), and the law it builds is returned as it is: a narrow
+    law is counted on an int64 histogram and a wide one by a sorted merge of
+    int64 arrays, returned as `SortedCounts`, keys ascending; a tiny law, or
+    one past int64, is merged in a dict, keys in the order of their first
     appearance (`_dict_counts`).  Each path raises BudgetError past its own
-    budgets: both merges `budget` and KERNEL_WORK_BUDGET, the histogram
-    HISTOGRAM_WORK_BUDGET."""
-    law = _array_counts(steps, budget)
-    return _dict_counts(steps, budget) if law is None else dict(zip(*(a.tolist() for a in law)))
+    budgets, read when called: both merges ATOM_BUDGET and
+    KERNEL_WORK_BUDGET, the histogram HISTOGRAM_WORK_BUDGET."""
+    law = _array_counts(steps, ATOM_BUDGET)
+    return _dict_counts(steps, ATOM_BUDGET) if law is None else SortedCounts(*law)
 
 
 def _budgeted(steps, budget: int, support):
@@ -211,10 +212,10 @@ def exact_sign_sum_distribution(
     """Exact law of sum a_i * xi_i as integer counts on the lattice (1/L)Z,
     or (1/L)Z^2 packed into Z as x + B*y, where L clears the denominators of
     the entries and of the sign values.  Raises BudgetError if the projected
-    support size exceeds ATOM_BUDGET or a path's work its budget (see
-    `lattice_counts`); a 1-D law off the dict merge keeps its arrays.  A 2-D
-    law goes straight to the dict merge: its keys keep the order of their
-    first appearance, which the disk scan's witness tie rule follows."""
+    support size exceeds ATOM_BUDGET or a path's work its budget.  A 1-D law
+    is `lattice_counts`'s; a 2-D law goes straight to the dict merge: its
+    keys keep the order of their first appearance, which the disk scan's
+    witness tie rule follows."""
     la = common_denominator(c for e in A.entries for c in (e if A.d == 2 else (e,)))
     ls, den = common_denominator(xi.values), common_denominator(p for _, p in xi.support)
     signs = [(int(v * ls), int(p * den)) for v, p in xi.support]
@@ -226,12 +227,11 @@ def exact_sign_sum_distribution(
         pack = 2 * top + 1
         shifts = [int(x * la) + pack * int(y * la) for x, y in A.entries]
     steps = [[(a * s, w) for s, w in signs] for a in shifts]
-    law = _array_counts(steps, ATOM_BUDGET) if A.d == 1 else None
-    counts = _dict_counts(steps, ATOM_BUDGET) if law is None else SortedCounts(*law)
+    counts = lattice_counts(steps) if A.d == 1 else _dict_counts(steps, ATOM_BUDGET)
     return ExactDistribution(counts, la * ls, den ** A.n, A.n, pack)
 
 
-def bernoulli_int_counts(entries: list[int]) -> dict[int, int]:
+def bernoulli_int_counts(entries: list[int]) -> SortedCounts | dict[int, int]:
     """Counts (out of 2^n) of sum +-a_i for integer entries and Bernoulli
     +-1 signs."""
     return lattice_counts([((-a, 1), (a, 1)) for a in entries])

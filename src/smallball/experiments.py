@@ -395,6 +395,7 @@ def least_singular_value_mc(
     """Sorted sample of sqrt(n) * sigma_n over seeded trials, sigma_n from
     one batched SVD per batch of trials.  A singular sign matrix is reported
     as exactly 0.0."""
+    # bounds the O(n^3) SVD of each trial: MAX_TRIAL_DRAWS alone admits n = 1448
     if spec.n > 400:
         raise BudgetError("least_singular_value_mc limited to n <= 400")
     _check_mc(trials, seed, least=0)
@@ -462,6 +463,7 @@ def common_root_probability(
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    # bounds the batched Euclid's degree: MAX_TRIAL_DRAWS alone admits n = 10^6
     if n > 60:
         raise BudgetError("common_root_probability limited to degree <= 60")
     _check_mc(trials, seed)

@@ -35,7 +35,7 @@ ESSEEN_C1 = 1.0 / (4.0 * math.sin(0.5) ** 2)
 ESSEEN_TOL = 1e-10  # adaptive Simpson's target error
 ESSEEN_MAX_DEPTH = 22  # adaptive Simpson's deepest bisection
 FP_IMAG_TOL = 1e-9  # largest imaginary part the F_p Fourier identity tolerates
-RL_BUDGET = 10**8  # n^(2l) tuples, and lattice atoms, for R_l
+RL_BUDGET = 10**8  # n^(2l) tuples for R_l; its law takes core.ATOM_BUDGET
 
 # Largest p that the F_p operations scan in full: each work array is then at
 # most 32 MB, and a*t stays far inside int64.
@@ -285,8 +285,7 @@ def rl_count(A: CoefficientMultiset, l: int) -> int:
         raise BudgetError(f"l = {l} kernel steps exceed the kernel's work budgets")
     L = common_denominator(A.entries)
     step = list(Counter(int(a * L) for a in A.entries).items())
-    counts = lattice_counts([step] * l, RL_BUDGET)
-    return sum(c * c for c in counts.values())
+    return sum(c * c for c in lattice_counts([step] * l).values())
 
 
 def halasz_hierarchy_ratio(A: CoefficientMultiset, l: int) -> float:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import bernoulli_int_counts, exact_sign_sum_distribution, lattice_counts
+from .core import bernoulli_int_counts, exact_sign_sum_distribution
 from .types import (
     BudgetError,
     CoefficientMultiset,
@@ -108,25 +108,6 @@ def gap_materialize(Q: Gap):
     """
     L, pts = gap_lattice_points(Q)
     return frozenset(Fraction(v, L) for v in pts), len(pts) == Q.volume
-
-
-def gap_is_proper(Q: Gap) -> bool:
-    """Properness: by counting the lattice points within MATERIALIZE_BUDGET,
-    else by an exact pairwise-relation certificate (supported for rank <= 2)."""
-    if Q.volume <= MATERIALIZE_BUDGET:
-        return len(gap_lattice_points(Q)[1]) == Q.volume
-    if Q.rank == 1:
-        return Q.generators[0] != 0
-    if Q.rank == 2:
-        g1, g2 = Q.generators
-        if g1 == 0 or g2 == 0:
-            return False
-        # A collision needs c1 g1 + c2 g2 = 0 with |c_i| <= 2 M_i, not both 0;
-        # the minimal relation is (q, -p) where g1/g2 = p/q reduced.
-        ratio = Fraction(g1, g2)
-        p, q = ratio.numerator, ratio.denominator
-        return not (abs(q) <= 2 * Q.bounds[0] and abs(p) <= 2 * Q.bounds[1])
-    raise BudgetError("properness beyond rank 2 requires materialization")
 
 
 def gap_forward_sample(Q: Gap, n: int, seed: int):
@@ -366,5 +347,4 @@ def geometric_progression_rho(x, n: int, quad: tuple[int, int] | None = None) ->
         # pack u + v t into u + B v with B above twice every reachable |u|
         B = 2 * sum(abs(u) for u, _ in powers) + 1
         shifts = [u + B * v for u, v in powers]
-    counts = lattice_counts([((-s, 1), (s, 1)) for s in shifts])
-    return Fraction(max(counts.values()), 2 ** (n + 1))
+    return Fraction(max(bernoulli_int_counts(shifts).values()), 2 ** (n + 1))

@@ -245,7 +245,8 @@ def _ratio_text(num: int, den: int) -> str:
 
 
 class SortedCounts(Mapping):
-    """A 1-D law's counts as int64 arrays, keys ascending; a dict is built
+    """A 1-D law's counts as the kernel's int64 arrays, keys ascending.  The
+    values and items, as Python ints, come from the arrays; a dict is built
     only at the first lookup by key."""
 
     def __init__(self, keys, counts):
@@ -257,9 +258,15 @@ class SortedCounts(Mapping):
     def __iter__(self):
         return iter(self.arrays[0].tolist())
 
+    def values(self):
+        return self.arrays[1].tolist()
+
+    def items(self):
+        return list(zip(*(a.tolist() for a in self.arrays)))
+
     @cached_property
     def _dict(self) -> dict[int, int]:
-        return dict(zip(*(a.tolist() for a in self.arrays)))
+        return dict(self.items())
 
     def __getitem__(self, key):
         return self._dict[key]

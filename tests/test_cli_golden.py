@@ -47,6 +47,13 @@ and `lazy:1/3`, `dist --format=csv` and `dist --format=json` on wide laws, a
 `ball` whose best windows all tie (atoms in pairs 2 apart, radius 1), a
 `ball` whose radius passes the span, and a `rho` and a `ball` on entries
 near 10^19, whose keys pass int64 and stay on the dict merge.
+The last six were captured before `lattice_counts` returned the law its
+path built in place of a dict, and read its atom budget when called:
+`geo-rho --x=7/3 --n=12` and `geo-rho --quad=2,3 --n=11` (on the sorted
+merge), `geo-rho --x=1000000 --n=4` (shifts past int64, on the dict merge),
+`rl` at l = 3 on a law the histogram takes, `quad-gen --kind=lowrank` at
+n = 12 whose floor reads key 0 of a histogram law, and `stanley` at n = 5,
+21 and 39.
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`; new guards are
 captured from the current tree with `recapture.py --append ARGV...`.

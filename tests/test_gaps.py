@@ -13,7 +13,6 @@ from smallball.gaps import (
     Gap,
     gap_fit,
     gap_forward_sample,
-    gap_is_proper,
     gap_lattice_points,
     gap_materialize,
     geometric_progression_rho,
@@ -53,7 +52,7 @@ def _assert_lattice_matches_fractions(Q):
     assert all(type(v) is int for v in pts)
     assert {Fraction(v, L) for v in pts} == ref and len(pts) == len(ref)
     assert gap_materialize(Q) == (frozenset(ref), len(ref) == Q.volume)
-    assert gap_is_proper(Q) == (len(ref) == Q.volume)
+    assert (len(pts) == Q.volume) == (len(ref) == Q.volume)
 
 
 @pytest.mark.parametrize("gens, bounds, offset", [
@@ -126,13 +125,6 @@ def test_sumset_doubling_bound():
         assert proper
         sums = {a + b for a in pts for b in pts}
         assert len(sums) <= 2**Q.rank * len(pts)
-
-
-def test_properness_analytic_rank2(monkeypatch):
-    # large-volume rank-2 GAPs decided without materialization
-    monkeypatch.setattr(gaps, "MATERIALIZE_BUDGET", 10**4)
-    assert gap_is_proper(Gap.of([1, 10**7], [10**3, 10**3]))
-    assert not gap_is_proper(Gap.of([1, 100], [200, 3]))
 
 
 def test_forward_sample_quality():
@@ -250,7 +242,8 @@ def test_gap_fit_takes_rank2_only_below_the_rank1_optimum():
         ranks.add(cert.gap.rank)
         if cert.gap.rank == 2:
             assert cert.gap.volume < 2 * gaps._rank1_optimum(entries, keep)[1] + 1
-            assert min(cert.gap.bounds) > 0 and gap_is_proper(cert.gap)
+            assert min(cert.gap.bounds) > 0
+            assert len(gap_lattice_points(cert.gap)[1]) == cert.gap.volume
         assert cert.covered >= keep
         assert cert.covered == sum(1 for v in entries if v in gap_materialize(cert.gap)[0])
     assert ranks == {1, 2}

@@ -24,7 +24,7 @@ from smallball.core import (
     lattice_counts,
 )
 from smallball.fourier import rl_count
-from smallball.gaps import geometric_progression_rho
+from smallball.gaps import gap_fit, geometric_progression_rho, structured_multiset_census
 from smallball.types import (
     BudgetError,
     CoefficientMultiset,
@@ -74,8 +74,8 @@ def test_kernel_counts_weighted_steps():
     assert lattice_counts([((0, 1), (1, 2)), ((-3, 1), (3, 1))]) == \
         {-3: 1, 3: 1, -2: 2, 4: 2}
     assert lattice_counts([((-1, 1), (1, 1))] * 2) == {-2: 1, 0: 2, 2: 1}
-    with pytest.raises(BudgetError):
-        lattice_counts([((-1, 1), (1, 1))] * 3, budget=3)
+    with mock.patch.object(core, "ATOM_BUDGET", 3), pytest.raises(BudgetError):
+        lattice_counts([((-1, 1), (1, 1))] * 3)
 
 
 def merged(steps, budget=core.ATOM_BUDGET):
@@ -158,7 +158,8 @@ def test_histogram_slots_at_the_selection_boundary():
     assert takes_dense(at, budget=65536) and not takes_dense(at, budget=65535)
     for steps in (at, past):
         assert lattice_counts(steps) == merged(steps)
-    assert lattice_counts(at, budget=65535) == merged(at, budget=65535)
+    with mock.patch.object(core, "ATOM_BUDGET", 65535):
+        assert lattice_counts(at) == merged(at, budget=65535)
     # 55 equal steps after those 64 atoms reach at most 64 x 56 atoms, not
     # 64 x 2^55: their 550,119 slots stay unallocated
     repeated = first + [((0, 1), (10_001, 1))] * 55
@@ -181,9 +182,9 @@ steps_strategy = st.lists(
     min_size=10, max_size=24)
 
 
-def outcome(kernel, steps, budget):
+def outcome(kernel, *args):
     try:
-        return kernel(steps, budget)
+        return kernel(*args)
     except BudgetError as exc:
         return str(exc)
 
@@ -198,8 +199,9 @@ def test_each_path_refuses_on_its_own_counters(steps, budget, work, hist_work):
     # histogram's own work counter, whatever the dict merge's budget
     dense = takes_dense(steps, budget)
     with mock.patch.object(core, "KERNEL_WORK_BUDGET", work), \
-            mock.patch.object(core, "HISTOGRAM_WORK_BUDGET", hist_work):
-        got = outcome(lattice_counts, steps, budget)
+            mock.patch.object(core, "HISTOGRAM_WORK_BUDGET", hist_work), \
+            mock.patch.object(core, "ATOM_BUDGET", budget):
+        got = outcome(lattice_counts, steps)
         if not dense:
             assert got == outcome(merged, steps, budget)
             return
@@ -508,8 +510,9 @@ def test_merge_refuses_where_the_dict_merge_does(budget, work):
     for n in (10, 11, 12, 13):
         steps = sign_steps([int(e) for e in dissociated(rng, n)], LAWS["pm1"])
         assert path(steps) == "merge"
-        with mock.patch.object(core, "KERNEL_WORK_BUDGET", work):
-            got = outcome(lattice_counts, steps, budget)
+        with mock.patch.object(core, "KERNEL_WORK_BUDGET", work), \
+                mock.patch.object(core, "ATOM_BUDGET", budget):
+            got = outcome(lattice_counts, steps)
             assert got == outcome(merged, steps, budget)
 
 
@@ -532,3 +535,54 @@ def test_tiny_wide_law_stays_on_the_dict_merge():
     for n, want in ((8, "dict"), (9, "dict"), (10, "merge")):
         steps = sign_steps([int(e) for e in dissociated(rng, n)], LAWS["pm1"])
         assert path(steps) == want
+
+
+def test_every_reader_of_the_kernel_refuses_on_the_atom_budget_read_when_called():
+    # lattice_counts reads core.ATOM_BUDGET at each call, so every exact law
+    # built on it refuses, with the kernel's message, once the budget is
+    # patched low: the 12 powers of two (2^12 atoms), geo-rho, Stanley at
+    # n = 21, a census of 4-entry multisets and R_2 of 7 entries
+    refuses = r"^projected atom count \d+ x key width = \d+ words exceeds budget 10$"
+    calls = [lambda: exact_sign_sum_distribution(CoefficientMultiset.of([2**k for k in range(12)]),
+                                                 LAWS["pm1"]),
+             lambda: core.bernoulli_int_counts([2**k for k in range(12)]),
+             lambda: geometric_progression_rho(2, 11),
+             lambda: core.stanley_constant_scan([21]),
+             lambda: structured_multiset_census(4, 3, [Fraction(1, 2)]),
+             lambda: rl_count(CoefficientMultiset.of(range(1, 8)), 2)]
+    with mock.patch.object(core, "ATOM_BUDGET", 10):
+        for call in calls:
+            with pytest.raises(BudgetError, match=refuses):
+                call()
+    for call in calls:
+        call()
+
+
+@pytest.mark.parametrize("entries, want", [(NARROW, "histogram"), ([10**5 + 3**k for k in range(
+    11)], "merge")])
+def test_sorted_counts_values_and_items_are_the_dict_merges(entries, want):
+    steps = sign_steps(entries, LAWS["lazy"])
+    assert path(steps) == want
+    law, by_dict = lattice_counts(steps), sorted(merged(steps).items())
+    assert isinstance(law, SortedCounts)
+    assert law.items() == by_dict and law.values() == [c for _, c in by_dict]
+    assert all(type(k) is int and type(c) is int for k, c in law.items())
+    assert "_dict" not in law.__dict__
+
+
+def test_readers_of_max_or_squares_build_no_lookup_dict():
+    # a max, a sum of squares and the Fraction atoms come from the arrays;
+    # the kernel's readers that take only those never look a key up
+    law = exact_sign_sum_distribution(CoefficientMultiset.of(NARROW), LAWS["pm1"])
+    assert isinstance(law.counts, SortedCounts)
+    max(law.counts.values()), sum(c * c for c in law.counts.values()), dict(law.atoms)
+    assert "_dict" not in law.counts.__dict__
+    unbuilt = property(lambda self: pytest.fail("a lookup dict was built"))
+    with mock.patch.object(SortedCounts, "_dict", unbuilt):
+        assert geometric_progression_rho(Fraction(7, 3), 12) == Fraction(1, 2**13)
+        assert geometric_progression_rho(None, 11, quad=(2, 3)) == Fraction(1, 2**12)
+        assert rl_count(CoefficientMultiset.of(NARROW[:14]), 3) > 0
+        assert core.stanley_constant_scan([39])[0][1] == Fraction(385531891, 2**35)
+        gap_fit(CoefficientMultiset.of(NARROW), Fraction(1, 8))
+        structured_multiset_census(6, 6, [Fraction(1, 8)])
+        concentration_probability(CoefficientMultiset.of(NARROW))
