@@ -40,12 +40,13 @@ RL_BUDGET = 10**8  # n^(2l) tuples for R_l; its law takes core.ATOM_BUDGET
 # Largest p that the F_p operations scan in full: each work array is then at
 # most 32 MB, and a*t stays far inside int64.
 P_BUDGET = 4 * 10**6
-# `level_and_dual_sets` scans p <= LEVEL_P_BUDGET and m up to
-# max(LEVEL_M_BUDGET, ceil(n/4)) (S_m = F_p for every m >= n/4, so larger m
-# only repeat the last report), and builds its dual sums in blocks of
-# LEVEL_BLOCK int64 entries.
+# `level_and_dual_sets` scans p <= LEVEL_P_BUDGET, n * p and |S_m| * p <=
+# LEVEL_WORK_BUDGET and m up to max(LEVEL_M_BUDGET, ceil(n/4)) (S_m = F_p for
+# every m >= n/4, so larger m only repeat the last report), and builds its
+# dual sums in blocks of LEVEL_BLOCK int64 entries.
 LEVEL_P_BUDGET = 10**6
 LEVEL_M_BUDGET = 10**3
+LEVEL_WORK_BUDGET = 4 * 10**8
 LEVEL_BLOCK = 2**16
 
 # Most factor evaluations (integrand calls x entries x sign-law support
@@ -128,14 +129,14 @@ class FpContext:
         return len(self.residues)
 
 
-def _full_scan(ctx: FpContext, name: str, dtype) -> np.ndarray:
-    """All of F_p as an array, for a full scan by `name` over a strict
-    context with p <= P_BUDGET (so 2^n < P_BUDGET)."""
+def _scan(ctx: FpContext, name: str, dtype, start: int, stop: int) -> np.ndarray:
+    """t = start..stop-1 of F_p as an array, for a scan by `name` over a
+    strict context with p <= P_BUDGET (so 2^n < P_BUDGET)."""
     if not ctx.strict:
         raise ValidationError(f"{name} requires a strict embedding context")
     if ctx.p > P_BUDGET:
         raise BudgetError(f"p={ctx.p} exceeds the F_p scan budget {P_BUDGET}")
-    return np.arange(ctx.p, dtype=dtype)
+    return np.arange(start, stop, dtype=dtype)
 
 
 def fp_fourier_identity(ctx: FpContext, a_target: int):
@@ -144,7 +145,7 @@ def fp_fourier_identity(ctx: FpContext, a_target: int):
 
     Returns (fourier_value, exact_probability, abs_difference).
     """
-    t = _full_scan(ctx, "fp_fourier_identity", np.float64)
+    t = _scan(ctx, "fp_fourier_identity", np.float64, 0, ctx.p)
     prod = np.ones(ctx.p)  # prod_i cos(2 pi a_i t / p)
     for a in ctx.residues:
         prod *= np.cos((2.0 * math.pi * a / ctx.p) * t)
@@ -159,14 +160,22 @@ def fp_fourier_identity(ctx: FpContext, a_target: int):
 
 
 def fp_exponential_bound(ctx: FpContext) -> float:
-    """(1/p) sum_t exp(-2 sum_i ||a_i t / p||^2): an upper bound on rho(A)."""
-    t = _full_scan(ctx, "fp_exponential_bound", np.int64)
-    s = np.zeros(ctx.p)
+    """(1/p) sum_t exp(-2 sum_i ||a_i t / p||^2): an upper bound on rho(A).
+    The summand, the same float at t and p - t, is computed for t <= p // 2
+    and written mirrored into one length-p array, which `np.sum` adds in the
+    order of a full scan of F_p, so every bit of the bound is kept."""
+    p, h = ctx.p, ctx.p // 2
+    t = _scan(ctx, "fp_exponential_bound", np.int64, 1, h + 1)
+    s, r = np.zeros(h), np.empty(h, dtype=np.int64)
     for a in ctx.residues:
-        r = (a * t) % ctx.p
-        r = np.minimum(r, ctx.p - r)
-        s += (r.astype(np.float64) / ctx.p) ** 2
-    return float(np.sum(np.exp(-2.0 * s)) / ctx.p)
+        np.remainder(np.multiply(t, a, out=r), p, out=r)
+        np.minimum(r, p - r, out=r)
+        s += (r.astype(np.float64) / p) ** 2
+    del t, r
+    e = np.ones(p)  # the summand at t = 0
+    np.exp(np.multiply(s, -2.0, out=s), out=e[1:h + 1])
+    e[p - h:] = e[h:0:-1]  # e[p - t] = e[t]
+    return float(np.sum(e) / p)
 
 
 def _charfn_abs(A: CoefficientMultiset, xi: SignDistribution):
@@ -305,22 +314,22 @@ class LevelSetReport:
     rho_reference: Fraction | None
 
 
-def _add_dual_sums(acc: np.ndarray, a_vals: np.ndarray, ts: np.ndarray, p: int) -> None:
-    """acc += sum_{t in ts} rbar(a t)^2 over a in a_vals, a block of rows of
-    about LEVEL_BLOCK int64 entries at a time.  The dual budget
-    |S_m| * p <= 4e8 keeps |ts| <= 10^4, below LEVEL_BLOCK."""
+def _add_dual_sums(acc: np.ndarray, a_vals: np.ndarray, ts: np.ndarray, p: int, sign=1):
+    """acc += sign * sum_{t in ts} rbar(a t)^2 over a in a_vals, a block of
+    rows of about LEVEL_BLOCK int64 entries at a time.  The dual budget
+    |S_m| * p <= LEVEL_WORK_BUDGET keeps |ts| <= 10^4, below LEVEL_BLOCK."""
     rows = max(1, LEVEL_BLOCK // max(1, ts.size))
     for i in range(0, acc.size, rows):
         r = np.multiply.outer(a_vals[i:i + rows], ts)
         np.remainder(r, p, out=r)
         np.minimum(r, p - r, out=r)
-        acc[i:i + rows] += np.einsum("ij,ij->i", r, r)
+        acc[i:i + rows] += sign * np.einsum("ij,ij->i", r, r)
 
 
 def level_and_dual_sets(ctx: FpContext, m_max: int) -> list[LevelSetReport]:
     """Exact sizes of the level sets S_m = {t : sum_i ||a_i t/p||^2 <= m} and
     dual sets S*_m = {a : sum_{t in S_m} ||a t/p||^2 <= |S_m|/200} for
-    m = 0..m_max by full scans over F_p, with the dual inequality
+    m = 0..m_max, counted over all of F_p, with the dual inequality
     |S*_m| * |S_m| <= 8p verified.
 
     All threshold comparisons are exact integer arithmetic: with r = a t mod
@@ -337,9 +346,13 @@ def level_and_dual_sets(ctx: FpContext, m_max: int) -> list[LevelSetReport]:
     sums once, at the first m whose level set holds it, and an m that adds
     no t repeats the previous dual count.  Every m >= n/4 gives S_m = F_p,
     since w(t) < n p^2 / 4, so m_max above max(LEVEL_M_BUDGET, ceil(n/4))
-    is refused.  Memory: the running sums are built in blocks of about
-    LEVEL_BLOCK int64 entries, so the scan holds a few arrays of p // 2
-    entries plus O(LEVEL_BLOCK), whatever m_max and |S_m|.
+    is refused.  Sides: t -> a t permutes F_p up to sign for a in H, so
+    sum_{t in H} rbar(a t)^2 = F = sum_{x in H} x^2, and each update adds
+    the t of H that enter S_m or, if fewer stay outside, sets the sums to F
+    minus the sums over those.  Work: n * p and |S_m| * p past
+    LEVEL_WORK_BUDGET are refused before each scan.  Memory: blocks of about
+    LEVEL_BLOCK int64 entries, so a few arrays of p // 2 entries plus
+    O(LEVEL_BLOCK), whatever m_max and |S_m|.
     """
     if m_max < 0:
         raise ValidationError("m_max must be >= 0")
@@ -350,6 +363,9 @@ def level_and_dual_sets(ctx: FpContext, m_max: int) -> list[LevelSetReport]:
     p = ctx.p
     if p > LEVEL_P_BUDGET:
         raise BudgetError(f"p={p} exceeds scan budget {LEVEL_P_BUDGET}")
+    if ctx.n * p > LEVEL_WORK_BUDGET:
+        raise BudgetError(
+            f"weight scan cost n * p = {ctx.n * p} exceeds budget {LEVEL_WORK_BUDGET}")
     half = np.arange(1, p // 2 + 1, dtype=np.int64)
     mirror = 1 if p == 2 else 2
     w = np.zeros(half.size, dtype=np.int64)
@@ -359,7 +375,7 @@ def level_and_dual_sets(ctx: FpContext, m_max: int) -> list[LevelSetReport]:
         w += r * r
     order = np.argsort(w)
     w_sorted, t_sorted = w[order], half[order]
-    pp = p * p
+    pp, h = p * p, half.size
     rho_ref = None
     if ctx.strict:
         A = CoefficientMultiset.of(ctx.entries)
@@ -371,11 +387,15 @@ def level_and_dual_sets(ctx: FpContext, m_max: int) -> list[LevelSetReport]:
     for m in range(0, m_max + 1):
         k = int(np.searchsorted(w_sorted, m * pp, side="right"))
         size = 1 + mirror * k
-        if size * p > 4 * 10**8:
+        if size * p > LEVEL_WORK_BUDGET:
             raise BudgetError(
-                f"dual scan cost |S_m| * p = {size * p} exceeds budget")
+                f"dual scan cost |S_m| * p = {size * p} exceeds budget {LEVEL_WORK_BUDGET}")
         if dual is None or k > entered:
-            _add_dual_sums(acc, half, t_sorted[entered:k], p)
+            if k - entered <= h - k:
+                _add_dual_sums(acc, half, t_sorted[entered:k], p)
+            else:
+                acc.fill(h * (h + 1) * (2 * h + 1) // 6)  # F = sum_{x in H} x^2
+                _add_dual_sums(acc, half, t_sorted[k:], p, -1)
             entered = k
             # 200 * mirror * acc[a] <= 50 |S_m| p^2 <= 2e16 under the budget
             dual = 1 + mirror * int(np.count_nonzero(200 * mirror * acc <= size * pp))

@@ -54,6 +54,11 @@ merge), `geo-rho --x=1000000 --n=4` (shifts past int64, on the dict merge),
 `rl` at l = 3 on a law the histogram takes, `quad-gen --kind=lowrank` at
 n = 12 whose floor reads key 0 of a histogram law, and `stanley` at n = 5,
 21 and 39.
+The last five were captured before `levels` took the smaller side of each
+dual-sum update and `fp-bound` scanned half of F_p: `fp-bound` on 11
+entries at p = 131,101, `levels` at p = 2411 whose m = 1 update takes the
+complement side, `levels` at p = 2 and at p = 3 on zero entries (the p = 2
+mirror), and a strict `levels` at p = 1091.
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`; new guards are
 captured from the current tree with `recapture.py --append ARGV...`.

@@ -84,6 +84,50 @@ def test_fp_exponential_bound_soundness():
     assert bound / rho <= 4
 
 
+def _fp_bound_full_range(ctx):
+    """The bound summed over every t of F_p, which the half scan of
+    `fp_exponential_bound` must match bit for bit."""
+    t = np.arange(ctx.p, dtype=np.int64)
+    s = np.zeros(ctx.p)
+    for a in ctx.residues:
+        r = (a * t) % ctx.p
+        r = np.minimum(r, ctx.p - r)
+        s += (r.astype(np.float64) / ctx.p) ** 2
+    return float(np.sum(np.exp(-2.0 * s)) / ctx.p)
+
+
+def test_fp_exponential_bound_is_the_full_range_sum_bit_for_bit():
+    rng = np.random.default_rng(20261020)
+    for n in range(1, 13):
+        for _ in range(3):
+            entries = [int(v) for v in rng.integers(-9, 10, size=n)]
+            if n > 2:  # a zero entry and a repeated residue
+                entries[0], entries[1] = 0, entries[2]
+            ctx = FpContext.from_multiset(CoefficientMultiset.of(entries))
+            assert fp_exponential_bound(ctx) == _fp_bound_full_range(ctx), entries
+    # [5, -5] and [-9, 9] * 6 hold residues a and p - a, which share every rbar(a t)
+    for entries in ([0], [1], [5, -5], [0] * 12, [9] * 12, [-9, 9] * 6):
+        ctx = FpContext.from_multiset(CoefficientMultiset.of(entries))
+        assert fp_exponential_bound(ctx) == _fp_bound_full_range(ctx), entries
+
+
+def test_fp_exponential_bound_scans_half_of_fp_in_memory():
+    # twelve ones and four zeros: p = 851,971.  The full-range scan peaked at
+    # 34.1 MB (40 bytes per t of F_p); the half scan measured 13.6 MB.
+    import tracemalloc
+
+    ctx = FpContext.from_multiset(CoefficientMultiset.of([1] * 12 + [0] * 4))
+    assert ctx.p == 851971
+    tracemalloc.start()
+    try:
+        bound = fp_exponential_bound(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound == _fp_bound_full_range(ctx)
+    assert peak <= 34079624 // 2, peak
+
+
 def test_esseen_examples():
     A16 = CoefficientMultiset.of([1] * 16)
     res, _ = check_esseen_soundness(A16, 1)
@@ -189,22 +233,56 @@ def _levels_by_definition(ctx, m_max):
     return out
 
 
-@pytest.mark.parametrize("entries, p", [
-    ([1], None), ([1, 2, 3], None), ([1, 1, 1, 1, 1], None), ([2, -3, 5], None),
-    ([3, -1, 4, 1, 5], None), ([0, 1], None), ([1, 1, 2, 3, 5, 8], None),
-    ([0], 2), ([0, 0], 2), ([0, 0], 3), ([1], 3), ([1, -1], 5), ([1, 2], 7),
-    ([2, 4, 6], 101), ([1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 997),
-    ([7, -6, -6, -8, 1, -4, 1, -7], 2411), ([5, 12, -9, 3], 2999),
+# `sides` lists each update of the per-a dual sums: "+" adds the t that
+# enter S_m, "-" sets the sums to F minus the sums over the t still outside
+_LEVEL_CASES = [
+    ([1], None, "+-"), ([1, 2, 3], None, "+-"), ([1, 1, 1, 1, 1], None, "+--"),
+    ([2, -3, 5], None, "+-"), ([3, -1, 4, 1, 5], None, "+-"), ([0, 1], None, "+-"),
+    ([1, 1, 2, 3, 5, 8], None, "+-"),
+    # zero entries: S_0 = F_p, so the first update takes the complement side
+    ([0], 2, "-"), ([0, 0], 2, "-"), ([0, 0], 3, "-"),
+    ([1], 3, "+-"), ([1, -1], 5, "+-"), ([1, 2], 7, "+-"),
+    ([2, 4, 6], 101, "+-"), ([1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 997, "+---"),
+    ([7, -6, -6, -8, 1, -4, 1, -7], 2411, "+--"), ([5, 12, -9, 3], 2999, "+-"),
     # many entries: small level sets, so dual sets hold more than a = 0
-    ([1] * 100, 211), ([1, 2] * 40, 251), ([1] * 300, 601), ([3, 5, 7] * 30, 2003),
-    ([2, 3] * 60, 2999),
-])
-def test_level_sets_match_definition(entries, p):
+    ([1] * 100, 211, "+++++++"), ([1, 2] * 40, 251, "+++++++"),
+    ([1] * 300, 601, "+++++++"), ([3, 5, 7] * 30, 2003, "+++++++"),
+    ([2, 3] * 60, 2999, "+++++++"),
+    # an add after a complement update
+    ([1] * 14, 211, "+-+--"), ([1, 3] * 10, 101, "++--+-"),
+]
+
+
+# ids name a case by its index and p alone, so `sides` is not part of a test's name
+@pytest.mark.parametrize("entries, p, sides", _LEVEL_CASES,
+                         ids=[f"entries{i}-{p}" for i, (_, p, _) in enumerate(_LEVEL_CASES)])
+def test_level_sets_match_definition(entries, p, sides, monkeypatch):
     ctx = FpContext.from_multiset(CoefficientMultiset.of(entries), p=p)
-    assert ctx.p <= 3000
+    p = ctx.p
+    assert p <= 3000
+    taken, sums = [], []
+    real = fourier._add_dual_sums
+
+    def recording(acc, a_vals, ts, p, sign=1):
+        taken.append("+" if sign == 1 else "-")
+        real(acc, a_vals, ts, p, sign)
+        sums.append(acc.copy())
+
+    monkeypatch.setattr(fourier, "_add_dual_sums", recording)
     reports = level_and_dual_sets(ctx, 6)
+    expected = _levels_by_definition(ctx, 6)
     assert [(r.m, r.level_size, r.dual_size) for r in reports] == \
-        [(m, *sd) for m, sd in enumerate(_levels_by_definition(ctx, 6))]
+        [(m, *sd) for m, sd in enumerate(expected)]
+    assert "".join(taken) == sides
+    # after each update, on either side, every a in H holds its exact sum
+    # of rbar(a t)^2 over the t of H in S_m
+    H = np.arange(1, p // 2 + 1)
+    rbar = np.minimum(np.arange(p), p - np.arange(p))
+    w = sum(rbar[a * H % p] ** 2 for a in ctx.residues)
+    updated = [m for m in range(7) if m == 0 or expected[m][0] > expected[m - 1][0]]
+    for m, acc in zip(updated, sums, strict=True):
+        level = H[w <= m * p * p]
+        assert np.array_equal(acc, (rbar[np.multiply.outer(H, level) % p] ** 2).sum(axis=1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,6 +334,18 @@ def test_level_sets_refuse_p_above_budget(monkeypatch):
     monkeypatch.setattr(fourier, "LEVEL_P_BUDGET", small.p - 1)
     with pytest.raises(BudgetError):
         level_and_dual_sets(small, 1)
+
+
+def test_level_sets_refuse_the_weight_scan_before_it_runs():
+    # 1000 ones at p = 999,983 took 5.7 s to compute n * (p // 2) weights and
+    # answered; n * p = 10^9 is now refused before any product is taken
+    ctx = FpContext.from_multiset(CoefficientMultiset.of([1] * 1000), p=999983)
+    with pytest.raises(BudgetError, match=r"n \* p = 999983000 exceeds budget 400000000"):
+        level_and_dual_sets(ctx, 0)
+    n = fourier.LEVEL_WORK_BUDGET // 8009  # at the budget the scan runs
+    reports = level_and_dual_sets(
+        FpContext.from_multiset(CoefficientMultiset.of([0] * n), p=8009), 0)
+    assert (reports[0].level_size, reports[0].dual_size) == (8009, 1)
 
 
 def test_level_sets_scan_memory_is_bounded():
