@@ -4,8 +4,9 @@ One table, `COMMANDS`, gives each subcommand its flags (converter and
 default), a call into the library and a mapper from the library's result to
 the report's `results`.  Flag values resolve as table defaults < `--config`
 file < flags given; `sweep` runs table entries over a grid of flag values.
-Each subcommand's argv parser is built on its first `main` call and reused
-by every later call in the process.
+Argv is read on the table: flags spelled in full, as `--flag=value` or `--flag
+value` (the next token, whatever it starts with); `--timing` takes no value,
+a list flag may repeat; `-h` or `--help` anywhere prints a usage line.
 
 Reports are deterministic for a fixed configuration: all randomness flows
 from --seed, which must lie in [0, 2^64).  Trial i draws from the Philox
@@ -19,7 +20,6 @@ failure (a bound fell below the exact value it must dominate).
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import itertools
@@ -30,8 +30,9 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import lru_cache, partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable
 
 from . import __version__, core, experiments, fourier, gaps, lcd, polyforms
@@ -41,6 +42,7 @@ from .types import (
     SignDistribution,
     SoundnessError,
     ValidationError,
+    check_bound,
     parse_rational,
 )
 
@@ -71,6 +73,7 @@ REQUIRED = object()  # flag default: the value must come from a flag or the conf
 # turns a ValueError from any of them into a ValidationError.
 
 
+@lru_cache(maxsize=64)  # laws are frozen, so calls may share one
 def _xi(text: str) -> SignDistribution:
     if text == "pm1":
         return SignDistribution.bernoulli_pm1()
@@ -141,8 +144,8 @@ def _sound(results, holds: bool, failure: str):
 def _fp_results(ctx, a) -> dict:
     bound = fourier.fp_exponential_bound(ctx)
     exact, _ = core.concentration_probability(a.entries)
-    return _sound({"p": ctx.p, **_versus(bound, exact)}, bound >= float(exact),
-                  f"fp bound {bound} < exact {float(exact)}")
+    check_bound(bound, exact, "fp")
+    return {"p": ctx.p, **_versus(bound, exact)}
 
 
 def _pairs_of(values: list) -> list:
@@ -315,11 +318,6 @@ SWEEP_FLAGS = {
 # ------------------------------------------------------------ CLI plumbing
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ValidationError(f"{self.prog}: {message}")
-
-
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
@@ -329,17 +327,21 @@ def _flags(name: str) -> dict:
     return {**COMMON, **(SWEEP_FLAGS if name == "sweep" else COMMANDS[name].flags)}
 
 
-@cache
-def _parser(name: str) -> _Parser:
-    """The argv parser of subcommand `name`, built on first use.  It keeps no
-    state between calls: parsed values go to a fresh namespace each time and
-    `error` raises, so one parser serves every later call in the process."""
-    parser = _Parser(prog=f"smallball {name}", argument_default=argparse.SUPPRESS)
-    for dest, (conv, default) in _flags(name).items():
-        how = ({"action": "store_const", "const": "true"} if conv is _bool
-               else {"action": "append"} if isinstance(default, list) else {})
-        parser.add_argument(_flag(dest), **how)
-    return parser
+def _given(name: str, flags: dict, args: list[str]) -> dict:
+    """The flags given in `args`, as text (a list for a list flag)."""
+    given = {}
+    tokens = iter(args)
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        dest = key[2:].replace("-", "_")
+        if dest not in flags or key != _flag(dest) or eq and flags[dest][0] is _bool:
+            raise ValidationError(f"smallball {name}: bad argument {tok!r}")
+        if not eq:
+            value = "true" if flags[dest][0] is _bool else next(tokens, None)
+        if value is None:
+            raise ValidationError(f"{key} needs a value")
+        given[dest] = [*given.get(dest, []), value] if isinstance(flags[dest][1], list) else value
+    return given
 
 
 def _config(path: str | None) -> dict:
@@ -379,7 +381,7 @@ def _resolve(flags: dict, given: dict):
             raise
         except (ValueError, OSError) as exc:
             raise ValidationError(f"bad {_flag(dest)} {raw!r}: {exc}") from exc
-    return text, argparse.Namespace(**values)
+    return text, SimpleNamespace(**values)
 
 
 def _jsonable(obj):
@@ -495,11 +497,11 @@ def main(argv=None) -> int:
             return 0
         if name not in names:
             raise ValidationError(f"unknown subcommand {name!r}; one of {', '.join(names)}")
-        try:
-            given = vars(_parser(name).parse_args(argv[1:]))  # the flags given, as text
-        except SystemExit:  # argparse printed the help for -h; `error` raises instead
+        flags = _flags(name)
+        if "-h" in argv or "--help" in argv:
+            print(f"usage: smallball {name}", *(f"[{_flag(d)}]" for d in flags))
             return 0
-        text, a = _resolve(_flags(name), given)
+        text, a = _resolve(flags, _given(name, flags, argv[1:]))
         _write(a, _sweep(a) if name == "sweep"
                else _report(name, text, a, COMMANDS[name].run(a), started))
         return 0

@@ -38,6 +38,7 @@ from .types import (
     common_denominator,
     hypot2,
     isqrt_fraction_exact,
+    lattice_ints,
     quad_le,
 )
 
@@ -218,14 +219,14 @@ def exact_sign_sum_distribution(
     witness tie rule follows."""
     la = common_denominator(c for e in A.entries for c in (e if A.d == 2 else (e,)))
     ls, den = common_denominator(xi.values), common_denominator(p for _, p in xi.support)
-    signs = [(int(v * ls), int(p * den)) for v, p in xi.support]
+    signs = list(zip(lattice_ints(xi.values, ls), lattice_ints((p for _, p in xi.support), den)))
     if A.d == 1:
-        pack, shifts = 0, [int(a * la) for a in A.entries]
+        pack, shifts = 0, lattice_ints(A.entries, la)
     else:
+        xs, ys = (lattice_ints((e[i] for e in A.entries), la) for i in (0, 1))
         # B exceeds twice the largest |x| a partial sum can reach
-        top = max(abs(s) for s, _ in signs) * sum(abs(int(x * la)) for x, _ in A.entries)
-        pack = 2 * top + 1
-        shifts = [int(x * la) + pack * int(y * la) for x, y in A.entries]
+        pack = 2 * max(abs(s) for s, _ in signs) * sum(map(abs, xs)) + 1
+        shifts = [x + pack * y for x, y in zip(xs, ys)]
     steps = [[(a * s, w) for s, w in signs] for a in shifts]
     counts = lattice_counts(steps) if A.d == 1 else _dict_counts(steps, ATOM_BUDGET)
     return ExactDistribution(counts, la * ls, den ** A.n, A.n, pack)

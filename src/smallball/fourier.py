@@ -27,8 +27,10 @@ from .types import (
     SignDistribution,
     SoundnessError,
     ValidationError,
+    check_bound,
     checked_float,
     common_denominator,
+    lattice_ints,
 )
 
 ESSEEN_C1 = 1.0 / (4.0 * math.sin(0.5) ** 2)
@@ -269,9 +271,7 @@ def check_esseen_soundness(A: CoefficientMultiset, beta, xi=None
     xi = xi or SignDistribution.bernoulli_pm1()
     res = esseen_bound(A, beta, xi)
     exact, _ = ball_probability_1d(A, xi, Fraction(beta))
-    if res.bound < float(exact):
-        raise SoundnessError(
-            f"esseen bound {res.bound} < exact {float(exact)} on {A.entries}")
+    check_bound(res.bound, exact, "esseen", A.entries)
     return res, exact
 
 
@@ -292,8 +292,7 @@ def rl_count(A: CoefficientMultiset, l: int) -> int:
         raise BudgetError(f"n^(2l) = {A.n}^{2 * l} tuples exceed budget {RL_BUDGET}")
     if l > max(KERNEL_WORK_BUDGET, HISTOGRAM_WORK_BUDGET):
         raise BudgetError(f"l = {l} kernel steps exceed the kernel's work budgets")
-    L = common_denominator(A.entries)
-    step = list(Counter(int(a * L) for a in A.entries).items())
+    step = list(Counter(lattice_ints(A.entries, common_denominator(A.entries))).items())
     return sum(c * c for c in lattice_counts([step] * l).values())
 
 

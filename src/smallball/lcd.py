@@ -36,8 +36,8 @@ from .types import (
     BudgetError,
     CoefficientMultiset,
     SignDistribution,
-    SoundnessError,
     ValidationError,
+    check_bound,
     checked_float,
 )
 
@@ -297,9 +297,7 @@ def check_rv_soundness(a, beta, alpha, gamma, xi=None, C: float = 2.0
 
     A = CoefficientMultiset.of(a)
     exact, _ = ball_probability_1d(A, xi, Fraction(beta))
-    if res.bound < float(exact):
-        raise SoundnessError(
-            f"rv bound {res.bound} < exact {float(exact)} on {a}")
+    check_bound(res.bound, exact, "rv", a)
     return res, exact
 
 

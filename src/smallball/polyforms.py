@@ -23,6 +23,7 @@ from .types import (
     SignDistribution,
     ValidationError,
     common_denominator,
+    lattice_ints,
 )
 
 QUADRATIC_ENUM_LIMIT = 24
@@ -47,8 +48,8 @@ class SymmetricCoefficientMatrix:
 
     @staticmethod
     def of(rows) -> "SymmetricCoefficientMatrix":
-        return SymmetricCoefficientMatrix(
-            tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return SymmetricCoefficientMatrix(tuple(
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows))
 
     @property
     def n(self) -> int:
@@ -84,7 +85,7 @@ def _int_form(M: SymmetricCoefficientMatrix, support: tuple[int, ...]):
     sum |den M_ij| * max|s|^2 in size: below 2^63 the array is int64, above
     it holds exact Python ints."""
     den = M.common_denominator()
-    rows = [[int(x * den) for x in row] for row in M.entries]
+    rows = [lattice_ints(row, den) for row in M.entries]
     top = max(abs(s) for s in support)
     bound = sum(abs(v) for row in rows for v in row) * top * top
     return np.array(rows, dtype=np.int64 if bound < 2**63 else object), den
@@ -291,14 +292,15 @@ def _eval_all_boolean(P: MultilinearPolynomial) -> tuple[np.ndarray, int]:
     its index mask, and n subset-sum passes spread it over the supersets, so
     the work is O(terms + n 2^n) however many terms there are."""
     den = common_denominator(c for _, c in P.terms)
+    coefs = lattice_ints((c for _, c in P.terms), den)
     n = P.n
     if n > 22:
         raise BudgetError("multilinear enumeration limited to n <= 22")
-    if sum(abs(int(c * den)) for _, c in P.terms) >= 2**62:
+    if sum(map(abs, coefs)) >= 2**62:
         raise BudgetError("coefficients too large for exact int64 evaluation")
     vals = np.zeros(2**n, dtype=np.int64)
-    for S, c in P.terms:
-        vals[sum(1 << i for i in S)] += int(c * den)
+    for (S, _), c in zip(P.terms, coefs):
+        vals[sum(1 << i for i in S)] += c
     # subset-sum (zeta) transform: pass i adds each mask without bit i to the
     # mask with it, so vals[m] ends as the sum over the terms S inside m
     for i in range(n):

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -39,6 +39,23 @@ class SoundnessError(RuntimeError):
 def common_denominator(values: Iterable[Fraction]) -> int:
     """The least L with L * v an integer for every v."""
     return math.lcm(*(v.denominator for v in values))
+
+
+def lattice_ints(values: Iterable[Fraction], L: int) -> list[int]:
+    """[int(v * L) for v in values] without a Fraction product (L: a common denominator)."""
+    return [v.numerator * (L // v.denominator) for v in values]
+
+
+def _sorted_by(vals: list, keys: list) -> tuple:
+    """`vals` in the order of their exact keys: no Fraction comparison."""
+    return tuple(vals[i] for i in sorted(range(len(vals)), key=keys.__getitem__))
+
+
+def check_bound(bound: float, exact: Fraction, name: str, on=None) -> None:
+    """SoundnessError unless `bound` >= `exact` exactly (+inf holds, NaN not)."""
+    if not (bound == math.inf or math.isfinite(bound) and Fraction(bound) >= exact):
+        raise SoundnessError(f"{name} bound {bound} < exact {float(exact)}"
+                             + ("" if on is None else f" on {on}"))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -106,11 +123,13 @@ class SignDistribution:
             raise ValidationError(f"probabilities sum to {total}, not 1")
 
     @staticmethod
+    @cache
     def bernoulli_pm1() -> "SignDistribution":
         h = Fraction(1, 2)
         return SignDistribution(((Fraction(-1), h), (Fraction(1), h)))
 
     @staticmethod
+    @cache
     def boolean_01() -> "SignDistribution":
         h = Fraction(1, 2)
         return SignDistribution(((Fraction(0), h), (Fraction(1), h)))
@@ -186,13 +205,14 @@ class CoefficientMultiset:
 
     @staticmethod
     def of(values: Sequence) -> "CoefficientMultiset":
-        entries = tuple(sorted(_as_fraction(v) for v in values))
-        return CoefficientMultiset(entries, 1)
+        vals = [_as_fraction(v) for v in values]
+        return CoefficientMultiset(_sorted_by(vals, lattice_ints(vals, common_denominator(vals))))
 
     @staticmethod
     def of_pairs(pairs: Sequence[Sequence]) -> "CoefficientMultiset":
-        entries = tuple(sorted((_as_fraction(a), _as_fraction(b)) for a, b in pairs))
-        return CoefficientMultiset(entries, 2)
+        vals = [(_as_fraction(a), _as_fraction(b)) for a, b in pairs]
+        L = common_denominator(c for v in vals for c in v)
+        return CoefficientMultiset(_sorted_by(vals, [lattice_ints(v, L) for v in vals]), 2)
 
     @staticmethod
     def from_text(text: str, d: int = 1) -> "CoefficientMultiset":

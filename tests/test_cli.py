@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
+from smallball import fourier, lcd
 from smallball.cli import COMMANDS, COMMON, REPORT_SCHEMA, SWEEP_FLAGS, main
+from smallball.core import ball_probability_1d
+from smallball.types import CoefficientMultiset, SignDistribution
 
 
 def run_cli(args, capsys):
@@ -148,6 +152,69 @@ def test_subcommand_help_returns_zero(name, capsys):
     code, out = run_cli([name, "-h"], capsys)
     assert code == 0
     assert out.startswith(f"usage: smallball {name}")
+
+
+# (argv, exit code, the `--flag=value` argv whose stdout it must repeat).
+# Against the argparse parser before argv was read on the command table, two
+# cases change exit code: a separate value token starting with '-' (was 2)
+# and an abbreviated flag (was 0).
+ARGV_FORMS = [
+    (["rho", "--entries", "1,2,3"], 0, ["rho", "--entries=1,2,3"]),
+    (["rho", "--entries", "-4,1"], 0, ["rho", "--entries=-4,1"]),  # was 2
+    (["rho", "--entries=9", "--entries", "1,2,3"], 0, ["rho", "--entries=1,2,3"]),
+    (["sweep", "--sub", "ball", "--grid", "radius=0,1/2", "--grid", "xi=pm1,bool",
+      "--fixed", "entries=-4,1,3"], 0,
+     ["sweep", "--sub=ball", "--grid=radius=0,1/2", "--grid=xi=pm1,bool",
+      "--fixed=entries=-4,1,3"]),
+    (["rho", "--entries=1,2", "--timing"], 0, None),
+    (["rho", "-h"], 0, None),
+    (["sweep", "--help"], 0, None),
+    (["rho", "--no-such-flag", "-h"], 0, None),
+    (["rho", "--entries=1,2", "--timing=x"], 2, None),
+    (["rho", "--entries=1", "--no-such-flag=1"], 2, None),
+    (["rho", "--entries=1", "2"], 2, None),
+    (["rho", "--entries"], 2, None),
+    (["rho", "--ent=1,2,3"], 2, None),  # was 0
+    (["stanley", "--n_list=3"], 2, None),
+    (["rho", "-entries=1"], 2, None),
+]
+
+
+@pytest.mark.parametrize("argv, code, same_as", ARGV_FORMS,
+                         ids=[" ".join(c[0]) for c in ARGV_FORMS])
+def test_argv_forms(argv, code, same_as, capsys):
+    got = run_cli(argv, capsys)
+    assert got[0] == code
+    if same_as:
+        assert got == run_cli(same_as, capsys)
+    if "--timing" in argv:
+        assert json.loads(got[1])["wall_clock"] >= 0
+
+
+@pytest.mark.parametrize("value, code", [("float(exact)", 4), (math.inf, 0), (math.nan, 4)])
+@pytest.mark.parametrize("argv, module, name", [
+    (["esseen", "--beta=1/2"], fourier, "esseen_bound"),
+    (["rv-bound", "--beta=2", "--alpha=2", "--gamma=1/4"], lcd, "rv_smallball_bound"),
+], ids=["esseen", "rv-bound"])
+def test_bounds_compare_with_exact_values_exactly(argv, module, name, value, code,
+                                                 capsys, monkeypatch):
+    # float(exact) rounds 223/648 and 56/81 down, so a bound equal to it lies
+    # below the exact value and must fail, as must NaN; +inf holds
+    xi, beta = SignDistribution.lazy(Fraction(1, 3)), Fraction(argv[1].split("=")[1])
+    exact, _ = ball_probability_1d(CoefficientMultiset.of([1, 2, 2, 3]), xi, beta)
+    assert Fraction(float(exact)) < exact
+    bound = float(exact) if value == "float(exact)" else value
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a: dataclasses.replace(real(*a), bound=bound))
+    argv = argv + ["--entries=1,2,2,3", "--xi=lazy:1/3"]
+    assert run_cli(argv, capsys)[0] == code
+
+
+@pytest.mark.parametrize("value, code", [(math.inf, 0), (math.nan, 4)])
+def test_fp_bound_infinite_holds_nan_fails(value, code, capsys, monkeypatch):
+    monkeypatch.setattr(fourier, "fp_exponential_bound", lambda ctx: value)
+    assert run_cli(["fp-bound", "--entries=1,2,3"], capsys)[0] == code
 
 
 def test_sweep_census_monotone(capsys):

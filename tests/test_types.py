@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -11,6 +12,8 @@ from smallball.types import (
     SignDistribution,
     SortedCounts,
     ValidationError,
+    common_denominator,
+    lattice_ints,
     parse_rational,
     quad_le,
 )
@@ -136,3 +139,34 @@ def test_construction_check_and_support_size_on_every_path(entries, d, kind):
     assert "__post_init__" in ExactDistribution.__dict__
     with pytest.raises(ValidationError, match="do not sum to"):
         ExactDistribution(law.counts, law.scale, law.total + 1, law.n_source, law.pack)
+
+
+def _seeded_rationals(rng, n):
+    """Negatives and zeros, denominators up to 10^6, numerators past int64."""
+    return [Fraction(rng.choice([0, rng.randint(-9, 9), rng.randint(-2**70, 2**70)]),
+                     rng.choice([1, 2, 3, 7, 40, rng.randint(1, 10**6)])) for _ in range(n)]
+
+
+def _written(rng, v):
+    """v as an int, a Fraction or a 'p/q' string with a common factor."""
+    k = rng.randint(2, 5)
+    return rng.choice([v, f"{v.numerator * k}/{v.denominator * k}"]
+                      + ([int(v)] if v.denominator == 1 else []))
+
+
+def test_integer_keys_sort_and_scale_like_fractions():
+    rng = random.Random(2026)
+    for _ in range(300):
+        vals = _seeded_rationals(rng, rng.randint(1, 24))
+        vals += [vals[0]] * rng.randint(0, 3)  # repeats
+        L = common_denominator(vals)
+        for scale in (L, 6 * L):
+            assert lattice_ints(vals, scale) == [int(v * scale) for v in vals]
+        assert CoefficientMultiset.of([_written(rng, v) for v in vals]).entries == tuple(
+            sorted(vals))
+        # pairs: x drawn from a few values, so many pairs tie in x
+        xs = rng.sample(vals, min(len(vals), 3))
+        pairs = [(rng.choice(xs), y) for y in _seeded_rationals(rng, len(vals))]
+        assert CoefficientMultiset.of_pairs(
+            [(_written(rng, x), _written(rng, y)) for x, y in pairs]).entries == tuple(
+            sorted(pairs))
