@@ -78,10 +78,10 @@ def lattice_counts(steps) -> SortedCounts | dict[int, int]:
     (`_array_counts`), and the law it builds is returned as it is: a narrow
     law is counted on an int64 histogram and a wide one by a sorted merge of
     int64 arrays, returned as `SortedCounts`, keys ascending; a tiny law, or
-    one past int64, is merged in a dict, keys in the order of their first
-    appearance (`_dict_counts`).  Each path raises BudgetError past its own
-    budgets, read when called: both merges ATOM_BUDGET and
-    KERNEL_WORK_BUDGET, the histogram HISTOGRAM_WORK_BUDGET."""
+    one past int64, is merged in a dict (`_dict_counts`), which readers take
+    with its keys sorted, so no report depends on the path.  Each path raises
+    BudgetError past its own budgets, read when called: both merges
+    ATOM_BUDGET and KERNEL_WORK_BUDGET, the histogram HISTOGRAM_WORK_BUDGET."""
     law = _array_counts(steps, ATOM_BUDGET)
     return _dict_counts(steps, ATOM_BUDGET) if law is None else SortedCounts(*law)
 
@@ -211,12 +211,10 @@ def exact_sign_sum_distribution(
     xi: SignDistribution,
 ) -> ExactDistribution:
     """Exact law of sum a_i * xi_i as integer counts on the lattice (1/L)Z,
-    or (1/L)Z^2 packed into Z as x + B*y, where L clears the denominators of
-    the entries and of the sign values.  Raises BudgetError if the projected
-    support size exceeds ATOM_BUDGET or a path's work its budget.  A 1-D law
-    is `lattice_counts`'s; a 2-D law goes straight to the dict merge: its
-    keys keep the order of their first appearance, which the disk scan's
-    witness tie rule follows."""
+    or (1/L)Z^2 packed into Z as y + B*x, where L clears the denominators of
+    the entries and of the sign values: ascending keys are the values in
+    order, pairs in (x, y) order.  The counts are `lattice_counts`'s, so
+    BudgetError past its budgets."""
     la = common_denominator(c for e in A.entries for c in (e if A.d == 2 else (e,)))
     ls, den = common_denominator(xi.values), common_denominator(p for _, p in xi.support)
     signs = list(zip(lattice_ints(xi.values, ls), lattice_ints((p for _, p in xi.support), den)))
@@ -224,12 +222,11 @@ def exact_sign_sum_distribution(
         pack, shifts = 0, lattice_ints(A.entries, la)
     else:
         xs, ys = (lattice_ints((e[i] for e in A.entries), la) for i in (0, 1))
-        # B exceeds twice the largest |x| a partial sum can reach
-        pack = 2 * max(abs(s) for s, _ in signs) * sum(map(abs, xs)) + 1
-        shifts = [x + pack * y for x, y in zip(xs, ys)]
+        # B exceeds twice the largest |y| a partial sum can reach
+        pack = 2 * max(abs(s) for s, _ in signs) * sum(map(abs, ys)) + 1
+        shifts = [y + pack * x for x, y in zip(xs, ys)]
     steps = [[(a * s, w) for s, w in signs] for a in shifts]
-    counts = lattice_counts(steps) if A.d == 1 else _dict_counts(steps, ATOM_BUDGET)
-    return ExactDistribution(counts, la * ls, den ** A.n, A.n, pack)
+    return ExactDistribution(lattice_counts(steps), la * ls, den ** A.n, A.n, pack)
 
 
 def bernoulli_int_counts(entries: list[int]) -> SortedCounts | dict[int, int]:
@@ -296,14 +293,8 @@ def ball_probability_1d(
 
 def disk_mass(dist: ExactDistribution, center: tuple, R) -> Fraction:
     """Exact mass of the closed disk of radius R at a rational center."""
-    R = Fraction(R)
-    cx, cy = Fraction(center[0]), Fraction(center[1])
-    rr = R * R
-    total = Fraction(0)
-    for (x, y), p in dist.atoms.items():
-        if hypot2((x, y), (cx, cy)) <= rr:
-            total += p
-    return total
+    c, rr = (Fraction(center[0]), Fraction(center[1])), Fraction(R) ** 2
+    return sum((p for a, p in dist.atoms.items() if hypot2(a, c) <= rr), Fraction(0))
 
 
 def _surd_disk_mass(dist, mx, my, b, wx, wy, q, rr) -> Fraction:
@@ -329,8 +320,10 @@ def ball_probability_2d(
 
     Returns (p, witness_center) where witness_center is a float pair (the
     exact optimum may have quadratic-irrational coordinates; the probability
-    itself is exact).  Raises BudgetError before scanning when the atoms
-    times the candidate centres pass DISK_WORK_BUDGET.
+    itself is exact), the first strict maximum over the candidates in value
+    order: the atoms ascending in (x, y), then each pair i < j of them within
+    2R, its +w centre before its -w one.  Raises BudgetError before scanning
+    when the atoms times the candidate centres pass DISK_WORK_BUDGET.
     """
     if A.d != 2:
         raise ValidationError("ball_probability_2d needs d=2")
@@ -338,7 +331,8 @@ def ball_probability_2d(
     if R < 0:
         raise ValidationError("radius must be >= 0")
     dist = exact_sign_sum_distribution(A, xi)
-    pts = list(dist.atoms.keys())
+    xy = [dist._coords(k) for k in dist.arrays[0].tolist()]  # the atoms in value order
+    pts = [(Fraction(x, dist.scale), Fraction(y, dist.scale)) for x, y in xy]
     rr = R * R
     # each atom is a centre, and each pair of atoms within 2R gives two; every
     # centre's disk test reads every atom
@@ -346,7 +340,6 @@ def ball_probability_2d(
     if atoms * atoms > DISK_WORK_BUDGET:
         raise BudgetError(f"{atoms} atoms x at least {atoms} candidate centres exceed the "
                           f"disk scan budget of {DISK_WORK_BUDGET}")
-    xy = [dist._coords(k) for k in dist.counts]  # the atoms' lattice points, in order
     limit = math.floor(4 * rr * dist.scale**2)  # (2R)^2 on the integer lattice
     near = [(i, j) for i, (x, y) in enumerate(xy) for j in range(i + 1, atoms)
             if (xy[j][0] - x) ** 2 + (xy[j][1] - y) ** 2 <= limit]
@@ -354,30 +347,32 @@ def ball_probability_2d(
     if atoms * centres > DISK_WORK_BUDGET:
         raise BudgetError(f"{atoms} atoms x {centres} candidate centres exceed the disk "
                           f"scan budget of {DISK_WORK_BUDGET}")
-    # the best centre so far, m + b sqrt(q) w; an atom has b = 0
-    best, at = Fraction(0), None
-    for p in pts:
-        m = disk_mass(dist, p, R)
-        if m > best:
-            best, at = m, (p, 0, (0, 0), Fraction(0))
 
-    for i, j in near:
-        u, v = pts[i], pts[j]
-        d2 = hypot2(u, v)
-        mx, my = (u[0] + v[0]) / 2, (u[1] + v[1]) / 2
-        # centers m +- h * perp(delta)/|delta|, h = sqrt(R^2 - d2/4)
-        # = m +- sqrt(q) * perp(delta) with q = R^2/d2 - 1/4
-        q = rr / d2 - Fraction(1, 4)
-        wx, wy = -(v[1] - u[1]), v[0] - u[0]
-        for b in (1, -1):
-            m_val = _surd_disk_mass(dist, mx, my, b, wx, wy, q, rr)
-            if m_val > best:
-                best, at = m_val, ((mx, my), b, (wx, wy), q)
-    (mx, my), b, (wx, wy), q = at
+    def scan():
+        """(mass, centre m + b sqrt(q) w) per candidate, in value order."""
+        for p in pts:
+            yield disk_mass(dist, p, R), (p, 0, (0, 0), Fraction(0))
+        for i, j in near:
+            u, v = pts[i], pts[j]
+            # centres m +- h w/|w|, h = sqrt(R^2 - |v - u|^2/4), w = perp(v - u):
+            # m +- sqrt(q) w with q = R^2/|v - u|^2 - 1/4
+            m, w = ((u[0] + v[0]) / 2, (u[1] + v[1]) / 2), (u[1] - v[1], v[0] - u[0])
+            q = rr / hypot2(u, v) - Fraction(1, 4)
+            for b in (1, -1):
+                yield _surd_disk_mass(dist, *m, b, *w, q, rr), (m, b, w, q)
+
+    # the first strict maximum: max returns the first of equal maxima
+    best, ((mx, my), b, (wx, wy), q) = max(scan(), key=operator.itemgetter(0))
     root = isqrt_fraction_exact(q)
-    s = float(root) if root is not None else math.sqrt(float(q))
+    try:
+        s = float(root) if root is not None else math.sqrt(float(q))
+    except OverflowError:  # q past the float range: the root of its integer part
+        s = checked_float(math.isqrt(q.numerator // q.denominator), "a disk centre coordinate")
     x, y, wx, wy = (checked_float(c, "a disk centre coordinate") for c in (mx, my, wx, wy))
-    return best, (x + b * s * wx, y + b * s * wy)
+    centre = (x + b * s * wx, y + b * s * wy)
+    if not all(map(math.isfinite, centre)):
+        raise ValidationError("a disk centre coordinate lies outside the float range")
+    return best, centre
 
 
 def flat_direction_search(

@@ -265,7 +265,7 @@ def _ratio_text(num: int, den: int) -> str:
 
 
 class SortedCounts(Mapping):
-    """A 1-D law's counts as the kernel's int64 arrays, keys ascending.  The
+    """A law's counts as the kernel's int64 arrays, keys ascending.  The
     values and items, as Python ints, come from the arrays; a dict is built
     only at the first lookup by key."""
 
@@ -296,7 +296,8 @@ class SortedCounts(Mapping):
 class ExactDistribution:
     """Exact law on a lattice: key k has probability counts[k] / total and
     stands for the value k / scale (d=1) or, when pack > 0, for the pair
-    (x / scale, y / scale) with k = x + pack * y and 2|x| < pack (d=2)."""
+    (x / scale, y / scale) with k = y + pack * x and 2|y| < pack (d=2), so
+    that ascending keys are the values in order, pairs in (x, y) order."""
 
     counts: Mapping[int, int]
     scale: int
@@ -316,8 +317,8 @@ class ExactDistribution:
         """The lattice point of a key: (k,) for d=1, (x, y) for d=2."""
         if not self.pack:
             return (key,)
-        y = (key + self.pack // 2) // self.pack
-        return key - self.pack * y, y
+        x = (key + self.pack // 2) // self.pack
+        return x, key - self.pack * x
 
     def _value(self, key: int) -> Value:
         v = tuple(Fraction(c, self.scale) for c in self._coords(key))
@@ -331,14 +332,14 @@ class ExactDistribution:
         arrays of Python ints."""
         if isinstance(self.counts, SortedCounts):
             return self.counts.arrays
-        keys = sorted(self.counts, key=self._coords if self.pack else None)
+        keys = sorted(self.counts)
         fits = self.total <= INT64_MAX and max(map(abs, keys)) <= INT64_MAX // 2
         dtype = np.int64 if fits else object
         return np.array(keys, dtype), np.array([self.counts[k] for k in keys], dtype)
 
     @property
     def atoms(self) -> Mapping[Value, Fraction]:
-        """value -> probability, in the key order of `counts`."""
+        """value -> probability, in value order."""
         return self.__dict__.get("_atoms") or _Atoms(self)
 
     def max_atom(self) -> tuple[Fraction, Value]:
@@ -369,8 +370,8 @@ class ExactDistribution:
 
 class _Atoms(Mapping):
     """The atoms of a law not yet read: its length is the support size; the
-    first read builds the Fraction dict, which the law then returns itself
-    (so the law never refers back to this view)."""
+    first read builds the Fraction dict in value order, which the law then
+    returns itself (so the law never refers back to this view)."""
 
     def __init__(self, law: ExactDistribution):
         self._law = law
@@ -378,8 +379,8 @@ class _Atoms(Mapping):
     def _map(self) -> dict:
         law = self._law
         if "_atoms" not in law.__dict__:
-            law.__dict__["_atoms"] = {
-                law._value(k): Fraction(c, law.total) for k, c in law.counts.items()}
+            law.__dict__["_atoms"] = {law._value(k): Fraction(c, law.total)
+                                      for k, c in zip(*(a.tolist() for a in law.arrays))}
         return law.__dict__["_atoms"]
 
     def __len__(self):

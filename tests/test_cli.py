@@ -572,6 +572,15 @@ def test_input_past_a_budget_exits_3_in_bounded_memory(args):
     pytest.param(["esseen", f"--entries={HUGE}", "--beta=1"], 2, id="esseen-entry-huge"),
     pytest.param(["flat", f"--entries={HUGE},1,2,3"], 2, id="flat"),
     pytest.param(["ball2d", f"--entries={HUGE},0,0,1", "--radius=1"], 2, id="ball2d"),
+    # best centres m + sqrt(q) w of pairs: the first and the last ended in
+    # an OverflowError at float(q); the second reads a q = R^2/4 - 1/4 past
+    # the float range, and the last a midpoint past it
+    pytest.param(["ball2d", f"--entries=1,0,0,{10**200 - 1}", f"--radius={10**200}"], 0,
+                 id="ball2d-pair-centre"),
+    pytest.param(["ball2d", f"--entries=0,1,{10**200 - 1},0", f"--radius={10**200}"], 0,
+                 id="ball2d-pair-root"),
+    pytest.param(["ball2d", f"--entries=2,0,0,{4 * 10**308}", "--xi=bool",
+                  f"--radius={2 * 10**308 + 1}"], 2, id="ball2d-pair-centre-huge"),
     pytest.param(["gap-fit", f"--entries={HUGE},1"], 0, id="gap-fit"),
     pytest.param(["census", "--n=1", "--max-entry=1", f"--rho-grid=1/{HUGE}"], 0,
                  id="census-rho-tiny"),

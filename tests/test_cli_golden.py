@@ -67,6 +67,13 @@ differently, a zero), a `ball` on rationals with denominators 40 and 7 under
 matrix, a `multi-rho` with a rational coefficient and target, a `sweep --sub
 ball` over radius and sign law with `--fixed entries=-4,1,3`, and an `esseen`
 under `--xi lazy:1/3`.
+The last four were captured before 2-D laws went through `lattice_counts`
+and the `ball2d` witness became the first maximum in value order: `dist
+--d=2 --format=csv` under `--xi=lazy:1/2` and under `pm1` with a zero pair,
+and a `ball2d` under `--xi=bool` and under `--xi=lazy:1/2`.  That change
+re-captured two `ball2d` witnesses, with p unchanged: `--entries "1,0, 0,1"
+--radius 1` went from (0.0, -1.0) to (-1.0, 0.0), and `--entries "1,0, 0,1,
+1,1" --radius 1/2 --xi bool` from (1.0, 0.5) to (0.5, 1.0).
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`; new guards are
 captured from the current tree with `recapture.py --append ARGV...`.

@@ -195,6 +195,23 @@ def test_ball_2d_size_bounded_by_the_budgets_alone():
         ball_probability_2d(distinct, PM1, 1)
 
 
+def test_ball_2d_witness_past_the_float_range():
+    Y, R = 10**200 - 1, 10**200
+    # the atoms (+-Y, +-1): the best centre is the first pair's, 2 apart, with
+    # q = R^2/4 - 1/4 past the float range; sqrt(q) comes from its integer part
+    A = CoefficientMultiset.of_pairs([(0, 1), (Y, 0)])
+    assert ball_probability_2d(A, PM1, R) == (1, (0.0, 0.0))
+    # a nonzero q that rounds to 0 reads 0
+    B = CoefficientMultiset.of_pairs([(1, 0)])
+    assert ball_probability_2d(B, PM1, 1 + Fraction(1, 10**330)) == (1, (0.0, 0.0))
+    # the atoms (0, 0), (0, 2), (Y', 0), (Y', 2): the first pair's centre
+    # (sqrt(R^2 - 1), 1) covers all four, its m, w and sqrt(q) are floats,
+    # but the centre is past the float range
+    C = CoefficientMultiset.of_pairs([(0, 2), (3 * 10**308, 0)])
+    with pytest.raises(ValidationError, match="disk centre coordinate"):
+        ball_probability_2d(C, BOOL, 18 * 10**307)
+
+
 def test_ball_2d_disk_work_budget(monkeypatch):
     # the atoms (+-1, +-1) are four centres, and the four pairs at distance
     # exactly 2R give two each (the diagonal pairs lie past 2R): 4 x 12; the

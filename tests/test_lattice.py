@@ -19,6 +19,7 @@ from smallball import core
 from smallball.cli import main
 from smallball.core import (
     ball_probability_1d,
+    ball_probability_2d,
     concentration_probability,
     exact_sign_sum_distribution,
     lattice_counts,
@@ -316,17 +317,26 @@ def test_histogram_work_does_not_depend_on_the_order_of_the_entries(wide, capsys
     assert capsys.readouterr().err == ""
 
 
-def test_2d_law_keeps_first_appearance_order_where_a_histogram_fits():
-    # the packed keys of this law would fit the histogram, which would sort
-    # them; the disk scan's witness tie rule reads their first appearance
+def packed_steps(pairs, xi):
+    """The kernel steps of `exact_sign_sum_distribution` for integer pairs:
+    each packed as y + B x, B above twice the largest reachable |y|."""
+    top = max(abs(v) for v in xi.values) * math.lcm(*(v.denominator for v in xi.values))
+    pack = 2 * int(top) * sum(abs(int(y)) for _, y in pairs) + 1
+    return sign_steps([int(y) + pack * int(x) for x, y in pairs], xi)
+
+
+def test_2d_law_takes_an_array_path_in_value_order():
+    # the packed keys of this law fit the histogram, which sorts them:
+    # ascending keys are the atoms in ascending (x, y), not in the order of
+    # their first appearance in the convolution
     pairs = [(-2, -3), (2, -1), (-3, 1), (-3, 0), (3, 2), (1, 0), (1, -3), (1, -2), (0, 3),
              (-1, -1), (-2, 3), (-2, 3)]
     A = CoefficientMultiset.of_pairs(pairs)
-    pack = 2 * sum(abs(x) for x, _ in pairs) + 1
-    assert takes_dense(sign_steps([int(x) + pack * int(y) for x, y in A.entries], LAWS["pm1"]))
+    assert takes_dense(packed_steps(A.entries, LAWS["pm1"]))
     dist = exact_sign_sum_distribution(A, LAWS["pm1"])
-    assert list(dist.atoms) == fraction_convolution_order(A.entries, LAWS["pm1"])
-    assert list(dist.atoms) != sorted(dist.atoms, key=lambda v: (v[1], v[0]))
+    assert type(dist.counts) is SortedCounts
+    appearance = fraction_convolution_order(A.entries, LAWS["pm1"])
+    assert list(dist.atoms) == sorted(appearance) != appearance
 
 
 def test_wide_dissociated_law_stays_small():
@@ -364,6 +374,16 @@ def fraction_convolution_order(pairs, xi):
     return list(atoms)
 
 
+def brute_law_2d(pairs, xi):
+    law = {}
+    for combo in itertools.product(xi.support, repeat=len(pairs)):
+        value = (sum((x * v for (x, _), (v, _) in zip(pairs, combo)), Fraction(0)),
+                 sum((y * v for (_, y), (v, _) in zip(pairs, combo)), Fraction(0)))
+        law[value] = law.get(value, Fraction(0)) + math.prod(
+            (p for _, p in combo), start=Fraction(1))
+    return law
+
+
 @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=5),
        st.sampled_from(sorted(LAWS)))
 @settings(max_examples=40, deadline=None)
@@ -371,15 +391,87 @@ def test_distribution_2d_matches_enumeration_and_order(pairs, law):
     xi = LAWS[law]
     A = CoefficientMultiset.of_pairs(pairs)
     dist = exact_sign_sum_distribution(A, xi)
-    oracle = {}
-    for combo in itertools.product(xi.support, repeat=A.n):
-        key = (sum((x * v for (x, _), (v, _) in zip(A.entries, combo)), Fraction(0)),
-               sum((y * v for (_, y), (v, _) in zip(A.entries, combo)), Fraction(0)))
-        oracle[key] = oracle.get(key, Fraction(0)) + math.prod(
-            (p for _, p in combo), start=Fraction(1))
+    oracle = brute_law_2d(A.entries, xi)
     assert dict(dist.atoms) == oracle
-    # the 2-D disk scan's witness depends on the atoms' order
-    assert list(dist.atoms) == fraction_convolution_order(A.entries, xi)
+    # the 2-D disk scan's witness depends on the atoms' order: value order,
+    # ascending in (x, y), on every kernel path
+    assert list(dist.atoms) == sorted(oracle)
+
+
+def brute_disk(law, R):
+    """(mass, centre) of the first strict maximum over the disk scan's
+    candidates in value order: the atoms ascending in (x, y), then each pair
+    u < v of them within 2R, its centre m + sqrt(q) w before m - sqrt(q) w
+    (m the midpoint, w = perp(v - u), q = R^2/|v - u|^2 - 1/4).  A centre
+    c = m + b sqrt(q) w covers atom a iff |c - a|^2 - R^2, which is
+    alpha + beta sqrt(q) for rationals alpha and beta, is <= 0."""
+    rr = R * R
+
+    def covers(alpha, beta, q):
+        if beta == 0 or q == 0:
+            return alpha <= 0
+        if beta < 0:  # alpha <= |beta| sqrt(q)
+            return alpha <= 0 or alpha * alpha <= beta * beta * q
+        return alpha <= 0 and beta * beta * q <= alpha * alpha
+
+    def mass(m, b, w, q):
+        total = Fraction(0)
+        for (x, y), p in law.items():
+            dx, dy = m[0] - x, m[1] - y
+            alpha = dx * dx + dy * dy + q * (w[0] * w[0] + w[1] * w[1]) - rr
+            if covers(alpha, 2 * b * (dx * w[0] + dy * w[1]), q):
+                total += p
+        return total
+
+    pts = sorted(law)
+    candidates = [(a, 0, (0, 0), Fraction(0)) for a in pts]
+    for u, v in itertools.combinations(pts, 2):
+        d2 = (v[0] - u[0]) ** 2 + (v[1] - u[1]) ** 2
+        if d2 <= 4 * rr:
+            m, w = ((u[0] + v[0]) / 2, (u[1] + v[1]) / 2), (u[1] - v[1], v[0] - u[0])
+            candidates += [(m, b, w, rr / d2 - Fraction(1, 4)) for b in (1, -1)]
+    best, at = Fraction(0), None
+    for c in candidates:
+        if (p := mass(*c)) > best:
+            best, at = p, c
+    (mx, my), b, (wx, wy), q = at
+    return best, (float(mx) + b * math.sqrt(q) * float(wx), float(my) + b * math.sqrt(q) * float(wy))
+
+
+def test_ball_2d_witness_is_the_first_maximum_in_value_order():
+    rng = random.Random(22)
+    laws = [LAWS["pm1"], LAWS["bool"], SignDistribution.lazy(Fraction(1, 2))]
+    for case in range(45):
+        xi = laws[case % 3]
+        pairs = [(Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2])), Fraction(rng.randint(-2, 2)))
+                 for _ in range(rng.randint(1, 4 if case % 3 < 2 else 3))]
+        A = CoefficientMultiset.of_pairs(pairs)
+        law = brute_law_2d(A.entries, xi)
+        for R in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+            p, centre = ball_probability_2d(A, xi, R)
+            want, want_centre = brute_disk(law, R)
+            assert p == want, (pairs, xi, R)
+            assert centre == pytest.approx(want_centre, abs=1e-12), (pairs, xi, R)
+
+
+def test_2d_reports_do_not_depend_on_the_kernel_path():
+    # each input takes the histogram or the sorted merge; on the dict merge
+    # alone its ball2d and dist --d 2 reports are byte for byte the same
+    cases = [("3,-2,2,3,-1,0,-3,1,-2,-2,0,0,-1,-1,-1,-1", "pm1", "histogram"),
+             ("-2,0,1,3,1,3,-2,0,-1,3,-1,3,-1,3,1,3", "bool", "histogram"),
+             ("1,-3,0,0,-1,-2,1,-3,0,0,0,0,-1,-2,1,-3,0,0", "lazy", "histogram"),
+             ("1,5,3,4,2,-1,2,-1,1,5,1,5", "lazy", "merge"),
+             ("-1,0,-3,-5,-1,0,0,0,-1,0,0,0,-3,-5,-3,-5,-3,-5,-1,0", "bool", "merge")]
+    for entries, law, kind in cases:
+        A = CoefficientMultiset.from_text(entries, 2)
+        assert path(packed_steps(A.entries, LAWS[law])) == kind
+        for argv in (["ball2d", f"--entries={entries}", f"--xi={XI_TEXT[law]}", "--radius=1"],
+                     ["ball2d", f"--entries={entries}", f"--xi={XI_TEXT[law]}", "--radius=3/2"],
+                     ["dist", "--d=2", f"--entries={entries}", f"--xi={XI_TEXT[law]}",
+                      "--format=csv"]):
+            code, out = report(argv)
+            with mock.patch.object(core, "_array_counts", return_value=None):
+                assert report(argv) == (code, out) and code == 0, argv
 
 
 @given(st.lists(rationals, min_size=1, max_size=6), st.sampled_from(sorted(LAWS)),
