@@ -148,6 +148,12 @@ def _fp_results(ctx, a) -> dict:
     return {"p": ctx.p, **_versus(bound, exact)}
 
 
+def _multi_rho_results(r, a) -> dict:
+    prob, terms, bound = r
+    check_bound(bound, prob, "multilinear")
+    return {"prob": prob, "r": terms, "bound": bound}
+
+
 def _pairs_of(values: list) -> list:
     if len(values) % 2:
         raise ValidationError("d=2 input needs an even number of scalars")
@@ -276,7 +282,7 @@ COMMANDS: dict[str, Command] = {c.name: c for c in [
     Command("multi-rho", {"poly": POLY, "n": INT, "x": (parse_rational, "0")},
             lambda a: polyforms.multilinear_concentration(
                 polyforms.MultilinearPolynomial.parse(a.poly, a.n), a.x),
-            lambda r, a: {"prob": r[0], "r": r[1], "bound": r[2]}),
+            _multi_rho_results),
     Command("parity-cor", {"poly": POLY, "n": INT},
             lambda a: polyforms.parity_correlation(
                 polyforms.MultilinearPolynomial.parse(a.poly, a.n)),

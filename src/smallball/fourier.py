@@ -181,9 +181,15 @@ def fp_exponential_bound(ctx: FpContext) -> float:
 
 
 def _charfn_abs(A: CoefficientMultiset, xi: SignDistribution):
-    """|E exp(iu S)| = prod_i |E exp(iu a_i xi)| as a float function.  It
-    raises BudgetError at the call that would take its factor evaluations
-    past ESSEEN_EVAL_BUDGET."""
+    """|E exp(iu S)| = prod_i |E exp(iu a_i xi)| as a float function.
+
+    Each run of equal adjacent entries (a sorted multiset's repeats) computes
+    its factor once per node and multiplies it in once per entry, in entry
+    order, so the product is the same float as with one factor per entry.
+    Only equal values share: a and -a do not, as that would rely on libm's
+    cos and sin being exactly even and odd.  The budget still charges
+    n x |support| factor evaluations per call, shared or not, and raises
+    BudgetError at the call that would pass ESSEEN_EVAL_BUDGET."""
     entries = [checked_float(e, "an entry") for e in A.entries]
     vals = [(float(v), float(p)) for v, p in xi.support]
     per_call = len(entries) * len(vals)
@@ -198,11 +204,13 @@ def _charfn_abs(A: CoefficientMultiset, xi: SignDistribution):
                 f"esseen quadrature: {calls} integrand calls x {per_call} factors "
                 f"= {calls * per_call} factor evaluations exceed the budget "
                 f"{ESSEEN_EVAL_BUDGET}")
-        out = 1.0
+        out, prev = 1.0, None
         for a in entries:
-            re = sum(p * math.cos(u * a * v) for v, p in vals)
-            im = sum(p * math.sin(u * a * v) for v, p in vals)
-            out *= math.hypot(re, im)
+            if a != prev:  # a new run: its factor at u
+                re = sum(p * math.cos(u * a * v) for v, p in vals)
+                im = sum(p * math.sin(u * a * v) for v, p in vals)
+                g, prev = math.hypot(re, im), a
+            out *= g
             if out == 0.0:
                 return 0.0
         return out
@@ -246,8 +254,11 @@ def esseen_bound(
     xi: SignDistribution | None = None,
 ) -> EsseenBound:
     """C(1) * beta * integral_{|u| <= 1/beta} |E exp(iuS)| du, an upper bound
-    on the closed-ball concentration rho_{1,beta}(A).  The reported bound
-    already includes the outward-rounded quadrature error."""
+    on the closed-ball concentration rho_{1,beta}(A), taken by adaptive
+    Simpson.  The bound adds `quad_error`, Simpson's |delta|/15 estimate of
+    its own error, which is not a certified bound on it: the bound is checked,
+    not proved, by `check_esseen_soundness`, which raises SoundnessError
+    (exit 4) when it falls below the exact probability."""
     if A.d != 1:
         raise ValidationError("esseen_bound needs d=1")
     beta = Fraction(beta)

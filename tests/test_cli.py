@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
-from smallball import fourier, lcd
+from smallball import fourier, lcd, polyforms
 from smallball.cli import COMMANDS, COMMON, REPORT_SCHEMA, SWEEP_FLAGS, main
 from smallball.core import ball_probability_1d
 from smallball.types import CoefficientMultiset, SignDistribution
@@ -215,6 +215,24 @@ def test_bounds_compare_with_exact_values_exactly(argv, module, name, value, cod
 def test_fp_bound_infinite_holds_nan_fails(value, code, capsys, monkeypatch):
     monkeypatch.setattr(fourier, "fp_exponential_bound", lambda ctx: value)
     assert run_cli(["fp-bound", "--entries=1,2,3"], capsys)[0] == code
+
+
+@pytest.mark.parametrize("value, code", [("float(prob)", 0), ("below", 4), (math.inf, 0),
+                                         (math.nan, 4)])
+def test_multi_rho_bound_compares_with_the_exact_probability(value, code, capsys,
+                                                             monkeypatch):
+    # prob = 3/8 is a float: a bound equal to it holds, the next float below
+    # it fails, as does NaN, and +inf holds
+    real = polyforms.multilinear_concentration
+
+    def patched(P, x):
+        prob, r, _ = real(P, x)
+        bound = {"float(prob)": float(prob),
+                 "below": math.nextafter(float(prob), 0.0)}.get(value, value)
+        return prob, r, bound
+
+    monkeypatch.setattr(polyforms, "multilinear_concentration", patched)
+    assert run_cli(["multi-rho", "--poly=1: 0 1;1: 2 3", "--n=4", "--x=1"], capsys)[0] == code
 
 
 def test_sweep_census_monotone(capsys):
@@ -419,8 +437,6 @@ def test_quad_gen_gap_points_beyond_int64(capsys):
 def test_quad_rho_budget_counts_sign_vectors(capsys, monkeypatch):
     # lazy signs at n = 16 are 3^16 > 2^24 vectors, which the old n <= 24
     # check let through; the patched enumerator fails the test instead
-    from smallball import polyforms
-
     real = polyforms._sign_vectors
 
     def guarded(support, n, *args):
@@ -523,6 +539,9 @@ def test_census_refused_before_its_universe_is_built():
     pytest.param(["recurrence", "--entries=1,2", "--t=1/16", "--gamma=1/2", "--alpha=1",
                   "--grid-points=100000000"], id="recurrence"),
     pytest.param(["lsv", "--n=1", "--trials=1000000"], id="lsv"),
+    # four equal entries share one factor per node, but the quadrature
+    # budget still charges all four
+    pytest.param(["esseen", "--entries=1,1,1,1", "--beta=1/100000"], id="esseen-repeated"),
     pytest.param(["census", "--n=1", f"--max-entry={10**11}", "--rho-grid=1/2"], id="census"),
     pytest.param(["gap-forward", "--generators=1", "--bounds=2", f"--n={10**10}"],
                  id="gap-forward-n-1e10"),

@@ -74,6 +74,10 @@ and a `ball2d` under `--xi=bool` and under `--xi=lazy:1/2`.  That change
 re-captured two `ball2d` witnesses, with p unchanged: `--entries "1,0, 0,1"
 --radius 1` went from (0.0, -1.0) to (-1.0, 0.0), and `--entries "1,0, 0,1,
 1,1" --radius 1/2 --xi bool` from (1.0, 0.5) to (0.5, 1.0).
+The last four were captured before the Esseen integrand computed one factor
+per run of equal entries: `esseen` on 26 ones at beta = 2, on runs with
+zeros and negatives under `--xi=lazy:1/2`, and on repeated rationals under
+`--xi=bool`, and a `sweep --sub=esseen` over three betas on `2 2 2 -1 -1 4`.
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`; new guards are
 captured from the current tree with `recapture.py --append ARGV...`.

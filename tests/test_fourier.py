@@ -1,6 +1,9 @@
+import collections
 import itertools
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,6 +146,87 @@ def test_esseen_examples():
     exact, _ = ball_probability_1d(A12, PM1, Fraction(1, 2))
     assert checked == exact
     assert r.bound >= float(exact)
+
+
+def _charfn_reference(A, xi):
+    """The Esseen integrand with one factor per entry, as it was computed
+    before runs of equal entries shared their factor."""
+    entries = [float(e) for e in A.entries]
+    vals = [(float(v), float(p)) for v, p in xi.support]
+
+    def f(u):
+        out = 1.0
+        for a in entries:
+            re = sum(p * math.cos(u * a * v) for v, p in vals)
+            im = sum(p * math.sin(u * a * v) for v, p in vals)
+            out *= math.hypot(re, im)
+            if out == 0.0:
+                return 0.0
+        return out
+
+    return f
+
+
+SIGN_LAWS = [PM1, SignDistribution.boolean_01(), SignDistribution.lazy(Fraction(1, 3))]
+
+
+def _multisets_with_runs(seed, count):
+    """Seeded multisets of 1-16 entries drawn with repeats from a small pool
+    of integers in [-9, 9] (zero included) and rationals of denominator <= 7."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pool = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 1, 2, 3, 7]))
+                for _ in range(rng.randint(1, 5))]
+        yield CoefficientMultiset.of([rng.choice(pool) for _ in range(rng.randint(1, 16))])
+
+
+def test_esseen_integrand_equals_one_factor_per_entry_bit_for_bit():
+    rng = random.Random(23)
+    nodes = 0
+    for A in _multisets_with_runs(2301, 40):
+        for xi in SIGN_LAWS:
+            f, ref = fourier._charfn_abs(A, xi), _charfn_reference(A, xi)
+            for u in [0.0, -1.0, 2.0 ** -30] + [rng.uniform(-40.0, 40.0) for _ in range(3)]:
+                assert f(u).hex() == ref(u).hex(), (A.entries, xi, u)
+                nodes += 1
+    assert nodes == 720
+
+
+def test_esseen_integrand_does_not_depend_on_entry_order():
+    # built directly, the entries stay unsorted, so equal ones are not all
+    # adjacent and fewer factors are shared
+    A = CoefficientMultiset(tuple(map(Fraction, (2, -1, 2, 2, 0, -1, Fraction(3, 7), 2))))
+    for xi in SIGN_LAWS:
+        f, ref = fourier._charfn_abs(A, xi), _charfn_reference(A, xi)
+        for u in (0.0, 0.3, -1.7, 5.25, 31.0):
+            assert f(u).hex() == ref(u).hex(), (xi, u)
+        sorted_f = fourier._charfn_abs(CoefficientMultiset.of(A.entries), xi)
+        assert math.isclose(f(0.9), sorted_f(0.9), rel_tol=1e-12)
+
+
+def test_esseen_integrand_computes_one_factor_per_run(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(math, name)
+
+        def g(x):
+            calls[name] += 1
+            return real(x)
+
+        return g
+
+    monkeypatch.setattr(fourier, "math", SimpleNamespace(
+        cos=counted("cos"), sin=counted("sin"), hypot=math.hypot))
+    for A in _multisets_with_runs(2302, 20):
+        runs = len(set(A.entries))  # a sorted multiset's equal entries are adjacent
+        for xi in SIGN_LAWS:
+            f = fourier._charfn_abs(A, xi)
+            for u in (0.5, -2.25, 7.0):
+                calls.clear()
+                assert f(u) > 0.0
+                assert calls == {"cos": runs * len(xi.support),
+                                 "sin": runs * len(xi.support)}, (A.entries, xi)
 
 
 def test_esseen_constant_is_explicit():
