@@ -7,11 +7,14 @@ import numpy as np
 
 
 def bareiss_determinant(matrix) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+    """Exact determinant of an integer matrix by fraction-free elimination;
+    the empty (0 x 0) matrix has determinant 1."""
     A = [list(map(int, row)) for row in matrix]
     n = len(A)
     if set(map(len, A)) - {n}:
         raise ValueError("matrix must be square")
+    if not n:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -9,11 +9,14 @@ batch of trials at a time, so a report does not depend on the batch size;
 Gaussian draws come from one generator per batch, re-pointed to counter
 block i before trial i.  Seeds must lie in [0, 2^64).
 
-Singularity decisions are exact integer arithmetic end to end.  In Monte
-Carlo mode one rule decides every sign matrix: modular elimination over the
-screen primes in turn, until their product passes Hadamard's bound |det| <=
-n^(n/2); a matrix flagged (det == 0 mod p) by all of them is singular (see
-`_singular`).  Exact mode takes each enumerated matrix's determinant by
+Singularity decisions are exact integer arithmetic end to end, and each
+works on a sign matrix's halved minor: an n x n sign matrix M has det M =
++-2^(n-1) det M' for an (n-1) x (n-1) matrix M' of entries 0 and +-1 (see
+`_halved_minors`).  In Monte Carlo mode one rule decides every minor:
+modular elimination over the screen primes in turn, until their product
+passes the halved Hadamard bound |det M'| <= n^(n/2) / 2^(n-1); a minor
+flagged (det == 0 mod p) by all of them is singular (see `_singular`).
+Exact mode takes each enumerated matrix's minor's determinant by
 fraction-free integer elimination.  Common roots: a batched gcd over F_p
 certifies most pairs coprime, and the exact integer gcd confirms the rest.
 
@@ -239,21 +242,34 @@ def _batch_rank_deficient_modp(mats: np.ndarray, p: int) -> np.ndarray:
     return singular
 
 
+def _halved_minors(mats: np.ndarray) -> np.ndarray:
+    """(T, n-1, n-1) halved minors M' of a (T, n, n) batch of sign matrices M:
+    each row times its first entry (column 0 becomes all ones), row 0
+    subtracted from the others (their entries become 0 or +-2, column 0 all
+    0), halved, and row 0 and column 0 dropped.  So det M = s 2^(n-1) det M',
+    s = +-1 the product of M's first column, and M' has entries 0 and +-1."""
+    signed = mats[:, :, 1:] * mats[:, :, :1]
+    return (signed[:, 1:] - signed[:, :1]) // 2
+
+
 def _singular(mats: np.ndarray) -> np.ndarray:
-    """Mask of the singular matrices in a (T, n, n) batch of sign matrices.
-    The screen primes run in order, the first on the batch itself and each
-    later one on the matrices still flagged, until their product passes
-    Hadamard's bound |det| <= n^(n/2) (1, 2, 3, 3 and 7 primes at n = 9, 15,
-    16, 20 and 40).  Each prime reached builds its 4p-byte inverse table
-    once per process: 0.26 MB near 2^16, 1.8 MB for seven at n = 40."""
-    hadamard_sq = mats.shape[1] ** mats.shape[1]  # (n^(n/2))^2
-    singular = _batch_rank_deficient_modp(mats, _SCREEN_PRIMES[0])
+    """Mask of the singular matrices in a (T, n, n) batch of sign matrices,
+    decided on their halved minors M'.  The screen primes run in order, the
+    first on every minor and each later one on the minors still flagged,
+    until their product passes the halved Hadamard bound |det M'| <= n^(n/2)
+    / 2^(n-1) (1, 1, 2, 2 and 5 primes at n = 10, 15, 16, 20 and 40).  Each
+    prime reached builds its 4p-byte inverse table once per process: 0.26 MB
+    near 2^16, 1.2 MB for five at n = 40."""
+    n = mats.shape[1]
+    hadamard_sq = n**n  # (n^(n/2))^2; a modulus m decides once m^2 4^(n-1) > it
+    minors = _halved_minors(mats)
+    singular = _batch_rank_deficient_modp(minors, _SCREEN_PRIMES[0])
     modulus = _SCREEN_PRIMES[0]
     for p in _SCREEN_PRIMES[1:]:
         flagged = np.flatnonzero(singular)
-        if modulus**2 > hadamard_sq or not flagged.size:
+        if modulus**2 << 2 * (n - 1) > hadamard_sq or not flagged.size:
             break
-        singular[flagged] = _batch_rank_deficient_modp(mats[flagged], p)
+        singular[flagged] = _batch_rank_deficient_modp(minors[flagged], p)
         modulus *= p
     return singular
 
@@ -274,14 +290,15 @@ def singularity_probability(
                 f"exact mode needs 2^{free} enumerations, over the 2^"
                 f"{EXACT_ENUM_BUDGET_LOG2} budget")
         # matrix i of the enumeration: bit k of i is free entry k (row-major;
-        # the upper triangle when symmetric), set meaning +1
+        # the upper triangle when symmetric), set meaning +1; each is decided
+        # by its halved minor's determinant
         at = np.arange(n * n).reshape(n, n)
         at = at[np.triu_indices(n)] if spec.kind == "bernoulli_symmetric" else at.ravel()
         total, count = 2**free, 0
         for lo, hi in _batches(total, n * n):
             bits = np.zeros((hi - lo, n * n), np.int8)
             bits[:, at] = np.arange(lo, hi)[:, None] >> np.arange(free) & 1
-            for M in _sign_matrices(spec, bits).tolist():
+            for M in _halved_minors(_sign_matrices(spec, bits)).tolist():
                 count += bareiss_determinant(M) == 0
         return McReport.from_counts(count, total, seed, "exact", Fraction(count, total))
     if mode != "monte_carlo":

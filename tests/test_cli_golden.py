@@ -78,6 +78,11 @@ The last four were captured before the Esseen integrand computed one factor
 per run of equal entries: `esseen` on 26 ones at beta = 2, on runs with
 zeros and negatives under `--xi=lazy:1/2`, and on repeated rationals under
 `--xi=bool`, and a `sweep --sub=esseen` over three betas on `2 2 2 -1 -1 4`.
+The last six were captured before every sign-matrix singularity decision
+moved to the matrix's halved (n - 1) x (n - 1) minor: exact `singularity`
+at n = 1, iid and symmetric (the minor is empty), iid at n = 4 and
+symmetric at n = 5, a Monte Carlo symmetric `singularity` at n = 40, whose
+screen bound takes five primes, and `lsv --kind bernoulli_iid` at n = 1.
 A change that alters some reports on purpose re-captures only those cases
 with `python tests/golden/recapture.py ARGV_PREFIX...`; new guards are
 captured from the current tree with `recapture.py --append ARGV...`.

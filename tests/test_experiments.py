@@ -19,6 +19,7 @@ from smallball.experiments import (
     McReport,
     _batch_rank_deficient_modp,
     _batches,
+    _halved_minors,
     _inv_modp,
     _sign_matrices,
     _singular,
@@ -51,6 +52,34 @@ def test_determinant_backends_agree_exhaustively_n3():
         M = [[1 if (bits >> (3 * i + j)) & 1 else -1 for j in range(3)]
              for i in range(3)]
         assert bareiss_determinant(M) == cofactor_determinant(M)
+
+
+def test_determinant_of_empty_matrix_is_one():
+    # the halved minor of a 1 x 1 sign matrix is empty
+    assert bareiss_determinant([]) == 1
+    assert bareiss_determinant(np.zeros((0, 0), np.int8)) == 1
+    assert [bareiss_determinant([[s]]) for s in (-1, 1)] == [-1, 1]
+
+
+def halved_minor(M: list) -> list:
+    """Scalar reference for `_halved_minors` on one matrix of lists."""
+    rows = [[x * r[0] for x in r[1:]] for r in M]
+    return [[(x - y) // 2 for x, y in zip(r, rows[0])] for r in rows[1:]]
+
+
+@pytest.mark.parametrize("kind", ["bernoulli_iid", "bernoulli_symmetric"])
+def test_halved_minor_identity(kind):
+    # det M = s 2^(n-1) det M', s the product of M's first column, and
+    # |det M'| never passes the halved Hadamard bound n^(n/2) / 2^(n-1)
+    for n in range(1, 13):
+        mats = _sign_matrices(EnsembleSpec(kind, n), trial_bits(70 + n, 0, 60, n * n))
+        minors = _halved_minors(mats)
+        assert minors.shape == (60, n - 1, n - 1) and np.isin(minors, (-1, 0, 1)).all()
+        for M, minor in zip(mats.tolist(), minors.tolist()):
+            assert minor == halved_minor(M)
+            det, det_minor = bareiss_determinant(M), bareiss_determinant(minor)
+            assert det == math.prod(r[0] for r in M) * 2 ** (n - 1) * det_minor
+            assert det_minor**2 * 4 ** (n - 1) <= n**n
 
 
 def test_poly_gcd_basics():
@@ -309,9 +338,11 @@ def test_rank_screen_matches_bareiss(kind, n):
         mats[::3, 1] = mats[::3, 0]
         mats[::3, :, 1] = mats[::3, :, 0]
     dets = [bareiss_determinant(M.tolist()) for M in mats]
-    for p in _SCREEN_PRIMES[:3]:  # the primes in use up to n = 20
+    for p in _SCREEN_PRIMES[:3]:
         want = [d % p == 0 for d in dets]
         assert _batch_rank_deficient_modp(mats, p).tolist() == want
+        # p is odd, so it divides det M exactly when it divides det M'
+        assert _batch_rank_deficient_modp(_halved_minors(mats), p).tolist() == want
     assert any(d == 0 for d in dets) == (n > 1)
 
 
@@ -319,7 +350,7 @@ def test_inverse_table_built_once_per_prime():
     experiments._inverse_table.cache_clear()
     for seed in range(6):
         singularity_probability(EnsembleSpec("bernoulli_iid", 4), trials=300, seed=seed)
-        singularity_probability(EnsembleSpec("bernoulli_symmetric", 12), trials=300, seed=seed)
+        singularity_probability(EnsembleSpec("bernoulli_symmetric", 20), trials=300, seed=seed)
     info = experiments._inverse_table.cache_info()
     assert (info.misses, info.currsize) == (2, 2) and info.hits > 12
     # the two tables in use; reading the others would build them
@@ -371,19 +402,28 @@ def test_batched_gcd_screen_planted_factors():
 
 
 def test_exact_enumeration_one_determinant_per_matrix(monkeypatch):
-    calls = []
+    # one determinant per enumerated matrix, taken on its halved minor
+    calls, mats = [], []
 
     def counting(M):
         calls.append(M)
         return bareiss_determinant(M)
 
+    def recording(spec, bits):
+        out = _sign_matrices(spec, bits)
+        mats.extend(out.tolist())
+        return out
+
     monkeypatch.setattr(experiments, "bareiss_determinant", counting)
+    monkeypatch.setattr(experiments, "_sign_matrices", recording)
     for kind, n, free in (("bernoulli_iid", 3, 9), ("bernoulli_symmetric", 4, 10)):
         calls.clear()
+        mats.clear()
         singularity_probability(EnsembleSpec(kind, n), "exact")
         assert len(calls) == 2**free
-        assert len({tuple(map(tuple, M)) for M in calls}) == 2**free
-        assert all(M == [list(r) for r in zip(*M)] for M in calls) == (
+        assert calls == [halved_minor(M) for M in mats]
+        assert len({tuple(map(tuple, M)) for M in mats}) == 2**free
+        assert all(M == [list(r) for r in zip(*M)] for M in mats) == (
             kind == "bernoulli_symmetric")
 
 
@@ -437,27 +477,32 @@ def test_k_universality_against_pattern_sets(d, n, k, trials):
 
 
 def _hadamard_primes(n: int) -> list[int]:
-    """The least run of screen primes whose product m has n^n < m^2: a +-1
-    matrix of order n has |det| <= n^(n/2) < m (Hadamard), so det == 0 mod
-    each of them decides det == 0."""
+    """The least run of screen primes whose product m has n^n < m^2 4^(n-1):
+    a +-1 matrix of order n has |det| <= n^(n/2) (Hadamard) and det a
+    multiple of 2^(n-1), so its halved minor has |det| < m.  The primes are
+    odd, so det == 0 mod each of them decides det == 0, for the matrix as
+    for its minor."""
     primes, m = [], 1
     for p in _SCREEN_PRIMES:
-        if n**n < m * m:
+        if n**n < m * m * 4 ** (n - 1):
             break
         primes.append(p)
         m *= p
     return primes
 
 
-@pytest.mark.parametrize("n,count", [(1, 1), (9, 1), (10, 2), (15, 2), (16, 3), (20, 3),
-                                     (40, 7)])
+@pytest.mark.parametrize("n,count", [(1, 1), (9, 1), (10, 1), (15, 1), (16, 2), (20, 2),
+                                     (24, 3), (40, 5)])
 def test_screen_prime_counts(n, count, monkeypatch):
-    # the product of the first `count` primes passes n^(n/2), and that of
-    # one fewer does not
+    # the product of the first `count` primes passes n^(n/2) / 2^(n-1), and
+    # that of one fewer does not; at n = 24 a bound of n^(n/2) / 2^n would
+    # stop a prime early
     primes = _SCREEN_PRIMES[:count]
-    assert math.prod(primes) ** 2 > n**n >= math.prod(primes[:-1]) ** 2
+    scale = 4 ** (n - 1)
+    assert math.prod(primes) ** 2 * scale > n**n >= math.prod(primes[:-1]) ** 2 * scale
     assert _hadamard_primes(n) == list(primes)
-    # the screen of a singular matrix (all ones, rank 1) takes exactly those
+    # the screen of a singular matrix (all ones, rank 1; its minor is 0)
+    # takes exactly those
     seen = []
     real = experiments._batch_rank_deficient_modp
     monkeypatch.setattr(experiments, "_batch_rank_deficient_modp",
@@ -489,7 +534,7 @@ def test_screen_primes_cover_every_order_a_trial_can_draw():
 def test_hadamard_shortcut_agrees_with_bareiss(kind, n, seed):
     # the Monte Carlo runs of acceptance criterion 11 at n <= 15, and runs at
     # n = 16 and 20 that flag some matrices: every matrix that all the primes
-    # of the Hadamard rule flag is singular, so counting them is exact
+    # of the halved Hadamard rule flag is singular, so counting them is exact
     spec = EnsembleSpec(kind, n)
     trials = 10**5 if n < 16 else 2000
     flagged = 0
