@@ -273,10 +273,9 @@ COMMANDS: dict[str, Command] = {c.name: c for c in [
     Command("quad-gen", {"kind": (_choice(str, "gap", "lowrank", "mixed"), REQUIRED),
                          "n": INT, "gap_generators": (_rationals, None),
                          "gap_bounds": (_ints, None), "k": (_ints, None)},
-            lambda a: polyforms.structured_quadratic_generator(a.kind, {
-                "n": a.n, "k": a.k or None,
-                "gap": a.gap_generators and gaps.Gap.of(a.gap_generators, a.gap_bounds or [])
-            }, a.seed),
+            lambda a: polyforms.structured_quadratic_generator(
+                a.kind, a.n, a.seed, k=a.k or None,
+                gap=a.gap_generators and gaps.Gap.of(a.gap_generators, a.gap_bounds or [])),
             lambda r, a: _sound({"n": a.n, "rho_q": r[1], "predicted_floor": r[2]},
                                 r[1] >= r[2], f"rho_q {r[1]} below predicted floor {r[2]}")),
     Command("multi-rho", {"poly": POLY, "n": INT, "x": (parse_rational, "0")},

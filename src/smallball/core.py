@@ -247,18 +247,6 @@ def concentration_probability(
     return dist.max_atom()
 
 
-def largest_binomial_sum(n: int, m: int) -> int:
-    """S(n, m): sum of the m largest binomial coefficients C(n, i)."""
-    if n < 1 or m < 0:
-        raise ValidationError("need n >= 1 and m >= 0")
-    if m == 0:
-        return 0
-    if m >= n + 1:
-        return 2**n
-    coeffs = sorted((math.comb(n, i) for i in range(n + 1)), reverse=True)
-    return sum(coeffs[:m])
-
-
 def ball_probability_1d(
     A: CoefficientMultiset,
     xi: SignDistribution,

@@ -500,9 +500,3 @@ def common_root_probability(
                 successes += 1
     report = McReport.from_counts(successes, trials, seed)
     return report, exact_common_value_at_one(n)
-
-
-def mc_agreement_sigma(est: float, exact: float, trials: int) -> float:
-    """|est - exact| in units of the exact-probability standard error."""
-    se = math.sqrt(max(exact * (1 - exact), 1e-300) / trials)
-    return abs(est - exact) / se

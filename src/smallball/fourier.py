@@ -1,6 +1,5 @@
-"""Fourier-analytic machinery: finite-field identities and exponential
-bounds, the Esseen integral bound, solution-count hierarchies, level and
-dual sets, and the torus-distance norm.
+"""Fourier-analytic machinery: finite-field exponential bounds, the Esseen
+integral bound, solution-count hierarchies, and level and dual sets.
 
 Esseen constant.  The inequality P(X in closed ball of radius beta) <=
 C(1) * beta * integral_{|u| <= 1/beta} |E exp(iuX)| du is derived with the
@@ -36,7 +35,6 @@ from .types import (
 ESSEEN_C1 = 1.0 / (4.0 * math.sin(0.5) ** 2)
 ESSEEN_TOL = 1e-10  # adaptive Simpson's target error
 ESSEEN_MAX_DEPTH = 22  # adaptive Simpson's deepest bisection
-FP_IMAG_TOL = 1e-9  # largest imaginary part the F_p Fourier identity tolerates
 RL_BUDGET = 10**8  # n^(2l) tuples for R_l; its law takes core.ATOM_BUDGET
 
 # Largest p that the F_p operations scan in full: each work array is then at
@@ -131,43 +129,17 @@ class FpContext:
         return len(self.residues)
 
 
-def _scan(ctx: FpContext, name: str, dtype, start: int, stop: int) -> np.ndarray:
-    """t = start..stop-1 of F_p as an array, for a scan by `name` over a
-    strict context with p <= P_BUDGET (so 2^n < P_BUDGET)."""
-    if not ctx.strict:
-        raise ValidationError(f"{name} requires a strict embedding context")
-    if ctx.p > P_BUDGET:
-        raise BudgetError(f"p={ctx.p} exceeds the F_p scan budget {P_BUDGET}")
-    return np.arange(start, stop, dtype=dtype)
-
-
-def fp_fourier_identity(ctx: FpContext, a_target: int):
-    """Evaluate rho(a_target) = (1/p) sum_t prod_i cos(2 pi t a_i / p)
-    e_p(-t a_target) and compare against the exact convolution probability.
-
-    Returns (fourier_value, exact_probability, abs_difference).
-    """
-    t = _scan(ctx, "fp_fourier_identity", np.float64, 0, ctx.p)
-    prod = np.ones(ctx.p)  # prod_i cos(2 pi a_i t / p)
-    for a in ctx.residues:
-        prod *= np.cos((2.0 * math.pi * a / ctx.p) * t)
-    phase = -2.0 * math.pi * (a_target % ctx.p) / ctx.p * t
-    val = complex(np.sum(prod * np.cos(phase)), np.sum(prod * np.sin(phase))) / ctx.p
-    if abs(val.imag) > FP_IMAG_TOL:
-        raise SoundnessError(f"imaginary part {val.imag} exceeds {FP_IMAG_TOL}")
-    A = CoefficientMultiset.of(ctx.entries)
-    dist = exact_sign_sum_distribution(A, SignDistribution.bernoulli_pm1())
-    exact = Fraction(dist.counts.get(a_target * dist.scale, 0), dist.total)
-    return val.real, exact, abs(val.real - float(exact))
-
-
 def fp_exponential_bound(ctx: FpContext) -> float:
     """(1/p) sum_t exp(-2 sum_i ||a_i t / p||^2): an upper bound on rho(A).
     The summand, the same float at t and p - t, is computed for t <= p // 2
     and written mirrored into one length-p array, which `np.sum` adds in the
     order of a full scan of F_p, so every bit of the bound is kept."""
+    if not ctx.strict:
+        raise ValidationError("fp_exponential_bound requires a strict embedding context")
     p, h = ctx.p, ctx.p // 2
-    t = _scan(ctx, "fp_exponential_bound", np.int64, 1, h + 1)
+    if p > P_BUDGET:
+        raise BudgetError(f"p={p} exceeds the F_p scan budget {P_BUDGET}")
+    t = np.arange(1, h + 1, dtype=np.int64)
     s, r = np.zeros(h), np.empty(h, dtype=np.int64)
     for a in ctx.residues:
         np.remainder(np.multiply(t, a, out=r), p, out=r)
@@ -307,15 +279,6 @@ def rl_count(A: CoefficientMultiset, l: int) -> int:
     return sum(c * c for c in lattice_counts([step] * l).values())
 
 
-def halasz_hierarchy_ratio(A: CoefficientMultiset, l: int) -> float:
-    """rho(A) * n^(2l + 1/2) / R_l: bounded along structured families."""
-    from .core import concentration_probability
-
-    rho, _ = concentration_probability(A)
-    rl = rl_count(A, l)
-    return float(rho) * A.n ** (2 * l + 0.5) / rl
-
-
 @dataclass(frozen=True)
 class LevelSetReport:
     m: int
@@ -414,29 +377,3 @@ def level_and_dual_sets(ctx: FpContext, m_max: int) -> list[LevelSetReport]:
                     f"dual bound violated at m={m}: |S*|={dual}, |S|={size}, p={p}")
         reports.append(LevelSetReport(m, size, dual, rho_ref))
     return reports
-
-
-def qualifying_level_exists(reports: list[LevelSetReport], p: int) -> bool:
-    """Check existence of m with |S_m| e^(-m+2) >= rho * p (strict contexts)."""
-    rho = reports[0].rho_reference
-    if rho is None:
-        raise ValidationError("needs a strict context with rho reference")
-    target = float(rho) * p
-    return any(r.level_size * math.exp(-r.m + 2) >= target for r in reports)
-
-
-def norm_rz(x) -> Fraction:
-    """Distance to the nearest integer, exact for rationals."""
-    x = Fraction(x)
-    fl = x - math.floor(x)
-    return min(fl, 1 - fl)
-
-
-def xi_norm(w, xi: SignDistribution) -> float:
-    """(E ||w (xi1 - xi2)||_{R/Z}^2)^(1/2); expectation exact, root floating."""
-    w = Fraction(w)
-    acc = Fraction(0)
-    for d, p in xi.difference_law():
-        nd = norm_rz(w * d)
-        acc += p * nd * nd
-    return math.sqrt(float(acc))

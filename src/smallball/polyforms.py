@@ -170,7 +170,8 @@ def decoupling_check(
     return lhs, joint, lhs**4 <= joint
 
 
-def structured_quadratic_generator(kind: str, params: dict, seed: int):
+def structured_quadratic_generator(kind: str, n: int, seed: int,
+                                   k: list[int] | None = None, gap: Gap | None = None):
     """Construct a structured symmetric matrix with provably large rho_q.
 
     kinds: 'gap' (entries sampled from a GAP Q; the form lands in the dilate
@@ -183,19 +184,17 @@ def structured_quadratic_generator(kind: str, params: dict, seed: int):
     if seed < 0:
         raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
-    n = int(params["n"])
     if not 1 <= n <= 20:
         raise ValidationError("structured generators need 1 <= n <= 20")
     if kind not in ("gap", "lowrank", "mixed"):
         raise ValidationError(f"unknown kind {kind!r}")
-    k_coeffs = params.get("k")
     if kind in ("lowrank", "mixed"):
-        k_coeffs = [int(v) for v in k_coeffs] if k_coeffs is not None else \
+        k = [int(v) for v in k] if k is not None else \
             [int(v) for v in rng.integers(-3, 4, size=n)]
     gap_part = np.zeros((n, n), dtype=np.int64)
     floor_gap = None
     if kind in ("gap", "mixed"):
-        Q: Gap = params.get("gap") or Gap.of([1], [3])
+        Q = gap or Gap.of([1], [3])
         L, pts = gap_lattice_points(Q)
         if len(pts) != Q.volume:
             raise ValidationError("generator GAP must be proper")
@@ -212,9 +211,9 @@ def structured_quadratic_generator(kind: str, params: dict, seed: int):
     if kind in ("lowrank", "mixed"):
         b = [int(v) for v in rng.integers(-5, 6, size=n)]
         # exact ints, as the GAP part: the k_i may lie beyond int64
-        kv, bv = np.array(k_coeffs, dtype=object), np.array(b, dtype=object)
+        kv, bv = np.array(k, dtype=object), np.array(b, dtype=object)
         low_part = np.outer(kv, bv) + np.outer(bv, kv)
-        floor_low = Fraction(bernoulli_int_counts(k_coeffs).get(0, 0), 2**n)
+        floor_low = Fraction(bernoulli_int_counts(k).get(0, 0), 2**n)
     entries = gap_part + low_part
     M = SymmetricCoefficientMatrix.of(entries.tolist())
     rho_q, _ = quadratic_concentration(M)
@@ -350,9 +349,3 @@ def parity_correlation(P: MultilinearPolynomial) -> Fraction:
         par = np.concatenate([par, par ^ 1])
     agree = int(np.count_nonzero(vals == par * den))
     return Fraction(agree, 2**n) - Fraction(1, 2)
-
-
-def weak_multilinear_exponent(k: int) -> float:
-    """The older decoupling-route exponent 1/2^((k^2+k)/2), reported alongside
-    b_k for comparison."""
-    return 1.0 / 2 ** ((k * k + k) / 2)

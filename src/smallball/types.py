@@ -157,15 +157,6 @@ class SignDistribution:
     def values(self) -> tuple[Fraction, ...]:
         return tuple(v for v, _ in self.support)
 
-    def difference_law(self) -> "list[tuple[Fraction, Fraction]]":
-        """Exact law of xi1 - xi2 for two independent copies."""
-        out: dict[Fraction, Fraction] = {}
-        for v1, p1 in self.support:
-            for v2, p2 in self.support:
-                d = v1 - v2
-                out[d] = out.get(d, Fraction(0)) + p1 * p2
-        return sorted(out.items())
-
     def spread_bound(self) -> Fraction:
         """1 - b where b is extracted from open unit-length windows:
         sup over a of P(xi in (a-1, a+1))."""
@@ -182,12 +173,6 @@ class SignDistribution:
 
     def b_value(self) -> Fraction:
         return 1 - self.spread_bound()
-
-    def satisfies_difference_condition(self, c1, c2, c3) -> bool:
-        """Exact check of P(c1 <= |xi1 - xi2| <= c2) >= c3."""
-        c1, c2, c3 = map(_as_fraction, (c1, c2, c3))
-        mass = sum(p for d, p in self.difference_law() if c1 <= abs(d) <= c2)
-        return mass >= c3
 
 
 @dataclass(frozen=True)
@@ -237,25 +222,6 @@ class CoefficientMultiset:
         if self.d != 1 or any(e.denominator != 1 for e in self.entries):
             raise ValidationError("integer coefficient multiset required")
         return [int(e) for e in self.entries]
-
-    def scaled(self, c) -> "CoefficientMultiset":
-        c = _as_fraction(c)
-        if c == 0:
-            raise ValidationError("scale factor must be nonzero")
-        if self.d == 1:
-            return CoefficientMultiset.of([c * e for e in self.entries])
-        return CoefficientMultiset.of_pairs([(c * x, c * y) for x, y in self.entries])
-
-    def rotated(self, cos_sin: tuple) -> "CoefficientMultiset":
-        """Rotate all d=2 entries by an exact rational rotation pair
-        (c, s) with c^2 + s^2 = 1 (e.g. (3/5, 4/5))."""
-        if self.d != 2:
-            raise ValidationError("rotation applies to d=2 multisets")
-        c, s = map(_as_fraction, cos_sin)
-        if c * c + s * s != 1:
-            raise ValidationError("rotation pair must satisfy c^2 + s^2 = 1")
-        return CoefficientMultiset.of_pairs(
-            [(c * x - s * y, s * x + c * y) for x, y in self.entries])
 
 
 def _ratio_text(num: int, den: int) -> str:

@@ -19,14 +19,12 @@ from smallball.core import (
     concentration_probability,
     disk_mass,
     exact_sign_sum_distribution,
-    largest_binomial_sum,
     stanley_constant_scan,
 )
 from smallball.fourier import (
     FpContext,
     esseen_bound,
     fp_exponential_bound,
-    fp_fourier_identity,
     level_and_dual_sets,
 )
 from smallball.gaps import (
@@ -52,10 +50,11 @@ from smallball.experiments import (
     exact_common_value_at_one,
     k_universality_check,
     least_singular_value_mc,
-    mc_agreement_sigma,
     singularity_probability,
 )
 from smallball.types import CoefficientMultiset, SignDistribution
+
+from references import fp_fourier_identity, largest_binomial_sum, mc_agreement_sigma
 
 PM1 = SignDistribution.bernoulli_pm1()
 BOOL = SignDistribution.boolean_01()

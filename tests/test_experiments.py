@@ -29,12 +29,13 @@ from smallball.experiments import (
     k1_universality_failure_exact,
     k_universality_check,
     least_singular_value_mc,
-    mc_agreement_sigma,
     singularity_probability,
     substream,
     trial_bits,
 )
 from smallball.types import BudgetError, ValidationError
+
+from references import mc_agreement_sigma
 
 
 

@@ -17,15 +17,10 @@ from smallball.fourier import (
     check_esseen_soundness,
     esseen_bound,
     fp_exponential_bound,
-    fp_fourier_identity,
-    halasz_hierarchy_ratio,
     is_prime,
     level_and_dual_sets,
     next_prime,
-    norm_rz,
-    qualifying_level_exists,
     rl_count,
-    xi_norm,
 )
 from smallball.types import (
     BudgetError,
@@ -33,6 +28,8 @@ from smallball.types import (
     SignDistribution,
     ValidationError,
 )
+
+from references import fp_fourier_identity
 
 PM1 = SignDistribution.bernoulli_pm1()
 
@@ -249,6 +246,13 @@ def test_rl_count():
     assert rl_count(distinct, 1) == 4  # distinct entries: R_1 = n
 
 
+def halasz_hierarchy_ratio(A: CoefficientMultiset, l: int) -> float:
+    """rho(A) * n^(2l + 1/2) / R_l: bounded along structured families."""
+    rho, _ = concentration_probability(A)
+    rl = rl_count(A, l)
+    return float(rho) * A.n ** (2 * l + 0.5) / rl
+
+
 def test_halasz_hierarchy_bounded():
     ratios = [halasz_hierarchy_ratio(CoefficientMultiset.of(range(1, n + 1)), 1)
               for n in (6, 8, 10, 12)]
@@ -285,6 +289,15 @@ def test_level_sets_dual_bound_many_m():
     for r in reports:
         if r.level_size:
             assert r.dual_size * r.level_size <= 8 * 499
+
+
+def qualifying_level_exists(reports, p: int) -> bool:
+    """Check existence of m with |S_m| e^(-m+2) >= rho * p (strict contexts)."""
+    rho = reports[0].rho_reference
+    if rho is None:
+        raise ValidationError("needs a strict context with rho reference")
+    target = float(rho) * p
+    return any(r.level_size * math.exp(-r.m + 2) >= target for r in reports)
 
 
 def test_qualifying_level_exists_strict():
@@ -450,23 +463,10 @@ def test_level_sets_scan_memory_is_bounded():
     assert peak < 4 * 2**20, peak
 
 
-@given(st.fractions(min_value=-50, max_value=50))
-def test_norm_rz_properties(x):
-    assert norm_rz(x + 1) == norm_rz(x)
-    assert norm_rz(-x) == norm_rz(x)
-    assert 0 <= norm_rz(x) <= Fraction(1, 2)
-
-
-def test_xi_norm_examples():
-    assert xi_norm(Fraction(1, 2), PM1) == 0
-    assert xi_norm(0, PM1) == 0
-    assert abs(xi_norm(Fraction(1, 4), PM1) - 1 / math.sqrt(8)) < 1e-12
-
-
 def test_illustrative_context_rejects_identity():
     ctx = FpContext.from_multiset(CoefficientMultiset.of([1] * 10), p=997)
-    with pytest.raises(ValidationError):
-        fp_fourier_identity(ctx, 0)
+    with pytest.raises(ValidationError, match="requires a strict embedding context"):
+        fp_exponential_bound(ctx)
 
 
 def test_esseen_refuses_past_evaluation_budget(monkeypatch):
@@ -511,8 +511,6 @@ def test_fp_scans_refuse_p_above_budget(monkeypatch):
     assert ctx.strict and ctx.p > 10**9
     with pytest.raises(BudgetError):
         fp_exponential_bound(ctx)
-    with pytest.raises(BudgetError):
-        fp_fourier_identity(ctx, 0)
     small = FpContext.from_multiset(CoefficientMultiset.of([1, 2, 3]))
     monkeypatch.setattr(fourier, "P_BUDGET", small.p)
     assert fp_exponential_bound(small) > 0

@@ -554,8 +554,8 @@ def test_sorted_merge_matches_dict_merge(law, denominators):
     xi = XI_TEXT_LAWS[law]
     for n in ((6, 8) if len(xi.support) == 3 else (10, 11, 12)):
         A = CoefficientMultiset.of(dissociated(rng, n, denominators))
-        steps = sign_steps(A.scaled(math.lcm(*(e.denominator for e in A.entries))).int_entries(),
-                           xi)
+        L = math.lcm(*(e.denominator for e in A.entries))
+        steps = sign_steps(CoefficientMultiset.of([L * e for e in A.entries]).int_entries(), xi)
         assert path(steps) == "merge"
         keys, counts = core._merge_counts(steps, core.ATOM_BUDGET)
         assert keys.dtype == counts.dtype == np.int64 and (np.diff(keys) > 0).all()

@@ -19,7 +19,6 @@ from smallball.polyforms import (
     parity_correlation,
     quadratic_concentration,
     structured_quadratic_generator,
-    weak_multilinear_exponent,
 )
 from smallball.types import (
     BudgetError,
@@ -158,18 +157,18 @@ def test_decoupling_brute_agreement():
 
 def test_structured_generators():
     M, rho, floor = structured_quadratic_generator(
-        "gap", {"n": 10, "gap": Gap.of([1], [3])}, seed=1)
+        "gap", 10, seed=1, gap=Gap.of([1], [3]))
     assert rho >= floor
     k = [1, -1] * 5
     M, rho, floor = structured_quadratic_generator(
-        "lowrank", {"n": 10, "k": k}, seed=2)
+        "lowrank", 10, seed=2, k=k)
     counts_floor = Fraction(math.comb(10, 5), 2**10)
     assert floor == counts_floor
     assert rho >= floor
     M, rho_mixed, floor_mixed = structured_quadratic_generator(
-        "mixed", {"n": 8, "k": [0] * 8, "gap": Gap.of([1], [3])}, seed=3)
+        "mixed", 8, seed=3, k=[0] * 8, gap=Gap.of([1], [3]))
     _, rho_gap, floor_gap = structured_quadratic_generator(
-        "gap", {"n": 8, "gap": Gap.of([1], [3])}, seed=3)
+        "gap", 8, seed=3, gap=Gap.of([1], [3]))
     assert floor_mixed == floor_gap  # degenerate k: mixed reduces to gap
     assert rho_mixed >= floor_mixed
 
@@ -239,12 +238,6 @@ def test_polynomial_parsing():
                              (2,): Fraction(-1, 2)}
     assert P.k == 2
     assert greedy_disjoint_terms(P) == 1
-
-
-def test_weak_exponent_comparison():
-    assert weak_multilinear_exponent(2) == 1 / 8
-    b2 = 1 / (2 * 2 * 4)
-    assert b2 > weak_multilinear_exponent(3)
 
 
 def test_quadratic_beyond_int64_is_exact():

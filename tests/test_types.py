@@ -49,13 +49,6 @@ def test_b_value_extraction():
     assert SignDistribution.boolean_01().b_value() == 0
 
 
-def test_difference_condition():
-    b = SignDistribution.bernoulli_pm1()
-    # |xi1 - xi2| = 2 with probability 1/2
-    assert b.satisfies_difference_condition(1, 2, Fraction(1, 2))
-    assert not b.satisfies_difference_condition(1, 2, Fraction(3, 4))
-
-
 def test_multiset_construction():
     A = CoefficientMultiset.of([3, 1, 2])
     assert A.entries == (Fraction(1), Fraction(2), Fraction(3))
@@ -64,15 +57,6 @@ def test_multiset_construction():
     assert B.entries == (Fraction(1), Fraction(3, 2), Fraction(2))
     with pytest.raises(ValidationError):
         CoefficientMultiset.from_text("")
-
-
-def test_multiset_rotation_exact():
-    A = CoefficientMultiset.of_pairs([(1, 0), (0, 1)])
-    R = A.rotated((Fraction(3, 5), Fraction(4, 5)))
-    assert set(R.entries) == {(Fraction(3, 5), Fraction(4, 5)),
-                              (Fraction(-4, 5), Fraction(3, 5))}
-    with pytest.raises(ValidationError):
-        A.rotated((Fraction(1, 2), Fraction(1, 2)))
 
 
 @given(st.fractions(), st.fractions(), st.fractions(min_value=0, max_value=100),
