@@ -47,6 +47,9 @@ from .types import (
 )
 
 SCHEMA_VERSION = "1"
+# Most grid cells one `sweep` may run: over a thousand times the most that
+# any test, golden case or benchmark sweep runs (6).
+SWEEP_CELL_BUDGET = 10_000
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -316,7 +319,6 @@ SWEEP_FLAGS = {
     "sub": (_choice(str, *COMMANDS), REQUIRED),
     "grid": (list, []),
     "fixed": (list, []),
-    "max_cells": (int, 10000),
 }
 
 
@@ -470,8 +472,8 @@ def _sweep(a) -> str:
             raise ValidationError(f"bad --grid {g!r}, expected key=v1,v2")
         grids.append((key.strip(), [v for v in vals.split(",") if v]))
     cells = math.prod(max(1, len(vals)) for _, vals in grids)
-    if cells > a.max_cells:
-        raise BudgetError(f"{cells} grid cells exceed --max-cells {a.max_cells}")
+    if cells > SWEEP_CELL_BUDGET:
+        raise BudgetError(f"{cells} grid cells exceed SWEEP_CELL_BUDGET = {SWEEP_CELL_BUDGET}")
     fixed = {key.strip(): val for key, _, val in (f.partition("=") for f in a.fixed)}
     rows = []
     for combo in itertools.product(*(vals for _, vals in grids)):

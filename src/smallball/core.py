@@ -69,21 +69,21 @@ FLAT_WORK_BUDGET = 10**5
 DENSE_MIN_WORK = 1024
 
 
-def lattice_counts(steps) -> SortedCounts | dict[int, int]:
+def lattice_counts(steps) -> SortedCounts:
     """The one exact-law kernel: counts of s_1 + ... + s_n where step i
     offers integer shift s with positive integer weight w.  `steps` is a
     list of nonempty sequences of (shift, weight) pairs.
 
     The path is chosen once, from the steps, before any step runs
-    (`_array_counts`), and the law it builds is returned as it is: a narrow
-    law is counted on an int64 histogram and a wide one by a sorted merge of
-    int64 arrays, returned as `SortedCounts`, keys ascending; a tiny law, or
-    one past int64, is merged in a dict (`_dict_counts`), which readers take
-    with its keys sorted, so no report depends on the path.  Each path raises
-    BudgetError past its own budgets, read when called: both merges
-    ATOM_BUDGET and KERNEL_WORK_BUDGET, the histogram HISTOGRAM_WORK_BUDGET."""
-    law = _array_counts(steps, ATOM_BUDGET)
-    return _dict_counts(steps, ATOM_BUDGET) if law is None else SortedCounts(*law)
+    (`_array_counts`): a narrow law is counted on an int64 histogram and a
+    wide one by a sorted merge of int64 arrays; a tiny law, or one past
+    int64, is merged in a dict (`_dict_counts`) and sorted once here
+    (`_sorted_arrays`).  Every path returns `SortedCounts`, keys ascending,
+    so no report depends on the path.  Each path raises BudgetError past its
+    own budgets, read when called: both merges ATOM_BUDGET and
+    KERNEL_WORK_BUDGET, the histogram HISTOGRAM_WORK_BUDGET."""
+    law = _array_counts(steps, ATOM_BUDGET) or _sorted_arrays(_dict_counts(steps, ATOM_BUDGET))
+    return SortedCounts(*law)
 
 
 def _budgeted(steps, budget: int, support):
@@ -139,6 +139,17 @@ def _merge_counts(steps, budget: int):
             starts = np.flatnonzero(first)
             keys, counts = keys[starts], np.add.reduceat(counts, starts)
     return keys, counts
+
+
+def _sorted_arrays(counts: dict[int, int]):
+    """A dict merge's law as (keys, counts) arrays, keys ascending: int64 by
+    `_array_counts`'s rule (every key fits in half of int64 and the total
+    mass, which bounds every count, fits), so that no key difference or sum
+    of counts wraps; else object arrays of Python ints."""
+    keys = sorted(counts)
+    fits = max(-keys[0], keys[-1]) <= INT64_MAX // 2 and sum(counts.values()) <= INT64_MAX
+    dtype = np.int64 if fits else object
+    return np.array(keys, dtype), np.array([counts[k] for k in keys], dtype)
 
 
 def _array_counts(steps, budget: int):
@@ -229,7 +240,7 @@ def exact_sign_sum_distribution(
     return ExactDistribution(lattice_counts(steps), la * ls, den ** A.n, A.n, pack)
 
 
-def bernoulli_int_counts(entries: list[int]) -> SortedCounts | dict[int, int]:
+def bernoulli_int_counts(entries: list[int]) -> SortedCounts:
     """Counts (out of 2^n) of sum +-a_i for integer entries and Bernoulli
     +-1 signs."""
     return lattice_counts([((-a, 1), (a, 1)) for a in entries])
@@ -266,7 +277,7 @@ def ball_probability_1d(
     if R < 0:
         raise ValidationError("radius must be >= 0")
     dist = exact_sign_sum_distribution(A, xi)
-    keys, counts = dist.arrays
+    keys, counts = dist.counts.arrays
     mass = np.concatenate(([0], np.cumsum(counts)))
     # keys k <= k' fit one window iff k' - k <= floor(2R*L); with the width clamped to
     # the span, min(k, last - width) + width ends where k + width would, and cannot wrap
@@ -319,7 +330,7 @@ def ball_probability_2d(
     if R < 0:
         raise ValidationError("radius must be >= 0")
     dist = exact_sign_sum_distribution(A, xi)
-    xy = [dist._coords(k) for k in dist.arrays[0].tolist()]  # the atoms in value order
+    xy = [dist._coords(k) for k in dist.counts.arrays[0].tolist()]  # the atoms in value order
     pts = [(Fraction(x, dist.scale), Fraction(y, dist.scale)) for x, y in xy]
     rr = R * R
     # each atom is a centre, and each pair of atoms within 2R gives two; every
@@ -428,6 +439,6 @@ def stanley_constant_scan(n_list: list[int]) -> list[tuple[int, Fraction, float]
             raise BudgetError(f"n={n}: kernel work of at least n(n - 1) exceeds its budgets")
         A0 = centered_progression(n)
         counts = bernoulli_int_counts(A0.int_entries())
-        rho = Fraction(max(counts.values()), 2**n)
+        rho = Fraction(int(counts.arrays[1].max()), 2**n)
         out.append((n, rho, float(rho) * n**1.5))
     return out

@@ -208,12 +208,6 @@ def _inverse_table(p: int) -> np.ndarray:
     return table
 
 
-def _inv_modp(x: np.ndarray, p: int) -> np.ndarray:
-    """Inverses mod p of the residues x in [0, p), elementwise, read from the
-    prime's table."""
-    return _inverse_table(p)[x]
-
-
 def _batch_rank_deficient_modp(mats: np.ndarray, p: int) -> np.ndarray:
     """Boolean mask of matrices with det == 0 (mod p), by batched Gaussian
     elimination over F_p.  A matrix leaves the batch at the first column
@@ -237,7 +231,7 @@ def _batch_rank_deficient_modp(mats: np.ndarray, p: int) -> np.ndarray:
             pr = pivot_rows[swap]
             A[swap, k], A[swap, pr] = A[swap, pr], A[swap, k]
         col = A[:, k:, k] % p
-        factors = col[:, 1:] * _inv_modp(col[:, 0], p)[:, None] % p
+        factors = col[:, 1:] * _inverse_table(p)[col[:, 0]][:, None] % p
         A[:, k + 1:, k + 1:] -= factors[:, :, None] * (A[:, k, None, k + 1:] % p)
     return singular
 

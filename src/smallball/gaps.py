@@ -1,6 +1,7 @@
-"""Generalized arithmetic progressions: algebra, forward constructions,
-inverse fitting with certificates, the structured-multiset census, and
-geometric-progression concentration in quadratic integer rings.
+"""Symmetric generalized arithmetic progressions {sum m_i g_i : |m_i| <= M_i}:
+algebra, forward constructions, inverse fitting with certificates, the
+structured-multiset census, and geometric-progression concentration in
+quadratic integer rings.
 
 The inverse theorems guarantee a small proper symmetric GAP holding most
 entries, non-constructively.  The inverse fit certifies one: its rank-1 GAP
@@ -26,6 +27,7 @@ from .types import (
     SignDistribution,
     ValidationError,
     common_denominator,
+    lattice_ints,
 )
 
 MATERIALIZE_BUDGET = 10**6
@@ -41,11 +43,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # derived values past it read inf
 
 @dataclass(frozen=True)
 class Gap:
-    """Symmetric-by-default GAP: {offset + sum m_i g_i : |m_i| <= M_i}."""
+    """Symmetric GAP: {sum m_i g_i : |m_i| <= M_i}."""
 
     generators: tuple[Fraction, ...]
     bounds: tuple[int, ...]
-    offset: Fraction = Fraction(0)
 
     def __post_init__(self):
         if len(self.generators) != len(self.bounds):
@@ -54,9 +55,8 @@ class Gap:
             raise ValidationError("bounds must be non-negative")
 
     @staticmethod
-    def of(generators, bounds, offset=0) -> "Gap":
-        return Gap(tuple(Fraction(g) for g in generators),
-                   tuple(int(b) for b in bounds), Fraction(offset))
+    def of(generators, bounds) -> "Gap":
+        return Gap(tuple(Fraction(g) for g in generators), tuple(int(b) for b in bounds))
 
     @property
     def rank(self) -> int:
@@ -69,30 +69,22 @@ class Gap:
             v *= 2 * b + 1
         return v
 
-    @property
-    def symmetric(self) -> bool:
-        return self.offset == 0
-
     def dilate(self, t: int) -> "Gap":
-        if not self.symmetric:
-            raise ValidationError("dilate requires a symmetric GAP")
         if t < 1:
             raise ValidationError("dilate factor must be a positive integer")
-        return Gap(self.generators, tuple(t * b for b in self.bounds), self.offset)
+        return Gap(self.generators, tuple(t * b for b in self.bounds))
 
 
 def gap_lattice_points(Q: Gap):
-    """(L, points): L is the least common denominator of the offset and the
-    generators, and points is the set of integers L*x, exact Python ints,
-    over the points x of Q.  Memory is O(volume) <= O(MATERIALIZE_BUDGET)
-    entries."""
+    """(L, points): L is the least common denominator of the generators,
+    and points is the set of integers L*x, exact Python ints, over the
+    points x of Q.  Memory is O(volume) <= O(MATERIALIZE_BUDGET) entries."""
     if Q.volume > MATERIALIZE_BUDGET:
         raise BudgetError(f"a GAP of rank {Q.rank} with volume over {MATERIALIZE_BUDGET} "
                           "exceeds the budget")
-    L = common_denominator((Q.offset, *Q.generators))
-    pts = {int(Q.offset * L)}
-    for g, M in zip(Q.generators, Q.bounds):
-        step = int(g * L)
+    L = common_denominator(Q.generators)
+    pts = {0}
+    for step, M in zip(lattice_ints(Q.generators, L), Q.bounds):
         shifts = [m * step for m in range(-M, M + 1)]
         pts = {v + s for v in pts for s in shifts}
     return L, pts
@@ -256,7 +248,7 @@ def gap_fit(
         digits += gap.volume >= 10**digits
         raise BudgetError(f"the certificate's volume has {digits} decimal digits, past "
                           f"the {limit}-digit limit of Python's int-to-str conversion")
-    rho = Fraction(max(bernoulli_int_counts(entries).values()), 2**n)
+    rho = Fraction(int(bernoulli_int_counts(entries).arrays[1].max()), 2**n)
     eps_achieved = Fraction(n - covered, n)
     try:
         quality = float(rho) * gap.volume * n ** (gap.rank / 2)
@@ -290,7 +282,7 @@ def structured_multiset_census(
     universe = [x for x in range(-M, M + 1) if x != 0]
     grid = sorted((Fraction(r) for r in rho_grid), reverse=True)
     # rho(A) >= rho0 iff the largest count reaches ceil(rho0 * 2^n)
-    peaks = [max(bernoulli_int_counts(combo).values())
+    peaks = [int(bernoulli_int_counts(combo).arrays[1].max())
              for combo in itertools.combinations_with_replacement(universe, n)]
     rows = []
     for rho0 in grid:
@@ -347,4 +339,4 @@ def geometric_progression_rho(x, n: int, quad: tuple[int, int] | None = None) ->
         # pack u + v t into u + B v with B above twice every reachable |u|
         B = 2 * sum(abs(u) for u, _ in powers) + 1
         shifts = [u + B * v for u, v in powers]
-    return Fraction(max(bernoulli_int_counts(shifts).values()), 2 ** (n + 1))
+    return Fraction(int(bernoulli_int_counts(shifts).arrays[1].max()), 2 ** (n + 1))

@@ -19,7 +19,6 @@ from .core import bernoulli_int_counts
 from .gaps import Gap, gap_lattice_points
 from .types import (
     BudgetError,
-    CoefficientMultiset,
     SignDistribution,
     ValidationError,
     common_denominator,
@@ -188,12 +187,13 @@ def structured_quadratic_generator(kind: str, n: int, seed: int,
         raise ValidationError("structured generators need 1 <= n <= 20")
     if kind not in ("gap", "lowrank", "mixed"):
         raise ValidationError(f"unknown kind {kind!r}")
-    if kind in ("lowrank", "mixed"):
-        k = [int(v) for v in k] if k is not None else \
-            [int(v) for v in rng.integers(-3, 4, size=n)]
-    gap_part = np.zeros((n, n), dtype=np.int64)
-    floor_gap = None
-    if kind in ("gap", "mixed"):
+    if kind != "gap":
+        k = [int(v) for v in (rng.integers(-3, 4, size=n) if k is None else k)]
+        if len(k) != n:
+            raise ValidationError(f"k needs n = {n} entries, not {len(k)}")
+    # exact ints: the GAP points and the k_i may lie beyond int64
+    entries, floor = np.zeros((n, n), dtype=object), Fraction(1)
+    if kind != "lowrank":
         Q = gap or Gap.of([1], [3])
         L, pts = gap_lattice_points(Q)
         if len(pts) != Q.volume:
@@ -201,28 +201,16 @@ def structured_quadratic_generator(kind: str, n: int, seed: int,
         pool = sorted(pts)
         if any(v % L for v in pool):
             raise ValidationError("gap generator needs integer GAP points")
-        pick = rng.integers(0, len(pool), size=(n, n))
-        # exact ints: the points may lie beyond int64
-        gap_part = np.array([v // L for v in pool], dtype=object)[pick]
-        gap_part = np.triu(gap_part) + np.triu(gap_part, 1).T
-        floor_gap = Fraction(1, len(gap_lattice_points(Q.dilate(n * n))[1]))
-    low_part = np.zeros((n, n), dtype=np.int64)
-    floor_low = None
-    if kind in ("lowrank", "mixed"):
-        b = [int(v) for v in rng.integers(-5, 6, size=n)]
-        # exact ints, as the GAP part: the k_i may lie beyond int64
-        kv, bv = np.array(k, dtype=object), np.array(b, dtype=object)
-        low_part = np.outer(kv, bv) + np.outer(bv, kv)
-        floor_low = Fraction(bernoulli_int_counts(k).get(0, 0), 2**n)
-    entries = gap_part + low_part
+        pick = np.array([v // L for v in pool], dtype=object)[rng.integers(0, len(pool), (n, n))]
+        entries += np.triu(pick) + np.triu(pick, 1).T
+        floor /= len(gap_lattice_points(Q.dilate(n * n))[1])
+    if kind != "gap":
+        kv = np.array(k, dtype=object)
+        bv = np.array([int(v) for v in rng.integers(-5, 6, size=n)], dtype=object)
+        entries += np.outer(kv, bv) + np.outer(bv, kv)
+        floor *= Fraction(bernoulli_int_counts(k).get(0, 0), 2**n)
     M = SymmetricCoefficientMatrix.of(entries.tolist())
     rho_q, _ = quadratic_concentration(M)
-    if kind == "gap":
-        floor = floor_gap
-    elif kind == "lowrank":
-        floor = floor_low
-    else:
-        floor = floor_low * floor_gap
     return M, rho_q, floor
 
 
@@ -281,9 +269,6 @@ class MultilinearPolynomial:
             term_map[idx] = term_map.get(idx, Fraction(0)) + coef
         return MultilinearPolynomial.of(term_map, n)
 
-    def degree_k_sets(self) -> list[tuple[int, ...]]:
-        return [S for S, _ in self.terms if len(S) == self.k]
-
 
 def _eval_all_boolean(P: MultilinearPolynomial) -> tuple[np.ndarray, int]:
     """(den * P over all 2^n boolean assignments, exact in int64; den), with
@@ -313,8 +298,8 @@ def greedy_disjoint_terms(P: MultilinearPolynomial) -> int:
     index sets with nonzero coefficients."""
     used: set[int] = set()
     r = 0
-    for S in P.degree_k_sets():
-        if not used.intersection(S):
+    for S, _ in P.terms:
+        if len(S) == P.k and not used.intersection(S):
             used.update(S)
             r += 1
     return r

@@ -157,22 +157,15 @@ class SignDistribution:
     def values(self) -> tuple[Fraction, ...]:
         return tuple(v for v, _ in self.support)
 
-    def spread_bound(self) -> Fraction:
-        """1 - b where b is extracted from open unit-length windows:
-        sup over a of P(xi in (a-1, a+1))."""
-        vals = self.values
-        best = Fraction(0)
-        n = len(vals)
-        i = 0
-        for j in range(n):
+    def b_value(self) -> Fraction:
+        """1 - sup over a of P(xi in (a-1, a+1)): the mass that every open
+        unit-radius window leaves out."""
+        vals, best, i = self.values, Fraction(0), 0
+        for j in range(len(vals)):
             while vals[j] - vals[i] >= 2:  # open window: strict span < 2
                 i += 1
-            mass = sum(p for _, p in self.support[i:j + 1])
-            best = max(best, mass)
-        return best
-
-    def b_value(self) -> Fraction:
-        return 1 - self.spread_bound()
+            best = max(best, sum(p for _, p in self.support[i:j + 1]))
+        return 1 - best
 
 
 @dataclass(frozen=True)
@@ -231,9 +224,10 @@ def _ratio_text(num: int, den: int) -> str:
 
 
 class SortedCounts(Mapping):
-    """A law's counts as the kernel's int64 arrays, keys ascending.  The
-    values and items, as Python ints, come from the arrays; a dict is built
-    only at the first lookup by key."""
+    """A law's counts as the kernel's arrays, keys ascending: int64, or
+    object arrays of Python ints for a law past int64.  The values and
+    items, as Python ints, come from the arrays; a dict is built only at the
+    first lookup by key."""
 
     def __init__(self, keys, counts):
         self.arrays = keys, counts
@@ -265,18 +259,16 @@ class ExactDistribution:
     (x / scale, y / scale) with k = y + pack * x and 2|y| < pack (d=2), so
     that ascending keys are the values in order, pairs in (x, y) order."""
 
-    counts: Mapping[int, int]
+    counts: SortedCounts
     scale: int
     total: int
     n_source: int
     pack: int = 0
 
     def __post_init__(self):
-        # the kernel's int64 counts sum exactly: they are positive and their
-        # total fits int64
-        counts = self.counts
-        if (counts.arrays[1].sum() if isinstance(counts, SortedCounts)
-                else sum(counts.values())) != self.total:
+        # the kernel's counts sum exactly: int64 ones are positive and their
+        # total fits int64, and object ones are Python ints
+        if self.counts.arrays[1].sum() != self.total:
             raise ValidationError(f"atom counts do not sum to {self.total}")
 
     def _coords(self, key: int) -> tuple[int, ...]:
@@ -290,19 +282,6 @@ class ExactDistribution:
         v = tuple(Fraction(c, self.scale) for c in self._coords(key))
         return v if self.pack else v[0]
 
-    @cached_property
-    def arrays(self):
-        """(keys, counts) as arrays in value order: the kernel's int64 arrays,
-        or a dict's, in int64 if its keys fit half of int64 and its total fits
-        int64 (then no key difference or sum of counts wraps), else as object
-        arrays of Python ints."""
-        if isinstance(self.counts, SortedCounts):
-            return self.counts.arrays
-        keys = sorted(self.counts)
-        fits = self.total <= INT64_MAX and max(map(abs, keys)) <= INT64_MAX // 2
-        dtype = np.int64 if fits else object
-        return np.array(keys, dtype), np.array([self.counts[k] for k in keys], dtype)
-
     @property
     def atoms(self) -> Mapping[Value, Fraction]:
         """value -> probability, in value order."""
@@ -310,13 +289,13 @@ class ExactDistribution:
 
     def max_atom(self) -> tuple[Fraction, Value]:
         """(probability, smallest value attaining it): the first maximum."""
-        keys, counts = self.arrays
+        keys, counts = self.counts.arrays
         i = int(np.argmax(counts))
         return Fraction(int(counts[i]), self.total), self._value(int(keys[i]))
 
     def _rows(self):
         """(value text, numerator, denominator) per atom, in value order."""
-        for k, c in zip(*(a.tolist() for a in self.arrays)):
+        for k, c in zip(*(a.tolist() for a in self.counts.arrays)):
             text = [_ratio_text(x, self.scale) for x in self._coords(k)]
             g = math.gcd(c, self.total)
             yield (text if self.pack else text[0]), c // g, self.total // g
@@ -346,7 +325,7 @@ class _Atoms(Mapping):
         law = self._law
         if "_atoms" not in law.__dict__:
             law.__dict__["_atoms"] = {law._value(k): Fraction(c, law.total)
-                                      for k, c in zip(*(a.tolist() for a in law.arrays))}
+                                      for k, c in zip(*(a.tolist() for a in law.counts.arrays))}
         return law.__dict__["_atoms"]
 
     def __len__(self):

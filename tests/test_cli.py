@@ -9,13 +9,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
 from smallball import fourier, lcd, polyforms
-from smallball.cli import COMMANDS, COMMON, REPORT_SCHEMA, SWEEP_FLAGS, main
+from smallball.cli import COMMANDS, COMMON, REPORT_SCHEMA, SWEEP_FLAGS, Command, main
 from smallball.core import ball_probability_1d
 from smallball.types import CoefficientMultiset, SignDistribution
 
@@ -145,6 +146,16 @@ def test_sweep_cells_take_the_sweep_seed(capsys):
     # a cell's own seed still wins
     code, out = run_cli(base + ["--fixed", "seed=7"], capsys)
     assert next(csv.DictReader(io.StringIO(out)))["master_seed"] == "7"
+
+
+def test_sweep_refuses_a_grid_past_its_cell_budget(capsys):
+    # 101 x 101 = 10,201 cells pass SWEEP_CELL_BUDGET; no cell runs
+    grid = ",".join(map(str, range(101)))
+    with mock.patch.object(Command, "run", side_effect=AssertionError("a cell ran")):
+        code = main(["sweep", "--sub", "rho", "--grid", f"entries={grid}",
+                     "--grid", f"seed={grid}"])
+    assert code == 3
+    assert "SWEEP_CELL_BUDGET" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["rho", "sweep"])
@@ -324,6 +335,9 @@ HUGE = str(10**400)
     ["esseen", "--entries=1", f"--beta=1/{10**309}"],
     ["flat", f"--entries={HUGE},1,2,3"],
     ["ball2d", f"--entries={HUGE},0,0,1", "--radius=1"],
+    # a --k of the wrong length ended in a numpy broadcast traceback (exit 1)
+    ["quad-gen", "--kind=mixed", "--n=3", "--k=1,1", "--seed=0"],
+    ["quad-gen", "--kind=lowrank", "--n=2", "--k=1,2,3"],
 ])
 def test_malformed_input_exit_code(args, capsys):
     assert run_cli(args, capsys)[0] == 2

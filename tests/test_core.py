@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -297,31 +298,37 @@ def reference_ball(law, R):
 
 
 def reader_cases():
-    """(entries, sign law, the kernel's counts type) on every path: the sorted
-    merge (dissociated entries, whose atoms all tie, one with pairs of atoms
-    2 apart), the histogram, the dict merge of a tiny law, keys past int64, a
-    mass past int64, and keys at the edge of the merge's int64 guard."""
+    """(entries, sign law, the dtype of the kernel's arrays) on every path:
+    the sorted merge (dissociated entries, whose atoms all tie, one with
+    pairs of atoms 2 apart), the histogram, the dict merge of a tiny law,
+    keys past int64, a mass past int64, and keys at the edge of the merge's
+    int64 guard.  Each id ends in the path that counts the law: SortedCounts
+    for the int64 arrays, dict for the dict merge, whose law the kernel
+    sorts into arrays at its exit."""
     rng = random.Random(18)
     lazy = SignDistribution.lazy(Fraction(1, 3))
     wide = [[Fraction(rng.choice([-1, 1]) * rng.randint(10**4, 10**6), rng.choice([1, 3, 40]))
              for _ in range(n)] for n in (10, 11, 12)]
     edge = [3**k for k in range(9)]
-    return [(wide[0], PM1, SortedCounts), (wide[1], BOOL, SortedCounts),
-            (wide[2][:7], lazy, SortedCounts),
-            ([1] + [100_003 * 2**k + 7 * k for k in range(11)], PM1, SortedCounts),
-            ([rng.randint(-9, 9) for _ in range(30)], PM1, SortedCounts),
-            ([rng.randint(-9, 9) for _ in range(20)], lazy, SortedCounts),
-            (wide[0][:5], BOOL, dict),
-            ([10**19 + 3**k for k in range(11)], PM1, dict),
-            ([1] * 63, PM1, dict),  # a total mass of 2^63, past int64
-            (edge + [core.INT64_MAX // 2 - sum(edge)], PM1, SortedCounts)]
+    rows = [(wide[0], PM1, np.int64, "SortedCounts"), (wide[1], BOOL, np.int64, "SortedCounts"),
+            (wide[2][:7], lazy, np.int64, "SortedCounts"),
+            ([1] + [100_003 * 2**k + 7 * k for k in range(11)], PM1, np.int64, "SortedCounts"),
+            ([rng.randint(-9, 9) for _ in range(30)], PM1, np.int64, "SortedCounts"),
+            ([rng.randint(-9, 9) for _ in range(20)], lazy, np.int64, "SortedCounts"),
+            (wide[0][:5], BOOL, np.int64, "dict"),
+            ([10**19 + 3**k for k in range(11)], PM1, object, "dict"),
+            ([1] * 63, PM1, object, "dict"),  # a total mass of 2^63, past int64
+            (edge + [core.INT64_MAX // 2 - sum(edge)], PM1, np.int64, "SortedCounts")]
+    return [pytest.param(entries, xi, dtype, id=f"entries{i}-xi{i}-{path}")
+            for i, (entries, xi, dtype, path) in enumerate(rows)]
 
 
-@pytest.mark.parametrize("entries, xi, kind", reader_cases())
-def test_array_readers_match_the_python_reference(entries, xi, kind):
+@pytest.mark.parametrize("entries, xi, dtype", reader_cases())
+def test_array_readers_match_the_python_reference(entries, xi, dtype):
     A = CoefficientMultiset.of(entries)
     law = exact_sign_sum_distribution(A, xi)
-    assert type(law.counts) is kind and len(law.atoms) == len(law.counts)
+    assert type(law.counts) is SortedCounts and len(law.atoms) == len(law.counts)
+    assert law.counts.arrays[0].dtype == law.counts.arrays[1].dtype == dtype
     assert law.max_atom() == reference_max_atom(law)
     keys = sorted(law.counts)
     span = Fraction(keys[-1] - keys[0], law.scale)
@@ -337,11 +344,11 @@ def test_reader_cases_hold_ties():
     # the cases above test the tie rules: several atoms hold the greatest
     # count, and several best windows hold the greatest mass
     cases = reader_cases()
-    for entries, xi, _ in (cases[0], cases[1], cases[3], cases[7]):
+    for entries, xi, _ in (cases[i].values for i in (0, 1, 3, 7)):
         law = exact_sign_sum_distribution(CoefficientMultiset.of(entries), xi)
         counts = list(law.counts.values())
         assert counts.count(max(counts)) > 1
-    law = exact_sign_sum_distribution(CoefficientMultiset.of(cases[3][0]), PM1)
+    law = exact_sign_sum_distribution(CoefficientMultiset.of(cases[3].values[0]), PM1)
     keys = sorted(law.counts)
     pairs = [k for k, nxt in zip(keys, keys[1:]) if nxt - k == 2 * law.scale]
     assert len(pairs) == len(keys) // 2  # every window of radius 1 holds one pair

@@ -20,7 +20,7 @@ from smallball.experiments import (
     _batch_rank_deficient_modp,
     _batches,
     _halved_minors,
-    _inv_modp,
+    _inverse_table,
     _sign_matrices,
     _singular,
     common_root_probability,
@@ -323,8 +323,8 @@ def test_trial_bits_partition_independent():
 def test_pivot_inverse_every_residue(p):
     x = np.arange(1, p, dtype=np.int64)
     want = np.array([pow(int(v), p - 2, p) for v in x])
-    assert (_inv_modp(x, p) == want).all()
-    assert (x * _inv_modp(x, p) % p == 1).all()
+    assert (_inverse_table(p)[x] == want).all()
+    assert (x * _inverse_table(p)[x] % p == 1).all()
 
 
 @pytest.mark.parametrize("kind", ["bernoulli_iid", "bernoulli_symmetric"])

@@ -526,9 +526,34 @@ def test_geometric_rho_quadratic_matches_enumeration(c1, c0, n):
 
 
 def test_exact_distribution_rejects_counts_not_summing_to_total():
-    assert ExactDistribution({-1: 1, 1: 1}, 1, 2, 1).max_atom() == (Fraction(1, 2), -1)
+    keys = np.array([-1, 1])
+    law = ExactDistribution(SortedCounts(keys, np.array([1, 1])), 1, 2, 1)
+    assert law.max_atom() == (Fraction(1, 2), -1)
     with pytest.raises(ValidationError):
-        ExactDistribution({-1: 1, 1: 2}, 1, 4, 1)
+        ExactDistribution(SortedCounts(keys, np.array([1, 2])), 1, 4, 1)
+    # object counts past int64 are summed exactly
+    big = np.array([2**63, 2**63], dtype=object)
+    assert ExactDistribution(SortedCounts(keys.astype(object), big), 1, 2**64, 1).total == 2**64
+    with pytest.raises(ValidationError):
+        ExactDistribution(SortedCounts(keys.astype(object), big), 1, 2**64 + 1, 1)
+
+
+@pytest.mark.parametrize("want, dtype, steps", [
+    ("dict", np.int64, [((-1, 1), (1, 1))] * 3),  # tiny
+    ("histogram", np.int64, [((-a, 1), (a, 1)) for a in NARROW]),
+    ("merge", np.int64, [((-a, 1), (a, 1)) for a in (10**5 + 3**k for k in range(11))]),
+    ("dict", object, [((-a, 1), (a, 1)) for a in (10**19 + 3**k for k in range(10))]),  # keys
+    ("dict", object, [((-1, 1), (0, 1), (1, 1))] * 40),  # a total mass of 3^40
+], ids=["tiny", "histogram", "merge", "keys-past-int64", "mass-past-int64"])
+def test_every_kernel_path_returns_sorted_counts(want, dtype, steps):
+    # every path leaves the kernel as SortedCounts, keys strictly ascending,
+    # int64 when its keys fit half of int64 and its mass fits, else object
+    assert path(steps) == want
+    law = lattice_counts(steps)
+    assert type(law) is SortedCounts
+    keys, counts = law.arrays
+    assert keys.dtype == counts.dtype == dtype and (np.diff(keys) > 0).all()
+    assert law.items() == sorted(merged(steps).items())
 
 
 def dissociated(rng, n, denominators=(1,)):
@@ -561,7 +586,7 @@ def test_sorted_merge_matches_dict_merge(law, denominators):
         assert keys.dtype == counts.dtype == np.int64 and (np.diff(keys) > 0).all()
         assert dict(zip(keys.tolist(), counts.tolist())) == merged(steps)
         law_, by_dict = laws_on_both_merges(A, xi)
-        assert isinstance(law_.counts, SortedCounts) and type(by_dict.counts) is dict
+        assert type(law_.counts) is type(by_dict.counts) is SortedCounts
         assert law_.counts == by_dict.counts and len(law_.atoms) == len(by_dict.counts)
         R = abs(A.entries[0]) * Fraction(rng.randint(1, 8), 3)
         for reader in (lambda d: d.max_atom(), lambda d: d.to_csv(), lambda d: d.to_json_dict(),

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,21 +98,27 @@ def test_trace_probe_sees_one_law_built_through_the_module(capsys):
     assert '"exact": "3/8"' in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("entries, d, kind", [
-    ([3, 5, 9], 1, dict),  # tiny: the dict merge
-    ([1] * 40, 1, SortedCounts),  # narrow: the histogram
-    ([10**5 + 3**k for k in range(10)], 1, SortedCounts),  # wide: the sorted merge
-    ([10**19 + 3**k for k in range(10)], 1, dict),  # keys past int64
-    ([1, 0, 0, 1, 1, 1], 2, dict),
+# (entries, d, the dtype of the kernel's arrays); each id ends in the path
+# that counts the law, SortedCounts for the int64 arrays and dict for the
+# dict merge, whose law the kernel sorts into arrays at its exit
+@pytest.mark.parametrize("entries, d, dtype", [
+    pytest.param([3, 5, 9], 1, np.int64, id="entries0-1-dict"),  # tiny
+    pytest.param([1] * 40, 1, np.int64, id="entries1-1-SortedCounts"),  # narrow: the histogram
+    # wide: the sorted merge
+    pytest.param([10**5 + 3**k for k in range(10)], 1, np.int64, id="entries2-1-SortedCounts"),
+    # keys past int64
+    pytest.param([10**19 + 3**k for k in range(10)], 1, object, id="entries3-1-dict"),
+    pytest.param([1, 0, 0, 1, 1, 1], 2, np.int64, id="entries4-2-dict"),
 ])
-def test_construction_check_and_support_size_on_every_path(entries, d, kind):
+def test_construction_check_and_support_size_on_every_path(entries, d, dtype):
     from smallball import core
     from smallball.core import exact_sign_sum_distribution
 
     A = CoefficientMultiset.of(entries) if d == 1 else \
         CoefficientMultiset.of_pairs(list(zip(entries[::2], entries[1::2])))
     law = exact_sign_sum_distribution(A, SignDistribution.bernoulli_pm1())
-    assert type(law.counts) is kind
+    assert type(law.counts) is SortedCounts
+    assert law.counts.arrays[0].dtype == law.counts.arrays[1].dtype == dtype
     with mock.patch.object(core, "_array_counts", return_value=None):
         size = len(exact_sign_sum_distribution(A, SignDistribution.bernoulli_pm1()).counts)
     # the support size, read without building the Fraction atoms or, from
